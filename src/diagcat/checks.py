@@ -31,11 +31,12 @@ from .cobordism import (
     st_datum,
 )
 from .homspace import (
-    ExactMatrix,
     HomBasis,
     LinMorphism,
+    Subspace,
     hom_basis,
     matrix_of,
+    sparse,
 )
 from .karoubi import (
     KarHom,
@@ -182,23 +183,22 @@ def check_ex(
                 if not us or not vs:
                     continue
                 target = hom_basis(cls, a, b)
-                columns = []
-                for v in vs:
-                    for u in us:
-                        prod = LinMorphism.from_diagram(
-                            v, field
-                        ).tensor(LinMorphism.from_diagram(u, field), field)
-                        col = [field.zero()] * len(target)
-                        for d, c in prod.terms.items():
-                            col[target.index(d)] = c
-                        columns.append(col)
-                matrix = ExactMatrix.from_columns(columns, len(target), field)
-                if matrix.rank() != len(columns):
+                pairs = [(v, u) for v in vs for u in us]
+                matrix = matrix_of(
+                    lambda vu: LinMorphism.from_diagram(vu[0], field).tensor(
+                        LinMorphism.from_diagram(vu[1], field), field
+                    ),
+                    pairs,
+                    target,
+                    field,
+                )
+                rank = matrix.rank()
+                if rank != len(pairs):
                     witness = {
                         "U": a,
                         "V": b,
-                        "columns": len(columns),
-                        "rank": matrix.rank(),
+                        "columns": len(pairs),
+                        "rank": rank,
                         "problem": "psi_{U,V} not injective",
                         "replay": replay,
                     }
@@ -333,15 +333,9 @@ def check_uex(
             }
             return _finish("uex", params, "fail", witness, t0)
         # image of b inside the kernel, and equality of dimensions
-        from .homspace import Subspace
-
         image = Subspace(field)
         for j in range(len(hom_1v)):
-            col = {
-                i: b.entries[i][j]
-                for i in range(len(hom_uv))
-                if not b.entries[i][j].is_zero()
-            }
+            col = sparse(row[j] for row in b.entries)
             v = LinMorphism.from_diagram(hom_1v[j], field)
             vu = v.compose(u, field)
             if not vu.compose(w, field).is_zero():
@@ -363,8 +357,7 @@ def check_uex(
             }
             return _finish("uex", params, "fail", witness, t0)
         for vec in kernel:
-            sparse = {i: c for i, c in enumerate(vec) if not c.is_zero()}
-            if not image.contains(sparse):
+            if not image.contains(sparse(vec)):
                 witness = {
                     "V": k,
                     "problem": "kernel vector outside the image of v -> v.u",
@@ -478,18 +471,16 @@ def _rep_h_objects(i: int, field: FieldSpec):
 
 def _phi_matrix(hom: KarHom, p_entries, target: HomBasis, field: FieldSpec):
     """Matrix of h -> p . h into the diagram basis of Hom([m], [0])."""
-    columns = []
-    for elem in hom.elements:
+
+    def phi(elem):
         total = LinMorphism.zero(hom.dom.words[0], 0)
         for j, p_j in enumerate(p_entries):
             entry = elem.entries[j][0]
             if not entry.is_zero():
                 total = total + p_j.compose(entry, field)
-        col = [field.zero()] * len(target)
-        for d, c in total.terms.items():
-            col[target.index(d)] = c
-        columns.append(col)
-    return ExactMatrix.from_columns(columns, len(target), field)
+        return total
+
+    return matrix_of(phi, hom.elements, target, field)
 
 
 def representable_H(

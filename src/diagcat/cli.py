@@ -52,10 +52,6 @@ def parse_field(text: str) -> FieldSpec:
         raise ValueError(f"--t expects 'generic' or a rational, got {text!r}")
 
 
-def parse_diagram(text: str) -> PartitionDiagram:
-    return PartitionDiagram.parse(text)
-
-
 def resolve_bound(value, default: int) -> int:
     if value is not None:
         return value
@@ -65,18 +61,18 @@ def resolve_bound(value, default: int) -> int:
     return default
 
 
-def _add_common(sub, bound_help="total points bound"):
+def _add_common(sub):
     sub.add_argument("--t", default="generic", help="generic or a rational like 5 or 1/2")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
+
+
+def _add_class(sub):
     sub.add_argument(
         "--class",
         dest="cls",
         default="all",
         help="diagram class tag (all, even-blocks, even-many-odd-blocks, blocks-size-2, non-crossing-size-2)",
     )
-    sub.add_argument("--max-points", type=int, default=None, help=bound_help)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("hom-basis", help="list the diagram basis of Hom([m],[n])")
     _add_common(p)
+    _add_class(p)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
@@ -129,15 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     _add_common(p)
+    _add_class(p)
+    p.add_argument("--max-points", type=int, default=None, help="total points bound")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=200)
     p.add_argument("--u", default=None, help="morphism U -> 1 for the uex check")
     p.add_argument("--i", type=int, default=3, help="summand bound for representable-h")
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--j-max", type=int, default=3)
-    p.add_argument("--side", default="left", choices=["left", "right"])
 
     p = subs.add_parser("fp", help="finitely presented functor operations")
     p.add_argument("name", choices=["hom", "coker", "kernel", "embed"])
     _add_common(p)
+    _add_class(p)
     p.add_argument("--dom", type=int, default=1, help="domain word for coker/kernel")
     p.add_argument("--cod", type=int, default=0, help="codomain word for coker/kernel")
     p.add_argument("--word", type=int, default=1, help="word for hom/embed")
@@ -295,7 +296,7 @@ def run_plain(args) -> int:
         )
         return 0
     if args.command == "moebius":
-        d = parse_diagram(args.diagram)
+        d = PartitionDiagram.parse(args.diagram)
         fn = moebius_x if args.kind == "x" else moebius_x_prime
         result = fn(d, field)
         _emit(

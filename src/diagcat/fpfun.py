@@ -14,7 +14,7 @@ records the morphism set against which its summands were checked.
 
 from __future__ import annotations
 
-from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis
+from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of, sparse
 from .karoubi import (
     KarHom,
     KarMorphism,
@@ -206,14 +206,19 @@ class FpHomSpace:
         hc = KarHom(src.Q, dst.P)
         a, b = self.ha.dimension(), self.ho.dimension()
         self.size = a + b
-        columns = []
-        for e in self.ha.elements:
-            columns.append(hc.coordinates_of(kar_compose(e, src.rho)))
-        minus = -field.one()
-        for o in self.ho.elements:
-            coords = hc.coordinates_of(kar_compose(dst.rho, o))
-            columns.append([c * minus for c in coords])
-        constraint = ExactMatrix.from_columns(columns, hc.dimension(), field)
+        pre_rho = matrix_of(
+            lambda e: kar_compose(e, src.rho), self.ha.elements, hc, field
+        )
+        rho_post = matrix_of(
+            lambda o: kar_compose(dst.rho, o), self.ho.elements, hc, field
+        )
+        constraint = ExactMatrix(
+            hc.dimension(),
+            a + b,
+            [pre + [-c for c in post]
+             for pre, post in zip(pre_rho.entries, rho_post.entries)],
+            field,
+        )
         solutions = constraint.kernel_basis()
 
         self.rprime_gens = []
@@ -221,31 +226,22 @@ class FpHomSpace:
         for beta in hb.elements:
             va = self.ha.coordinates_of(kar_compose(dst.rho, beta))
             vo = self.ho.coordinates_of(kar_compose(beta, src.rho))
-            self.rprime_gens.append(list(va) + list(vo))
-        if b:
-            rho_post = []
-            for o in self.ho.elements:
-                rho_post.append(hc.coordinates_of(kar_compose(dst.rho, o)))
-            for vec in ExactMatrix.from_columns(
-                rho_post, hc.dimension(), field
-            ).kernel_basis():
-                self.rprime_gens.append([field.zero()] * a + list(vec))
+            self.rprime_gens.append(va + vo)
+        for vec in rho_post.kernel_basis():
+            self.rprime_gens.append([field.zero()] * a + vec)
 
         span = Subspace(field)
         self._rprime = Subspace(field)
         for g in self.rprime_gens:
-            sparse = self._sparse(g)
-            span.add(sparse)
-            self._rprime.add(sparse)
+            vec = sparse(g)
+            span.add(vec)
+            self._rprime.add(vec)
         self.reps = []
         for vec in solutions:
-            if span.add(self._sparse(vec)):
+            if span.add(sparse(vec)):
                 alpha = self.ha.from_coordinates(vec[:a])
                 omega = self.ho.from_coordinates(vec[a:])
                 self.reps.append(FpMorphism(src, dst, alpha, omega))
-
-    def _sparse(self, vec):
-        return {i: c for i, c in enumerate(vec) if not c.is_zero()}
 
     def dimension(self) -> int:
         return len(self.reps)
@@ -256,10 +252,10 @@ class FpHomSpace:
         vo = self.ho.coordinates_of(phi.omega)
         if va is None or vo is None:
             raise ValueError("square does not live in this hom space")
-        return list(va) + list(vo)
+        return va + vo
 
     def is_zero_class(self, phi: FpMorphism) -> bool:
-        return self._rprime.contains(self._sparse(self.pair_coords(phi)))
+        return self._rprime.contains(sparse(self.pair_coords(phi)))
 
 
 def fp_hom(src: FpObject, dst: FpObject):
@@ -369,23 +365,20 @@ def weak_kernel_exact_at(
     probe: KarObject,
 ) -> bool:
     """Exactness of Hom(X,K) -> Hom(X,A) -> Hom(X,B) at the middle."""
-    from .karoubi import kar_matrix_of
-
     field = probe.field
     hx = KarHom(probe, theta.dom)
     hb = KarHom(probe, theta.cod)
     hk = KarHom(probe, k_obj)
     if hx.dimension() == 0:
         return True
-    kernel = kar_matrix_of(
-        lambda h: kar_compose(theta, h), hx, hb
+    kernel = matrix_of(
+        lambda h: kar_compose(theta, h), hx.elements, hb, field
     ).kernel_basis()
-    columns = [
-        hx.coordinates_of(kar_compose(kappa_prime, z)) for z in hk.elements
-    ]
-    image = ExactMatrix.from_columns(columns, hx.dimension(), field)
+    image = matrix_of(
+        lambda z: kar_compose(kappa_prime, z), hk.elements, hx, field
+    )
     for vec in kernel:
-        if image.solve(list(vec)) is None:
+        if image.solve(vec) is None:
             return False
     return True
 
@@ -396,11 +389,11 @@ def fp_vanishing_dimension(phi: FpMorphism, probe: FpObject) -> int:
     target = FpHomSpace(phi.src, probe)
     span = Subspace(target.field)
     for g in target.rprime_gens:
-        span.add(target._sparse(g))
+        span.add(sparse(g))
     image_rank = 0
     for h in hs.reps:
         vec = target.pair_coords(fp_compose(h, phi))
-        if span.add(target._sparse(vec)):
+        if span.add(sparse(vec)):
             image_rank += 1
     return hs.dimension() - image_rank
 
@@ -420,12 +413,11 @@ def fp_covanishing_reps(phi: FpMorphism, probe: FpObject):
     seen = Subspace(field)
     out = []
     for vec in matrix.kernel_basis():
-        head = vec[: len(hs.reps)]
-        sparse = {i: c for i, c in enumerate(head) if not c.is_zero()}
-        if not sparse or not seen.add(sparse):
+        head = sparse(vec[: len(hs.reps)])
+        if not head or not seen.add(head):
             continue
         combo = fp_zero_morphism(probe, phi.src)
-        for i, c in sparse.items():
+        for i, c in head.items():
             combo = combo + hs.reps[i].scale(c)
         out.append(combo)
     return out
@@ -443,6 +435,6 @@ def fp_factors_through(tail: FpMorphism, h: FpMorphism) -> bool:
     columns += target.rprime_gens
     rhs = target.pair_coords(h)
     if not columns:
-        return target._rprime.contains(target._sparse(rhs))
+        return target._rprime.contains(sparse(rhs))
     matrix = ExactMatrix.from_columns(columns, target.size, target.field)
     return matrix.solve(rhs) is not None

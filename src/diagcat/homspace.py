@@ -4,10 +4,14 @@ LinMorphism is a formal sum of partition diagrams of one shape with
 FieldElement coefficients.  Bilinear composition and tensor extend the
 diagram operations, with each loop contributing a factor of t.
 
-ExactMatrix implements Gaussian elimination over the exact field with no
-tolerances: rank, kernel, solving, bijectivity.  Subspace is an incremental
-row-reduced basis used for span filtering and coordinate queries; it is the
-workhorse behind compressed hom-space bases.
+All elimination, exact and without tolerances, happens in one place:
+Subspace, an incremental sparse echelon basis that answers membership and
+coordinates over the generators it accepted.  Everything else is built on
+it.  CompressedBasis keeps the independent members of a spanning family
+(the hom spaces of the Karoubi envelope are one); ExactMatrix feeds its
+columns left to right into a Subspace for rank, kernel, solving and
+bijectivity; matrix_of builds the matrix of a linear map into a diagram
+basis or a compressed basis.
 """
 
 from __future__ import annotations
@@ -95,10 +99,12 @@ class LinMorphism:
         terms = {}
         for df, cf in other.terms.items():
             for dg, cg in self.terms.items():
-                res = partition.compose(dg, df)
-                c = cf * cg * field.t_power(res.loops)
-                cur = terms.get(res.diagram)
-                terms[res.diagram] = c if cur is None else cur + c
+                diagram, loops = partition.compose(dg, df)
+                c = cf * cg
+                if loops:
+                    c = c * field.t_power(loops)
+                cur = terms.get(diagram)
+                terms[diagram] = c if cur is None else cur + c
         return LinMorphism(other.dom, self.cod, terms)
 
     def tensor(self, other: "LinMorphism", field: FieldSpec) -> "LinMorphism":
@@ -125,15 +131,6 @@ class LinMorphism:
 
     def __repr__(self):
         return f"LinMorphism({self.dom}, {self.cod}, {self.to_text()!r})"
-
-
-def lin_bilinear(op: str, a: LinMorphism, b: LinMorphism, field: FieldSpec):
-    """Dispatch bilinear 'compose' (a after b) or 'tensor' (a beside b)."""
-    if op == "compose":
-        return a.compose(b, field)
-    if op == "tensor":
-        return a.tensor(b, field)
-    raise ValueError(f"unknown bilinear operation {op!r}")
 
 
 def _split_top_level(text, sep=" + "):
@@ -229,19 +226,24 @@ def hom_basis(cls: DiagramClass, m, n) -> HomBasis:
     return basis
 
 
+def sparse(vec) -> dict:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {i: c for i, c in enumerate(vec) if not c.is_zero()}
+
+
 class Subspace:
     """Incrementally built subspace of a coordinate space, exact arithmetic.
 
     Rows are kept sparse (index -> coefficient dicts) in echelon form with
-    unit leading entries.  Every accepted generator records how its row was
-    produced, so membership queries can return coordinates over the accepted
+    unit leading entries.  Accepted generators are numbered 0, 1, ... in
+    the order they were accepted, and every row records its expression over
+    them, so membership queries can return coordinates over the accepted
     generators.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.rows = []  # (lead index, row dict, expression over generators)
-        self.ngens = 0
 
     def _reduce(self, vec):
         vec = dict(vec)
@@ -269,15 +271,13 @@ class Subspace:
     def add(self, vec) -> bool:
         """Add a generator; returns True if it enlarged the span."""
         residue, expr = self._reduce(vec)
-        gen_index = self.ngens
-        self.ngens += 1
         if not residue:
             return False
         lead = min(residue)
         inv = residue[lead].inv()
         row = {j: inv * v for j, v in residue.items()}
         rexpr = {g: -inv * v for g, v in expr.items()}
-        rexpr[gen_index] = inv
+        rexpr[len(self.rows)] = inv
         self.rows.append((lead, row, rexpr))
         self.rows.sort(key=lambda r: r[0])
         return True
@@ -290,7 +290,7 @@ class Subspace:
         return not residue
 
     def coordinates_of(self, vec):
-        """Coordinates over all generators ever added, or None if outside."""
+        """Coordinates over the accepted generators, or None if outside."""
         residue, expr = self._reduce(vec)
         if residue:
             return None
@@ -298,59 +298,62 @@ class Subspace:
 
 
 class CompressedBasis:
-    """Linearly independent subfamily of a spanning set of LinMorphisms.
+    """Linearly independent subfamily of a spanning family, with coordinates.
 
-    Used for idempotent-compressed hom spaces: feed it e ∘ d ∘ e' over the
-    diagram basis and it keeps a basis plus coordinate queries in it.
+    Candidates become sparse vectors through _vector_of; those that enlarge
+    the span are kept as elements, in order.  This class takes LinMorphisms
+    and numbers their diagrams in order of first appearance; subclasses
+    supply their own _vector_of (KarHom uses slot offsets).
     """
 
     def __init__(self, candidates: Iterable[LinMorphism], field: FieldSpec):
         candidates = list(candidates)
-        index = {}
+        self.field = field
+        self.diagram_index = {}
         for lin in candidates:
             for d in lin.terms:
-                if d not in index:
-                    index[d] = len(index)
-        self.diagram_index = index
-        self.field = field
-        self.space = Subspace(field)
-        self.elements = []
-        self._gen_to_element = {}
-        for lin in candidates:
-            vec = {index[d]: c for d, c in lin.terms.items()}
-            gen = self.space.ngens
-            if self.space.add(vec):
-                self._gen_to_element[gen] = len(self.elements)
-                self.elements.append(lin)
+                self.diagram_index.setdefault(d, len(self.diagram_index))
+        self._keep_independent(candidates)
+
+    def _keep_independent(self, candidates):
+        self.space = Subspace(self.field)
+        self.elements = [c for c in candidates if self.space.add(self._vector_of(c))]
 
     def __len__(self):
         return len(self.elements)
 
-    def _vector_of(self, lin: LinMorphism):
-        vec = {}
-        for d, c in lin.terms.items():
-            j = self.diagram_index.get(d)
-            if j is None:
-                return None, d
-            vec[j] = c
-        return vec, None
+    def dimension(self) -> int:
+        return len(self.elements)
 
-    def coordinates_of(self, lin: LinMorphism):
-        """Coefficients over the chosen basis, or None if lin is outside."""
-        vec, escape = self._vector_of(lin)
-        if vec is None:
+    def _vector_of(self, lin: LinMorphism):
+        """Sparse vector of lin, or None if it uses a diagram no candidate has."""
+        index = self.diagram_index
+        if any(d not in index for d in lin.terms):
             return None
-        expr = self.space.coordinates_of(vec)
-        if expr is None:
+        return {index[d]: c for d, c in lin.terms.items()}
+
+    def coordinates_of(self, x):
+        """Coefficients over self.elements, or None if x is outside the span."""
+        vec = self._vector_of(x)
+        coords = None if vec is None else self.space.coordinates_of(vec)
+        if coords is None:
             return None
         out = [self.field.zero()] * len(self.elements)
-        for gen, c in expr.items():
-            out[self._gen_to_element[gen]] = c
+        for k, c in coords.items():
+            out[k] = c
         return out
 
 
 class ExactMatrix:
-    """Dense matrix over the exact field with elimination-based solvers."""
+    """Dense matrix over the exact field; solvers eliminate through Subspace.
+
+    The columns go left to right into a Subspace: the accepted ones are the
+    pivot columns, and a rejected column's coordinates over the pivot
+    columns give its kernel vector.  The kernel basis (one vector per free
+    column, with 1 there and 0 at the other free columns) and the solution
+    with the free variables at zero are unique, so they are the ones
+    reduced row echelon form gives.
+    """
 
     __slots__ = ("rows", "cols", "entries", "field")
 
@@ -367,67 +370,29 @@ class ExactMatrix:
         entries = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
         return cls(rows, len(columns), entries, field)
 
-    def _rref(self, augmented=None):
-        zero = self.field.zero()
-        work = [list(r) for r in self.entries]
-        aug = [list(r) for r in augmented] if augmented is not None else None
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not work[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            if aug is not None:
-                aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            inv = work[r][c].inv()
-            if not inv.is_one():
-                work[r] = [v * inv for v in work[r]]
-                if aug is not None:
-                    aug[r] = [v * inv for v in aug[r]]
-            nz = [j for j in range(c, self.cols) if not work[r][j].is_zero()]
-            for i in range(self.rows):
-                if i == r:
-                    continue
-                factor = work[i][c]
-                if factor.is_zero():
-                    continue
-                rowr, rowi = work[r], work[i]
-                for j in nz:
-                    rowi[j] = rowi[j] - factor * rowr[j]
-                if aug is not None:
-                    ar, ai = aug[r], aug[i]
-                    for j in range(len(ar)):
-                        if not ar[j].is_zero():
-                            ai[j] = ai[j] - factor * ar[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return work, pivots, aug
+    def _eliminate(self):
+        """The sparse columns, the Subspace they went into, and the pivots."""
+        space = Subspace(self.field)
+        columns = [sparse(row[j] for row in self.entries) for j in range(self.cols)]
+        pivots = [j for j, col in enumerate(columns) if space.add(col)]
+        return space, columns, pivots
 
     def rank(self) -> int:
-        _, pivots, _ = self._rref()
-        return len(pivots)
+        return len(self._eliminate()[2])
 
     def kernel_basis(self):
         """Basis vectors (as lists) of the right kernel."""
-        work, pivots, _ = self._rref()
+        space, columns, pivots = self._eliminate()
         zero, one = self.field.zero(), self.field.one()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         out = []
-        for fc in free:
+        for j, col in enumerate(columns):
+            if j in pivot_set:
+                continue
             vec = [zero] * self.cols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                v = work[r][fc]
-                if not v.is_zero():
-                    vec[pc] = -v
+            vec[j] = one
+            for k, c in space.coordinates_of(col).items():
+                vec[pivots[k]] = -c
             out.append(vec)
         return out
 
@@ -435,14 +400,13 @@ class ExactMatrix:
         """A particular solution of A x = b (free variables zero), or None."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        work, pivots, aug = self._rref(augmented=[[v] for v in b])
-        zero = self.field.zero()
-        for i in range(len(pivots), self.rows):
-            if not aug[i][0].is_zero():
-                return None
-        x = [zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = aug[r][0]
+        space, _, pivots = self._eliminate()
+        coords = space.coordinates_of(sparse(b))
+        if coords is None:
+            return None
+        x = [self.field.zero()] * self.cols
+        for k, c in coords.items():
+            x[pivots[k]] = c
         return x
 
     def is_bijective(self) -> bool:
@@ -463,60 +427,37 @@ class ExactMatrix:
         return out
 
 
-def solve_exact(matrix: ExactMatrix, mode: str, rhs=None):
-    """Dispatch: mode in {rank, kernel, solve, is_bijective}."""
-    if mode == "rank":
-        return matrix.rank()
-    if mode == "kernel":
-        return matrix.kernel_basis()
-    if mode == "solve":
-        return matrix.solve(rhs)
-    if mode == "is_bijective":
-        return matrix.is_bijective()
-    raise ValueError(f"unknown solve mode {mode!r}")
-
-
 def matrix_of(
-    fn: Callable[[LinMorphism], LinMorphism],
+    fn: Callable,
     domain,
     codomain,
     field: FieldSpec,
 ) -> ExactMatrix:
     """Matrix of a linear map given by fn on a domain basis.
 
-    domain: HomBasis or sequence of LinMorphisms; codomain: HomBasis (diagram
-    coordinates) or CompressedBasis.  If an image does not lie in the span of
-    the codomain, raises with the offending diagram.
+    domain: HomBasis or a sequence of elements fn accepts; codomain:
+    HomBasis (diagram coordinates) or CompressedBasis (KarHom included).
+    If an image does not lie in the span of the codomain, raises.
     """
     if isinstance(domain, HomBasis):
-        dom_elems = [LinMorphism.from_diagram(d, field) for d in domain]
-    else:
-        dom_elems = list(domain)
-    columns = []
+        domain = [LinMorphism.from_diagram(d, field) for d in domain]
+    lookup = None
     if isinstance(codomain, HomBasis):
-        rows = len(codomain)
-        lookup = {d: i for i, d in enumerate(codomain.diagrams)}
-        for elem in dom_elems:
-            image = fn(elem)
-            col = [field.zero()] * rows
+        lookup = {d: i for i, d in enumerate(codomain)}
+    columns = []
+    for elem in domain:
+        image = fn(elem)
+        if lookup is None:
+            col = codomain.coordinates_of(image)
+            if col is None:
+                raise ValueError("image escapes codomain span")
+        else:
+            col = [field.zero()] * len(codomain)
             for d, c in image.terms.items():
-                i = lookup.get(d)
-                if i is None:
+                if d not in lookup:
                     raise ValueError(
                         f"image escapes codomain span at diagram {d.to_text()!r}"
                     )
-                col[i] = c
-            columns.append(col)
-    else:
-        rows = len(codomain)
-        for elem in dom_elems:
-            image = fn(elem)
-            coords = codomain.coordinates_of(image)
-            if coords is None:
-                offender = image.support()[0] if image.terms else None
-                raise ValueError(
-                    "image escapes codomain span"
-                    + (f" at diagram {offender.to_text()!r}" if offender else "")
-                )
-            columns.append(coords)
-    return ExactMatrix.from_columns(columns, rows, field)
+                col[lookup[d]] = c
+        columns.append(col)
+    return ExactMatrix.from_columns(columns, len(codomain), field)

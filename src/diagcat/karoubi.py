@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .homspace import LinMorphism, Subspace, hom_basis
+from .homspace import CompressedBasis, LinMorphism, hom_basis, matrix_of
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
 from .scalar import FieldElement, FieldSpec
@@ -188,14 +188,9 @@ def kar_object(
     field: FieldSpec,
     name: str | None = None,
 ) -> KarObject:
-    """Single-summand object; rejects non-idempotent e with the residual."""
+    """Single-summand object; KarObject rejects a non-idempotent e."""
     if e.dom != word or e.cod != word:
         raise ValueError("idempotent shape does not match word")
-    square = e.compose(e, field)
-    if square != e:
-        raise ValueError(
-            f"e is not idempotent; residual e.e - e = {(square - e).to_text()}"
-        )
     return KarObject(
         cls, field, (word,), ((e,),), names=None if name is None else (name,)
     )
@@ -424,23 +419,13 @@ def kar_col(morphisms) -> KarMorphism:
     return KarMorphism(dom, cod, entries, validate=False)
 
 
-class KarHom:
+class KarHom(CompressedBasis):
     """Compressed basis of Hom(A, B) inside the envelope.
 
     Candidates E_B . unit(d) . E_A over all entry slots and class diagrams
     are filtered to a basis by exact rank; coordinates are taken in the
-    same compressed space.
+    same compressed space, with each slot's diagram basis at its offset.
     """
-
-    __slots__ = (
-        "dom",
-        "cod",
-        "field",
-        "elements",
-        "_subspace",
-        "_slot_index",
-        "_gen_to_element",
-    )
 
     def __init__(self, dom: KarObject, cod: KarObject):
         if dom.cls != cod.cls:
@@ -448,23 +433,16 @@ class KarHom:
         self.dom = dom
         self.cod = cod
         self.field = dom.field
-        self._slot_index = {}
-        for i, w_cod in enumerate(cod.words):
-            for j, w_dom in enumerate(dom.words):
-                basis = hom_basis(dom.cls, w_dom, w_cod)
-                self._slot_index[(i, j)] = basis
-        self._subspace = Subspace(self.field)
-        self.elements = []
-        self._gen_to_element = {}
-        gen = 0
-        for i in range(len(cod.words)):
-            for j in range(len(dom.words)):
-                for d in self._slot_index[(i, j)]:
-                    cand = self._cut_unit(i, j, d)
-                    if self._subspace.add(self._vector_of(cand)):
-                        self._gen_to_element[gen] = len(self.elements)
-                        self.elements.append(cand)
-                    gen += 1
+        self._slot_index = {
+            (i, j): hom_basis(dom.cls, w_dom, w_cod)
+            for i, w_cod in enumerate(cod.words)
+            for j, w_dom in enumerate(dom.words)
+        }
+        self._keep_independent(
+            self._cut_unit(i, j, d)
+            for (i, j), basis in self._slot_index.items()
+            for d in basis
+        )
 
     def _cut_unit(self, i: int, j: int, d: PartitionDiagram) -> KarMorphism:
         field = self.field
@@ -487,29 +465,17 @@ class KarHom:
     def _vector_of(self, m: KarMorphism):
         vec = {}
         pos = 0
-        for i in range(len(self.cod.words)):
-            for j in range(len(self.dom.words)):
-                basis = self._slot_index[(i, j)]
-                lin = m.entries[i][j]
-                for d, c in lin.terms.items():
-                    vec[pos + basis.index(d)] = c
-                pos += len(basis)
+        for (i, j), basis in self._slot_index.items():
+            for d, c in m.entries[i][j].terms.items():
+                vec[pos + basis.index(d)] = c
+            pos += len(basis)
         return vec
-
-    def dimension(self) -> int:
-        return len(self.elements)
 
     def coordinates_of(self, m: KarMorphism):
         """Coefficients over self.elements, or None if outside the span."""
         if m.dom != self.dom or m.cod != self.cod:
             raise ValueError("morphism does not live in this hom space")
-        coords = self._subspace.coordinates_of(self._vector_of(m))
-        if coords is None:
-            return None
-        out = [self.field.zero()] * len(self.elements)
-        for gen_index, c in coords.items():
-            out[self._gen_to_element[gen_index]] = c
-        return out
+        return super().coordinates_of(m)
 
     def from_coordinates(self, coords) -> KarMorphism:
         out = KarMorphism.zero(self.dom, self.cod)
@@ -517,24 +483,6 @@ class KarHom:
             if not c.is_zero():
                 out = out + elem.scale(c)
         return out
-
-    def contains(self, m: KarMorphism) -> bool:
-        return self.coordinates_of(m) is not None
-
-
-def kar_matrix_of(fn, dom_hom: KarHom, cod_hom: KarHom):
-    """Exact matrix of a linear map between compressed hom spaces."""
-    from .homspace import ExactMatrix
-
-    field = dom_hom.field
-    columns = []
-    for elem in dom_hom.elements:
-        image = fn(elem)
-        coords = cod_hom.coordinates_of(image)
-        if coords is None:
-            raise ValueError("image escapes the codomain hom space")
-        columns.append(coords)
-    return ExactMatrix.from_columns(columns, cod_hom.dimension(), field)
 
 
 class SplitWitness:
@@ -569,8 +517,8 @@ def split_solve(f: KarMorphism):
     target = fh.coordinates_of(f)
     if target is None:
         raise ValueError("morphism escapes its own hom space")
-    matrix = kar_matrix_of(
-        lambda g: kar_compose(f, kar_compose(g, f)), gh, fh
+    matrix = matrix_of(
+        lambda g: kar_compose(f, kar_compose(g, f)), gh.elements, fh, gh.field
     )
     coords = matrix.solve(target)
     if coords is None:

@@ -15,6 +15,7 @@ linear level).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -59,7 +60,7 @@ def set_partitions(items):
 class PartitionDiagram:
     """An element of the diagram basis of Hom([m], [n])."""
 
-    __slots__ = ("m", "n", "blocks")
+    __slots__ = ("m", "n", "blocks", "_hash")
 
     def __init__(self, m, n, blocks):
         points = sorted(p for b in blocks for p in b)
@@ -67,9 +68,20 @@ class PartitionDiagram:
             raise ValueError(
                 f"blocks must partition 1..{m + n} exactly once, got {blocks!r}"
             )
+        self._fill(m, n, blocks)
+
+    @classmethod
+    def _from_valid(cls, m, n, blocks):
+        """Build from blocks already known to partition 1..m+n exactly once."""
+        d = object.__new__(cls)
+        d._fill(m, n, blocks)
+        return d
+
+    def _fill(self, m, n, blocks):
         self.m = m
         self.n = n
         self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        self._hash = hash((m, n, self.blocks))
 
     @classmethod
     def identity(cls, m):
@@ -85,9 +97,6 @@ class PartitionDiagram:
     def singletons(cls, m, n=0):
         return cls(m, n, [(p,) for p in range(1, m + n + 1)])
 
-    def is_upper(self, p):
-        return p <= self.m
-
     def upper_part(self, block):
         return tuple(p for p in block if p <= self.m)
 
@@ -100,7 +109,7 @@ class PartitionDiagram:
         return (self.m, self.n, self.blocks) == (other.m, other.n, other.blocks)
 
     def __hash__(self):
-        return hash((self.m, self.n, self.blocks))
+        return self._hash
 
     def __lt__(self, other):
         return (self.m, self.n, self.blocks) < (other.m, other.n, other.blocks)
@@ -186,26 +195,41 @@ def compose(g: PartitionDiagram, f: PartitionDiagram) -> ComposeResult:
         raise ValueError(
             f"shape mismatch: inner has {f.n} lower points, outer has {g.m} upper"
         )
-    m, k, n = f.m, f.n, g.n
-    uf = _UnionFind(m + k + n + 1)
-    for block in f.blocks:
-        for p in block[1:]:
-            uf.union(block[0], p)
+    m, k = f.m, f.n
+    # The components start as f's blocks.  Each block of g joins, through
+    # its upper (middle) points, the components of the f blocks that hold
+    # those points as lower points; a component left with no outer point
+    # is a loop.
+    owner = [0] * k
+    parent = list(range(len(f.blocks)))
+    outer = []
+    for i, block in enumerate(f.blocks):
+        cut = bisect_right(block, m)
+        for p in block[cut:]:
+            owner[p - m - 1] = i
+        outer.append(list(block[:cut]))
+    shift = m - k
     for block in g.blocks:
-        for p in block[1:]:
-            uf.union(block[0] + m, p + m)
-    components = {}
-    for p in range(1, m + k + n + 1):
-        components.setdefault(uf.find(p), []).append(p)
-    loops = 0
-    out_blocks = []
-    for pts in components.values():
-        outer = [p for p in pts if p <= m or p > m + k]
-        if not outer:
-            loops += 1
-        else:
-            out_blocks.append(tuple(p if p <= m else p - k for p in outer))
-    return ComposeResult(PartitionDiagram(m, n, out_blocks), loops)
+        cut = bisect_right(block, k)
+        lower = [p + shift for p in block[cut:]]
+        if not cut:
+            outer.append(lower)
+            continue
+        root = None
+        for p in block[:cut]:
+            r = owner[p - 1]
+            while parent[r] != r:
+                r = parent[r]
+            if root is None:
+                root = r
+            elif r != root:
+                parent[r] = root
+                outer[root] += outer[r]
+                outer[r] = None
+        outer[root] += lower
+    out_blocks = [pts for pts in outer if pts]
+    loops = outer.count([])
+    return ComposeResult(PartitionDiagram._from_valid(m, g.n, out_blocks), loops)
 
 
 def tensor(f: PartitionDiagram, g: PartitionDiagram) -> PartitionDiagram:
@@ -213,7 +237,7 @@ def tensor(f: PartitionDiagram, g: PartitionDiagram) -> PartitionDiagram:
     m, n = f.m + g.m, f.n + g.n
     blocks = [tuple(p if p <= f.m else p + g.m for p in b) for b in f.blocks]
     blocks += [tuple(p + f.m if p <= g.m else p + f.m + f.n for p in b) for b in g.blocks]
-    return PartitionDiagram(m, n, blocks)
+    return PartitionDiagram._from_valid(m, n, blocks)
 
 
 def coarsenings(f: PartitionDiagram, proper=False):

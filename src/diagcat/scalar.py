@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = Fraction
 
@@ -50,11 +51,12 @@ class Poly:
 
     @classmethod
     def x(cls):
-        return cls((0, 1))
+        return cls((_ZERO, _ONE))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def x_power(cls, k):
-        return cls((0,) * k + (1,))
+        return cls((_ZERO,) * k + (_ONE,))
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -217,7 +219,7 @@ def parse_poly(text, var="t"):
 
 
 _P_ZERO = Poly()
-_P_ONE = Poly((1,))
+_P_ONE = Poly((_ONE,))
 
 
 class FieldElement:
@@ -298,10 +300,11 @@ class FieldElement:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
+        if self.kind != other.kind:
+            raise FieldModeError("field mode mismatch")
         if self.kind == "q":
             return FieldElement.rational(self.q * other.q)
-        if self.is_zero() or other.is_zero():
+        if not self.num.coeffs or not other.num.coeffs:
             return FieldElement("rf", num=_P_ZERO, den=_P_ONE)
         if self.is_one():
             return other

@@ -191,3 +191,8 @@ def test_json_byte_stability():
     b.pop("elapsed_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert first.returncode == second.returncode == 0
+
+
+def test_options_only_where_read():
+    r = run_cli("compose", "--max-points", "3", "1", "1'")
+    assert r.returncode == 2

@@ -12,7 +12,6 @@ from diagcat.homspace import (
     hom_basis,
     matrix_of,
     parse_linmorphism,
-    solve_exact,
 )
 from diagcat.partition import DiagramClass, PartitionDiagram, all_diagrams
 from diagcat.scalar import FieldSpec
@@ -213,15 +212,57 @@ def test_matrix_random_solve_roundtrip():
         assert m.multiply_vector(sol) == b
 
 
-def test_solve_exact_dispatch():
+def _random_columns(rng, field, rows, cols):
+    """Entries a + b*t with small integers; some columns repeat others."""
+    t = field.t()
+
+    def entry():
+        a, b = rng.randint(-2, 2), rng.choice((0, 0, 1, -1))
+        return field.rational(Fraction(a)) + field.rational(Fraction(b)) * t
+
+    columns = [[entry() for _ in range(rows)] for _ in range(cols)]
+    for j in range(1, cols):
+        if rng.random() < 0.3:
+            c = field.rational(Fraction(rng.randint(-2, 2)))
+            columns[j] = [x * c for x in columns[rng.randrange(j)]]
+    return columns
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_elimination_kernel_and_solve_shapes(field):
+    rng = random.Random(7)
+    zero, one = field.zero(), field.one()
+    for _ in range(30):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        columns = _random_columns(rng, field, rows, cols)
+        m = ExactMatrix.from_columns(columns, rows, field)
+        prefix = [ExactMatrix.from_columns(columns[:k], rows, field).rank()
+                  for k in range(cols + 1)]
+        free = [j for j in range(cols) if prefix[j + 1] == prefix[j]]
+        kernel = m.kernel_basis()
+        assert len(kernel) == cols - m.rank() == len(free)
+        for v, j in zip(kernel, free):
+            assert all(x.is_zero() for x in m.multiply_vector(v))
+            assert v[j] == one
+            assert all(v[k] == zero for k in free if k != j)
+        x0 = [field.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)]
+        b = m.multiply_vector(x0)
+        x = m.solve(b)
+        assert m.multiply_vector(x) == b
+        assert all(x[j].is_zero() for j in free)
+        units = ([one if i == r else zero for i in range(rows)] for r in range(rows))
+        if m.rank() < rows:
+            assert any(m.solve(e) is None for e in units)
+
+
+def test_subspace_numbers_accepted_generators_only():
     one = F.one()
-    m = ExactMatrix(1, 1, [[one]], F)
-    assert solve_exact(m, "rank") == 1
-    assert solve_exact(m, "is_bijective") is True
-    assert solve_exact(m, "kernel") == []
-    assert solve_exact(m, "solve", [one]) == [one]
-    with pytest.raises(ValueError):
-        solve_exact(m, "determinant")
+    sub = Subspace(F)
+    v1, v2 = {0: one}, {1: one}
+    assert sub.add(v1)
+    assert not sub.add(v1)
+    assert sub.add(v2)
+    assert sub.coordinates_of(v2) == {1: one}
 
 
 def test_matrix_of_identity_map():

@@ -154,6 +154,26 @@ def test_tensor_against_matrix_representation_oracle():
                     assert big[i][j] == mf[if_][j] * mg[ig][0]
 
 
+def test_compose_and_tensor_results_are_canonical():
+    # compose and tensor skip the constructor's validation; their results
+    # must still equal, hash and print like the validated diagram.
+    def rebuilt(d):
+        return PartitionDiagram(d.m, d.n, [list(reversed(b)) for b in d.blocks][::-1])
+
+    for m, k, n in itertools.product(range(4), repeat=3):
+        if m + k + n > 6:
+            continue
+        for f in all_diagrams(m, k):
+            for g in all_diagrams(k, n):
+                for d in (compose(g, f).diagram, tensor(f, g)):
+                    r = rebuilt(d)
+                    assert (d.blocks, hash(d), d.to_text()) == (
+                        r.blocks,
+                        hash(r),
+                        r.to_text(),
+                    )
+
+
 def test_associativity_exhaustive_small():
     for m, k, l, n in itertools.product(range(3), repeat=4):
         if m + k + l + n > 5:
