@@ -14,6 +14,8 @@ records the morphism set against which its summands were checked.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of, sparse
 from .karoubi import (
     KarHom,
@@ -64,8 +66,13 @@ class FpObject:
         return f"FpObject({self.to_text()})"
 
 
+@lru_cache(maxsize=1024)
 def _certify(obj: KarObject, bound: int) -> int:
-    """split_solve X(x)f over all basis diagrams f within the bound."""
+    """split_solve X(x)f over all basis diagrams f within the bound.
+
+    The count depends only on the object (its key includes the field) and
+    the bound, so it is memoised; a failure raises and is not stored.
+    """
     if obj.is_zero() or len(obj.words) == 0:
         return 0
     count = 0

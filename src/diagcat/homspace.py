@@ -268,11 +268,12 @@ class Subspace:
                     expr[g] = nv
         return vec, expr
 
-    def add(self, vec) -> bool:
-        """Add a generator; returns True if it enlarged the span."""
+    def _insert(self, vec):
+        """Add a generator: None if accepted, else its coordinates over the
+        accepted generators (the span is then unchanged)."""
         residue, expr = self._reduce(vec)
         if not residue:
-            return False
+            return expr
         lead = min(residue)
         inv = residue[lead].inv()
         row = {j: inv * v for j, v in residue.items()}
@@ -280,7 +281,11 @@ class Subspace:
         rexpr[len(self.rows)] = inv
         self.rows.append((lead, row, rexpr))
         self.rows.sort(key=lambda r: r[0])
-        return True
+        return None
+
+    def add(self, vec) -> bool:
+        """Add a generator; returns True if it enlarged the span."""
+        return self._insert(vec) is None
 
     def dimension(self):
         return len(self.rows)
@@ -371,27 +376,30 @@ class ExactMatrix:
         return cls(rows, len(columns), entries, field)
 
     def _eliminate(self):
-        """The sparse columns, the Subspace they went into, and the pivots."""
+        """The Subspace of the columns, the pivot columns, and each other
+        column's coordinates over the pivots (column -> coordinates)."""
         space = Subspace(self.field)
-        columns = [sparse(row[j] for row in self.entries) for j in range(self.cols)]
-        pivots = [j for j, col in enumerate(columns) if space.add(col)]
-        return space, columns, pivots
+        pivots, free = [], {}
+        for j in range(self.cols):
+            coords = space._insert(sparse(row[j] for row in self.entries))
+            if coords is None:
+                pivots.append(j)
+            else:
+                free[j] = coords
+        return space, pivots, free
 
     def rank(self) -> int:
-        return len(self._eliminate()[2])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self):
         """Basis vectors (as lists) of the right kernel."""
-        space, columns, pivots = self._eliminate()
+        _, pivots, free = self._eliminate()
         zero, one = self.field.zero(), self.field.one()
-        pivot_set = set(pivots)
         out = []
-        for j, col in enumerate(columns):
-            if j in pivot_set:
-                continue
+        for j, coords in free.items():
             vec = [zero] * self.cols
             vec[j] = one
-            for k, c in space.coordinates_of(col).items():
+            for k, c in coords.items():
                 vec[pivots[k]] = -c
             out.append(vec)
         return out
@@ -400,7 +408,7 @@ class ExactMatrix:
         """A particular solution of A x = b (free variables zero), or None."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        space, _, pivots = self._eliminate()
+        space, pivots, _ = self._eliminate()
         coords = space.coordinates_of(sparse(b))
         if coords is None:
             return None

@@ -78,7 +78,7 @@ def _mat_eq(a, b):
 class KarObject:
     """Words cut by an idempotent matrix over a fixed diagram class."""
 
-    __slots__ = ("cls", "field", "words", "cut", "names")
+    __slots__ = ("cls", "field", "words", "cut", "names", "_key")
 
     def __init__(self, cls: DiagramClass, field: FieldSpec, words, cut, names=None):
         words = tuple(words)
@@ -104,6 +104,7 @@ class KarObject:
         self.words = words
         self.cut = cut
         self.names = tuple(names) if names is not None else None
+        self._key = None
 
     @classmethod
     def word(cls, w: int, diagram_class: DiagramClass, field: FieldSpec):
@@ -133,15 +134,21 @@ class KarObject:
         return [(w, self.cut[i][i]) for i, w in enumerate(self.words)]
 
     def key(self):
-        return (
-            self.cls,
-            self.words,
-            tuple(tuple(sorted((d, c.to_text()) for d, c in x.terms.items()))
-                  for row in self.cut for x in row),
-        )
+        """Class, field, words and cut text; built once, as objects never change."""
+        if self._key is None:
+            self._key = (
+                self.cls,
+                self.field,
+                self.words,
+                tuple(tuple(sorted((d, c.to_text()) for d, c in x.terms.items()))
+                      for row in self.cut for x in row),
+            )
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, KarObject) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, KarObject) and self.key() == other.key()
+        )
 
     def __hash__(self):
         return hash(self.key())
@@ -513,7 +520,7 @@ def _witness_denominators(g: KarMorphism):
 def split_solve(f: KarMorphism):
     """Find g with f.g.f = f, or None when the exact system is inconsistent."""
     gh = KarHom(f.cod, f.dom)
-    fh = KarHom(f.dom, f.cod)
+    fh = gh if f.dom == f.cod else KarHom(f.dom, f.cod)
     target = fh.coordinates_of(f)
     if target is None:
         raise ValueError("morphism escapes its own hom space")

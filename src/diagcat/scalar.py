@@ -247,6 +247,8 @@ class FieldElement:
             raise ZeroDivisionError("zero divisor")
         if num.is_zero():
             return cls("rf", num=_P_ZERO, den=_P_ONE)
+        if den.is_one():
+            return cls("rf", num=num, den=den)
         g = poly_gcd(num, den)
         if g.degree() > 0:
             num, _ = poly_divmod(num, g)

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+import diagcat.fpfun as fpfun
 from diagcat.fpfun import (
     FpMorphism,
     fp_cokernel,
@@ -71,6 +72,59 @@ def test_certificates_recorded():
     assert m.certificate["bound"] == 1
     assert m.certificate["instances"] > 0
     assert m.to_text().startswith("coker(")
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Empties the certificate memo and records each fpfun.split_solve call."""
+    fpfun._certify.cache_clear()
+    calls = []
+    original = fpfun.split_solve
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(fpfun, "split_solve", counted)
+    return calls
+
+
+def test_certificate_computed_once_per_object(split_calls):
+    first = yoneda(word(1))
+    assert len(split_calls) == 3
+    second = yoneda(word(1))
+    assert len(split_calls) == 3
+    assert first.certificate == second.certificate == {"bound": 1, "instances": 3}
+
+
+def test_certificate_memo_keeps_fields_apart(split_calls):
+    yoneda(word(1))
+    at = FieldSpec.at(Fraction(5, 2))
+    m = yoneda(KarObject.word(1, CLS, at))
+    assert len(split_calls) == 6
+    assert m.certificate == {"bound": 1, "instances": 3}
+
+
+def test_failed_certification_is_not_memoised(monkeypatch):
+    fpfun._certify.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(fpfun, "split_solve", lambda f: None)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a splitting object"):
+                yoneda(word(1))
+    assert yoneda(word(1)).certificate == {"bound": 1, "instances": 3}
+
+
+def test_kernel_certifies_each_object_once(split_calls):
+    phi = eps_square()
+    split_calls.clear()
+    first, _ = fp_kernel(phi, word(1), eps_kar())
+    # two certificates at bound 0, then two split_solve calls per weak kernel
+    assert len(split_calls) == 6
+    split_calls.clear()
+    second, _ = fp_kernel(phi, word(1), eps_kar())
+    assert len(split_calls) == 4
+    assert first.certificate == second.certificate
 
 
 def test_unit_presentations():

@@ -44,6 +44,15 @@ def test_kar_object_word():
     assert KarObject.zero(ALL, F).is_zero()
 
 
+def test_kar_object_key_includes_field():
+    # Q(t) and Q coefficients print alike; the objects must still differ
+    generic = KarObject.word(1, ALL, F)
+    rational = KarObject.word(1, ALL, FieldSpec.at(0))
+    assert generic != rational
+    assert generic.key() != rational.key()
+    assert generic == KarObject.word(1, ALL, F)
+
+
 def test_kar_object_x2():
     x2e2 = x_e(2, F)
     obj = kar_object(2, x2e2, DiagramClass.EVEN_BLOCKS, F, name="x_j*e_j")
@@ -205,6 +214,22 @@ def test_split_identity():
     w = split_solve(ident)
     assert w is not None
     assert kar_compose(ident, kar_compose(w.g, ident)) == ident
+
+
+def test_split_endomorphism_builds_one_hom_space(monkeypatch):
+    built = []
+    original = KarHom.__init__
+
+    def counted(self, dom, cod):
+        built.append((dom, cod))
+        original(self, dom, cod)
+
+    monkeypatch.setattr(KarHom, "__init__", counted)
+    assert split_solve(KarMorphism.identity(word(2))) is not None
+    assert len(built) == 1
+    built.clear()
+    assert split_solve(KarMorphism.from_lin(lin("1 * 1"), ALL, F)) is not None
+    assert len(built) == 2
 
 
 def test_generic_semisimplicity_sweep():

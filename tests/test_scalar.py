@@ -54,6 +54,10 @@ def test_ratfunc_normalization_canonical():
     # (t^2 - 1)/(t - 1) reduces to t + 1 over the denominator 1
     fe = FieldElement.ratfunc(Poly((-1, 0, 1)), Poly((-1, 1)))
     assert fe == FieldElement.ratfunc(Poly((1, 1)))
+    assert fe.num == Poly((1, 1)) and fe.den.is_one()
+    # a unit denominator leaves the numerator as given
+    fe1 = FieldElement.ratfunc(Poly((0, 2)), Poly((1,)))
+    assert fe1.num == Poly((0, 2)) and fe1.den.is_one()
     # denominator is forced monic
     fe2 = FieldElement.ratfunc(Poly((1,)), Poly((0, 2)))
     assert fe2.den.is_monic()
