@@ -36,7 +36,6 @@ from .homspace import (
     Subspace,
     hom_basis,
     matrix_of,
-    sparse,
 )
 from .karoubi import (
     KarHom,
@@ -335,7 +334,6 @@ def check_uex(
         # image of b inside the kernel, and equality of dimensions
         image = Subspace(field)
         for j in range(len(hom_1v)):
-            col = sparse(row[j] for row in b.entries)
             v = LinMorphism.from_diagram(hom_1v[j], field)
             vu = v.compose(u, field)
             if not vu.compose(w, field).is_zero():
@@ -346,7 +344,7 @@ def check_uex(
                     "replay": replay,
                 }
                 return _finish("uex", params, "fail", witness, t0)
-            image.add(col)
+            image.add(b.columns[j])
         if image.dimension() != len(kernel):
             witness = {
                 "V": k,
@@ -357,7 +355,7 @@ def check_uex(
             }
             return _finish("uex", params, "fail", witness, t0)
         for vec in kernel:
-            if not image.contains(sparse(vec)):
+            if not image.contains(vec):
                 witness = {
                     "V": k,
                     "problem": "kernel vector outside the image of v -> v.u",

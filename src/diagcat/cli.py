@@ -52,12 +52,23 @@ def parse_field(text: str) -> FieldSpec:
         raise ValueError(f"--t expects 'generic' or a rational, got {text!r}")
 
 
+def count(text: str) -> int:
+    """A count-like option value: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def resolve_bound(value, default: int) -> int:
     if value is not None:
         return value
     env = os.environ.get("DIAGCAT_MAX_POINTS")
     if env is not None:
-        return int(env)
+        try:
+            return count(env)
+        except ValueError as exc:
+            raise ValueError(f"DIAGCAT_MAX_POINTS: {exc}") from None
     return default
 
 
@@ -100,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("hom-basis", help="list the diagram basis of Hom([m],[n])")
     _add_common(p)
     _add_class(p)
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=count)
+    p.add_argument("n", type=count)
 
     p = subs.add_parser("cobordism-glue", help="glue two cobordisms, outer first")
     _add_common(p)
@@ -127,23 +138,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_class(p)
-    p.add_argument("--max-points", type=int, default=None, help="total points bound")
+    p.add_argument("--max-points", type=count, default=None, help="total points bound")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=count, default=200)
     p.add_argument("--u", default=None, help="morphism U -> 1 for the uex check")
-    p.add_argument("--i", type=int, default=3, help="summand bound for representable-h")
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--j-max", type=int, default=3)
+    p.add_argument("--i", type=count, default=3, help="summand bound for representable-h")
+    p.add_argument("--m-max", type=count, default=None)
+    p.add_argument("--j-max", type=count, default=3)
 
     p = subs.add_parser("fp", help="finitely presented functor operations")
     p.add_argument("name", choices=["hom", "coker", "kernel", "embed"])
     _add_common(p)
     _add_class(p)
-    p.add_argument("--dom", type=int, default=1, help="domain word for coker/kernel")
-    p.add_argument("--cod", type=int, default=0, help="codomain word for coker/kernel")
-    p.add_argument("--word", type=int, default=1, help="word for hom/embed")
-    p.add_argument("--word2", type=int, default=None, help="second word for hom")
-    p.add_argument("--s-word", type=int, default=1, help="splitting source for kernel")
+    p.add_argument("--dom", type=count, default=1, help="domain word for coker/kernel")
+    p.add_argument("--cod", type=count, default=0, help="codomain word for coker/kernel")
+    p.add_argument("--word", type=count, default=1, help="word for hom/embed")
+    p.add_argument("--word2", type=count, default=None, help="second word for hom")
+    p.add_argument("--s-word", type=count, default=1, help="splitting source for kernel")
     p.add_argument("--lin", default=None, help="morphism text for coker/kernel")
 
     return parser

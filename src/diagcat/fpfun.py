@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of, sparse
+from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of
 from .karoubi import (
     KarHom,
     KarMorphism,
@@ -194,11 +194,14 @@ def fp_zero_morphism(src: FpObject, dst: FpObject) -> FpMorphism:
 
 
 class FpHomSpace:
-    """R/R' for a pair of presentations.
+    """R/R' for a pair of presentations, with coordinates in the quotient.
 
     R is the space of commuting squares; R' the subspace inducing zero on
-    cokernels (alpha factors through the target presentation).  Coordinates
-    live in the concatenated (alpha, omega) compressed hom coordinates.
+    cokernels (alpha factors through the target presentation).  A square
+    is a sparse vector in the concatenated (alpha, omega) compressed hom
+    coordinates.  One Subspace takes a basis of R' first and the
+    representatives self.reps after it, so a square's coordinates past the
+    R' generators are its class in R/R' over self.reps.
     """
 
     def __init__(self, src: FpObject, dst: FpObject):
@@ -211,58 +214,63 @@ class FpHomSpace:
         self.ha = KarHom(src.P, dst.P)
         self.ho = KarHom(src.Q, dst.Q)
         hc = KarHom(src.Q, dst.P)
-        a, b = self.ha.dimension(), self.ho.dimension()
-        self.size = a + b
+        a = self.ha.dimension()
         pre_rho = matrix_of(
             lambda e: kar_compose(e, src.rho), self.ha.elements, hc, field
         )
         rho_post = matrix_of(
             lambda o: kar_compose(dst.rho, o), self.ho.elements, hc, field
         )
-        constraint = ExactMatrix(
-            hc.dimension(),
-            a + b,
-            [pre + [-c for c in post]
-             for pre, post in zip(pre_rho.entries, rho_post.entries)],
-            field,
-        )
-        solutions = constraint.kernel_basis()
+        negated = [{i: -c for i, c in col.items()} for col in rho_post.columns]
+        constraint = ExactMatrix(hc.dimension(), pre_rho.columns + negated, field)
 
-        self.rprime_gens = []
-        hb = KarHom(src.P, dst.Q)
-        for beta in hb.elements:
-            va = self.ha.coordinates_of(kar_compose(dst.rho, beta))
-            vo = self.ho.coordinates_of(kar_compose(beta, src.rho))
-            self.rprime_gens.append(va + vo)
+        self.space = Subspace(field)
+        for beta in KarHom(src.P, dst.Q).elements:
+            self.space.add(
+                self._vector_of(kar_compose(dst.rho, beta), kar_compose(beta, src.rho))
+            )
         for vec in rho_post.kernel_basis():
-            self.rprime_gens.append([field.zero()] * a + vec)
-
-        span = Subspace(field)
-        self._rprime = Subspace(field)
-        for g in self.rprime_gens:
-            vec = sparse(g)
-            span.add(vec)
-            self._rprime.add(vec)
+            self.space.add({a + k: c for k, c in vec.items()})
+        self._rprime_dim = self.space.dimension()
         self.reps = []
-        for vec in solutions:
-            if span.add(sparse(vec)):
-                alpha = self.ha.from_coordinates(vec[:a])
-                omega = self.ho.from_coordinates(vec[a:])
+        for vec in constraint.kernel_basis():
+            if self.space.add(vec):
+                va = {k: c for k, c in vec.items() if k < a}
+                vo = {k - a: c for k, c in vec.items() if k >= a}
+                alpha = self.ha.from_coordinates(va)
+                omega = self.ho.from_coordinates(vo)
                 self.reps.append(FpMorphism(src, dst, alpha, omega))
+
+    def _vector_of(self, alpha, omega):
+        """Sparse (alpha, omega) coordinates, or None outside the hom spaces."""
+        va = self.ha.coordinates_of(alpha)
+        vo = self.ho.coordinates_of(omega)
+        if va is None or vo is None:
+            return None
+        a = self.ha.dimension()
+        return {**va, **{a + k: c for k, c in vo.items()}}
+
+    def __len__(self):
+        return len(self.reps)
 
     def dimension(self) -> int:
         return len(self.reps)
 
-    def pair_coords(self, phi: FpMorphism):
-        """Dense (alpha, omega) coordinates of a square."""
-        va = self.ha.coordinates_of(phi.alpha)
-        vo = self.ho.coordinates_of(phi.omega)
-        if va is None or vo is None:
-            raise ValueError("square does not live in this hom space")
-        return va + vo
+    def coordinates_of(self, phi: FpMorphism):
+        """The class of a square in R/R' over self.reps, or None if the
+        square does not lie in R."""
+        vec = self._vector_of(phi.alpha, phi.omega)
+        coords = None if vec is None else self.space.coordinates_of(vec)
+        if coords is None:
+            return None
+        r = self._rprime_dim
+        return {k - r: c for k, c in coords.items() if k >= r}
 
-    def is_zero_class(self, phi: FpMorphism) -> bool:
-        return self._rprime.contains(sparse(self.pair_coords(phi)))
+    def from_coordinates(self, coords) -> FpMorphism:
+        out = fp_zero_morphism(self.src, self.dst)
+        for k, c in coords.items():
+            out = out + self.reps[k].scale(c)
+        return out
 
 
 def fp_hom(src: FpObject, dst: FpObject):
@@ -271,7 +279,7 @@ def fp_hom(src: FpObject, dst: FpObject):
 
 
 def fp_is_zero_morphism(phi: FpMorphism) -> bool:
-    return FpHomSpace(phi.src, phi.dst).is_zero_class(phi)
+    return FpHomSpace(phi.src, phi.dst).coordinates_of(phi) == {}
 
 
 def fp_is_zero_object(m: FpObject) -> bool:
@@ -376,8 +384,6 @@ def weak_kernel_exact_at(
     hx = KarHom(probe, theta.dom)
     hb = KarHom(probe, theta.cod)
     hk = KarHom(probe, k_obj)
-    if hx.dimension() == 0:
-        return True
     kernel = matrix_of(
         lambda h: kar_compose(theta, h), hx.elements, hb, field
     ).kernel_basis()
@@ -394,40 +400,16 @@ def fp_vanishing_dimension(phi: FpMorphism, probe: FpObject) -> int:
     """dim of {h: dst -> probe with h.phi = 0 in the quotient}."""
     hs = FpHomSpace(phi.dst, probe)
     target = FpHomSpace(phi.src, probe)
-    span = Subspace(target.field)
-    for g in target.rprime_gens:
-        span.add(sparse(g))
-    image_rank = 0
-    for h in hs.reps:
-        vec = target.pair_coords(fp_compose(h, phi))
-        if span.add(sparse(vec)):
-            image_rank += 1
-    return hs.dimension() - image_rank
+    image = matrix_of(lambda h: fp_compose(h, phi), hs.reps, target, hs.field)
+    return hs.dimension() - image.rank()
 
 
 def fp_covanishing_reps(phi: FpMorphism, probe: FpObject):
     """Representative squares h: probe -> src with phi.h = 0 in the quotient."""
     hs = FpHomSpace(probe, phi.src)
     target = FpHomSpace(probe, phi.dst)
-    field = target.field
-    columns = [
-        target.pair_coords(fp_compose(phi, h)) for h in hs.reps
-    ]
-    columns += target.rprime_gens
-    if not columns:
-        return []
-    matrix = ExactMatrix.from_columns(columns, target.size, field)
-    seen = Subspace(field)
-    out = []
-    for vec in matrix.kernel_basis():
-        head = sparse(vec[: len(hs.reps)])
-        if not head or not seen.add(head):
-            continue
-        combo = fp_zero_morphism(probe, phi.src)
-        for i, c in head.items():
-            combo = combo + hs.reps[i].scale(c)
-        out.append(combo)
-    return out
+    image = matrix_of(lambda h: fp_compose(phi, h), hs.reps, target, hs.field)
+    return [hs.from_coordinates(vec) for vec in image.kernel_basis()]
 
 
 def fp_factors_through(tail: FpMorphism, h: FpMorphism) -> bool:
@@ -436,12 +418,8 @@ def fp_factors_through(tail: FpMorphism, h: FpMorphism) -> bool:
         raise ValueError("codomain mismatch")
     hs = FpHomSpace(h.src, tail.src)
     target = FpHomSpace(h.src, h.dst)
-    columns = [
-        target.pair_coords(fp_compose(tail, z)) for z in hs.reps
-    ]
-    columns += target.rprime_gens
-    rhs = target.pair_coords(h)
-    if not columns:
-        return target._rprime.contains(sparse(rhs))
-    matrix = ExactMatrix.from_columns(columns, target.size, target.field)
-    return matrix.solve(rhs) is not None
+    image = matrix_of(lambda z: fp_compose(tail, z), hs.reps, target, hs.field)
+    coords = target.coordinates_of(h)
+    if coords is None:
+        raise ValueError("h is not a square between its objects")
+    return image.solve(coords) is not None

@@ -4,19 +4,21 @@ LinMorphism is a formal sum of partition diagrams of one shape with
 FieldElement coefficients.  Bilinear composition and tensor extend the
 diagram operations, with each loop contributing a factor of t.
 
-All elimination, exact and without tolerances, happens in one place:
-Subspace, an incremental sparse echelon basis that answers membership and
-coordinates over the generators it accepted.  Everything else is built on
-it.  CompressedBasis keeps the independent members of a spanning family
-(the hom spaces of the Karoubi envelope are one); ExactMatrix feeds its
-columns left to right into a Subspace for rank, kernel, solving and
-bijectivity; matrix_of builds the matrix of a linear map into a diagram
-basis or a compressed basis.
+Every vector is sparse: a dict from position to nonzero entry, with no
+zero entries stored.  All elimination, exact and without tolerances,
+happens in one place: Subspace, an incremental sparse echelon basis that
+answers membership and coordinates over the generators it accepted.
+Everything else is built on it.  CompressedBasis keeps the independent
+members of a spanning family (the hom spaces of the Karoubi envelope are
+one); ExactMatrix keeps sparse columns and feeds them left to right into
+a Subspace for rank, kernel, solving and bijectivity; matrix_of builds the
+matrix of a linear map into any space that gives sparse coordinates: a
+diagram basis, a compressed basis, or a quotient hom space of fpfun.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import partition
 from .partition import DiagramClass, PartitionDiagram
@@ -186,7 +188,7 @@ def parse_linmorphism(text, field: FieldSpec, dom=None, cod=None) -> LinMorphism
 class HomBasis:
     """The canonical diagram basis of Hom([m], [n]) in a diagram class."""
 
-    __slots__ = ("cls", "m", "n", "diagrams")
+    __slots__ = ("cls", "m", "n", "diagrams", "_index")
 
     def __init__(self, cls: DiagramClass, m, n):
         self.cls = cls
@@ -195,6 +197,7 @@ class HomBasis:
         self.diagrams = tuple(
             sorted(d for d in partition.all_diagrams(m, n) if cls.member(d))
         )
+        self._index = {d: i for i, d in enumerate(self.diagrams)}
 
     def __len__(self):
         return len(self.diagrams)
@@ -203,16 +206,19 @@ class HomBasis:
         return iter(self.diagrams)
 
     def index(self, d):
-        lo, hi = 0, len(self.diagrams)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.diagrams[mid] < d:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.diagrams) and self.diagrams[lo] == d:
-            return lo
-        raise KeyError(d)
+        return self._index[d]
+
+    def coordinates_of(self, lin: LinMorphism):
+        """Sparse coordinates of lin, or None if it uses another diagram."""
+        return _diagram_vector(self._index, lin)
+
+
+def _diagram_vector(index, lin: LinMorphism):
+    """Sparse vector of lin over numbered diagrams, or None if a diagram of
+    lin has no number."""
+    if any(d not in index for d in lin.terms):
+        return None
+    return {index[d]: c for d, c in lin.terms.items()}
 
 
 _hom_basis_cache: dict = {}
@@ -224,11 +230,6 @@ def hom_basis(cls: DiagramClass, m, n) -> HomBasis:
     if basis is None:
         basis = _hom_basis_cache[key] = HomBasis(cls, m, n)
     return basis
-
-
-def sparse(vec) -> dict:
-    """The nonzero entries of a dense vector, keyed by position."""
-    return {i: c for i, c in enumerate(vec) if not c.is_zero()}
 
 
 class Subspace:
@@ -331,57 +332,42 @@ class CompressedBasis:
         return len(self.elements)
 
     def _vector_of(self, lin: LinMorphism):
-        """Sparse vector of lin, or None if it uses a diagram no candidate has."""
-        index = self.diagram_index
-        if any(d not in index for d in lin.terms):
-            return None
-        return {index[d]: c for d, c in lin.terms.items()}
+        return _diagram_vector(self.diagram_index, lin)
 
     def coordinates_of(self, x):
         """Coefficients over self.elements, or None if x is outside the span."""
         vec = self._vector_of(x)
-        coords = None if vec is None else self.space.coordinates_of(vec)
-        if coords is None:
-            return None
-        out = [self.field.zero()] * len(self.elements)
-        for k, c in coords.items():
-            out[k] = c
-        return out
+        return None if vec is None else self.space.coordinates_of(vec)
 
 
 class ExactMatrix:
-    """Dense matrix over the exact field; solvers eliminate through Subspace.
+    """Matrix over the exact field, kept as sparse columns (row -> entry).
 
     The columns go left to right into a Subspace: the accepted ones are the
     pivot columns, and a rejected column's coordinates over the pivot
     columns give its kernel vector.  The kernel basis (one vector per free
-    column, with 1 there and 0 at the other free columns) and the solution
-    with the free variables at zero are unique, so they are the ones
-    reduced row echelon form gives.
+    column, with 1 there and nothing at the other free columns) and the
+    solution with the free variables at zero are unique, so they are the
+    ones reduced row echelon form gives.
     """
 
-    __slots__ = ("rows", "cols", "entries", "field")
+    __slots__ = ("rows", "cols", "columns", "field")
 
-    def __init__(self, rows, cols, entries, field: FieldSpec):
+    def __init__(self, rows, columns, field: FieldSpec):
         self.rows = rows
-        self.cols = cols
-        self.entries = [list(r) for r in entries]
+        self.cols = len(columns)
+        self.columns = [
+            {i: c for i, c in col.items() if not c.is_zero()} for col in columns
+        ]
         self.field = field
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[FieldElement]], rows, field):
-        entries = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
-        return cls(rows, len(columns), entries, field)
 
     def _eliminate(self):
         """The Subspace of the columns, the pivot columns, and each other
         column's coordinates over the pivots (column -> coordinates)."""
         space = Subspace(self.field)
         pivots, free = [], {}
-        for j in range(self.cols):
-            coords = space._insert(sparse(row[j] for row in self.entries))
+        for j, col in enumerate(self.columns):
+            coords = space._insert(col)
             if coords is None:
                 pivots.append(j)
             else:
@@ -392,47 +378,35 @@ class ExactMatrix:
         return len(self._eliminate()[1])
 
     def kernel_basis(self):
-        """Basis vectors (as lists) of the right kernel."""
+        """Basis vectors (sparse, one per free column) of the right kernel."""
         _, pivots, free = self._eliminate()
-        zero, one = self.field.zero(), self.field.one()
         out = []
         for j, coords in free.items():
-            vec = [zero] * self.cols
-            vec[j] = one
-            for k, c in coords.items():
-                vec[pivots[k]] = -c
+            vec = {pivots[k]: -c for k, c in coords.items()}
+            vec[j] = self.field.one()
             out.append(vec)
         return out
 
-    def solve(self, b: Sequence[FieldElement]):
-        """A particular solution of A x = b (free variables zero), or None."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
+    def solve(self, b):
+        """A particular sparse solution of A x = b (free variables zero),
+        or None."""
         space, pivots, _ = self._eliminate()
-        coords = space.coordinates_of(sparse(b))
+        coords = space.coordinates_of(b)
         if coords is None:
             return None
-        x = [self.field.zero()] * self.cols
-        for k, c in coords.items():
-            x[pivots[k]] = c
-        return x
+        return {pivots[k]: c for k, c in coords.items()}
 
     def is_bijective(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
     def multiply_vector(self, x):
-        if len(x) != self.cols:
-            raise ValueError("vector length mismatch")
-        zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            row = self.entries[i]
-            for j, v in enumerate(x):
-                if not v.is_zero() and not row[j].is_zero():
-                    acc = acc + row[j] * v
-            out.append(acc)
-        return out
+        """A x for a sparse x, as a sparse vector."""
+        out = {}
+        for j, v in x.items():
+            for i, a in self.columns[j].items():
+                cur = out.get(i)
+                out[i] = a * v if cur is None else cur + a * v
+        return {i: c for i, c in out.items() if not c.is_zero()}
 
 
 def matrix_of(
@@ -443,29 +417,17 @@ def matrix_of(
 ) -> ExactMatrix:
     """Matrix of a linear map given by fn on a domain basis.
 
-    domain: HomBasis or a sequence of elements fn accepts; codomain:
-    HomBasis (diagram coordinates) or CompressedBasis (KarHom included).
+    domain: HomBasis or a sequence of elements fn accepts; codomain: any
+    space with len() and a coordinates_of that gives sparse coordinates, or
+    None outside its span (HomBasis, CompressedBasis and KarHom, FpHomSpace).
     If an image does not lie in the span of the codomain, raises.
     """
     if isinstance(domain, HomBasis):
         domain = [LinMorphism.from_diagram(d, field) for d in domain]
-    lookup = None
-    if isinstance(codomain, HomBasis):
-        lookup = {d: i for i, d in enumerate(codomain)}
     columns = []
     for elem in domain:
-        image = fn(elem)
-        if lookup is None:
-            col = codomain.coordinates_of(image)
-            if col is None:
-                raise ValueError("image escapes codomain span")
-        else:
-            col = [field.zero()] * len(codomain)
-            for d, c in image.terms.items():
-                if d not in lookup:
-                    raise ValueError(
-                        f"image escapes codomain span at diagram {d.to_text()!r}"
-                    )
-                col[lookup[d]] = c
+        col = codomain.coordinates_of(fn(elem))
+        if col is None:
+            raise ValueError("image escapes codomain span")
         columns.append(col)
-    return ExactMatrix.from_columns(columns, len(codomain), field)
+    return ExactMatrix(len(codomain), columns, field)

@@ -486,9 +486,8 @@ class KarHom(CompressedBasis):
 
     def from_coordinates(self, coords) -> KarMorphism:
         out = KarMorphism.zero(self.dom, self.cod)
-        for c, elem in zip(coords, self.elements):
-            if not c.is_zero():
-                out = out + elem.scale(c)
+        for k, c in coords.items():
+            out = out + self.elements[k].scale(c)
         return out
 
 

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from diagcat.homspace import hom_basis
 from diagcat.partition import DiagramClass, PartitionDiagram
 
@@ -147,10 +149,30 @@ def test_fp_coker_of_split_epi_vanishes():
     assert payload["is_zero"] is True
 
 
+EPS_KERNEL_TEXT = (
+    "coker( [[(-1)/(t^2) * 1 | 2 | 3 | 1' | 2' + "
+    "(1)/(t) * 1 | 2 | 3 | 1' 2' + "
+    "(1)/(t) * 1 | 2 | 3 1' | 2' + "
+    "-1 * 1 | 2 | 3 1' 2' + "
+    "(-1)/(t) * 1 | 2 1' | 3 | 2' + "
+    "1 * 1 | 2 1' | 3 2']] )"
+)
+
+
 def test_fp_kernel_prints_presentation():
     r = run_cli("fp", "kernel", "--dom", "1", "--cod", "0", "--lin", "1")
     assert r.returncode == 0
-    assert r.stdout.startswith("coker(")
+    assert r.stdout == EPS_KERNEL_TEXT + "\n"
+
+
+def test_fp_json_reports_pinned():
+    embed = run_cli("fp", "embed", "--word", "1", "--json")
+    assert embed.stdout == (
+        '{"op": "fp-embed", "presentation": '
+        '"coker( [[(-1)/(t) * 1 | 2 2\' | 1\' + 1 * 1 1\' | 2 2\']] )", "word": 1}\n'
+    )
+    hom = run_cli("fp", "hom", "--word", "1", "--word2", "2", "--json")
+    assert hom.stdout == '{"a": 1, "b": 2, "dimension": 5, "op": "fp-hom"}\n'
 
 
 def test_fp_embed_requires_nonzero_t():
@@ -196,3 +218,24 @@ def test_json_byte_stability():
 def test_options_only_where_read():
     r = run_cli("compose", "--max-points", "3", "1", "1'")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("check", "diag", "--max-points", "-1"), None),
+        (("check", "lemma-absorption", "--j-max", "-1", "--m-max", "-1"), None),
+        (("check", "representable-sprime", "--m-max", "-2"), None),
+        (("check", "ex2", "--samples", "-5"), None),
+        (("check", "uex"), {"DIAGCAT_MAX_POINTS": "-2"}),
+        (("hom-basis", "-1", "2"), None),
+        (("check", "representable-h", "--i", "-1"), None),
+        (("check", "split", "--max-points", "-3"), None),
+        (("fp", "hom", "--word", "-1"), None),
+    ],
+)
+def test_negative_counts_exit_2(args, env):
+    r = run_cli(*args, env_extra=env)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""

@@ -5,6 +5,7 @@ import pytest
 
 import diagcat.fpfun as fpfun
 from diagcat.fpfun import (
+    FpHomSpace,
     FpMorphism,
     fp_cokernel,
     fp_compose,
@@ -58,6 +59,22 @@ def eps_square():
 def eps_kernel():
     phi = eps_square()
     return fp_kernel(phi, word(1), eps_kar())
+
+
+@lru_cache(maxsize=None)
+def iso_kernel():
+    """The kernel of the identity of yoneda([1]), the zero object."""
+    return fp_kernel(fp_identity(yoneda(word(1))), word(1), eps_kar())
+
+
+def eta_cokernel_space():
+    """FpHomSpace(yoneda([1]), coker(eta: [0] -> [1]))."""
+    eta = KarMorphism.from_lin(
+        LinMorphism.from_diagram(PartitionDiagram(0, 1, [(1,)]), F), CLS, F
+    )
+    m, n = yoneda(word(0)), yoneda(word(1))
+    ck = fp_cokernel(FpMorphism(m, n, eta, KarMorphism.zero(m.Q, n.Q)))
+    return FpHomSpace(yoneda(word(1)), ck)
 
 
 def test_yoneda_full_faithfulness_dims():
@@ -253,9 +270,38 @@ def test_kernel_of_zero_is_source():
 
 
 def test_kernel_of_isomorphism_vanishes():
-    m = yoneda(word(1))
-    kernel, _ = fp_kernel(fp_identity(m), word(1), eps_kar())
+    kernel, _ = iso_kernel()
     assert fp_is_zero_object(kernel)
+
+
+def test_quotient_coordinates_of_representatives():
+    space = eta_cokernel_space()
+    assert space.dimension() > 0
+    for k, rep in enumerate(space.reps):
+        assert space.coordinates_of(rep) == {k: F.one()}
+    first = space.from_coordinates({0: F.one()})
+    assert (first.alpha, first.omega) == (space.reps[0].alpha, space.reps[0].omega)
+
+
+def test_rprime_squares_have_empty_coordinates():
+    space = eta_cokernel_space()
+    src, dst = space.src, space.dst
+    betas = KarHom(src.P, dst.Q).elements
+    assert betas
+    for beta in betas:
+        square = FpMorphism(
+            src, dst, kar_compose(dst.rho, beta), kar_compose(beta, src.rho)
+        )
+        assert space.coordinates_of(square) == {}
+
+
+def test_zero_kernel_edge_cases():
+    m = yoneda(word(1))
+    _, incl = iso_kernel()
+    assert fp_factors_through(incl, fp_zero_morphism(m, m))
+    assert not fp_factors_through(incl, fp_identity(m))
+    for k in range(3):
+        assert fp_covanishing_reps(fp_identity(m), yoneda(word(k))) == []
 
 
 def test_weak_kernel_requires_split_epi():

@@ -28,6 +28,17 @@ def lin(text, dom=None, cod=None):
     return parse_linmorphism(text, F, dom=dom, cod=cod)
 
 
+def vec(entries):
+    """Sparse vector of a dense list literal."""
+    return {i: c for i, c in enumerate(entries) if not c.is_zero()}
+
+
+def matrix(grid, field=F):
+    """ExactMatrix of a dense row-major grid literal."""
+    cols = len(grid[0]) if grid else 0
+    return ExactMatrix(len(grid), [vec([row[j] for row in grid]) for j in range(cols)], field)
+
+
 def test_hom_basis_bell_counts():
     for m, n in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
         assert len(hom_basis(DiagramClass.ALL, m, n)) == BELL[m + n]
@@ -164,7 +175,7 @@ def test_compressed_basis():
     cb = CompressedBasis([a, b, a + b], F)
     assert len(cb) == 2
     coords = cb.coordinates_of(a - b)
-    assert coords == [F.one(), F.rational(Fraction(-1))]
+    assert coords == {0: F.one(), 1: F.rational(Fraction(-1))}
     other = lin("1 * 1 1' | 2 2'")
     assert cb.coordinates_of(other) is None
 
@@ -172,27 +183,28 @@ def test_compressed_basis():
 def test_matrix_rank_kernel_solve():
     one = F.one()
     two = F.rational(Fraction(2))
-    m = ExactMatrix(2, 2, [[one, two], [two, F.rational(Fraction(4))]], F)
+    grid = [[one, two], [two, F.rational(Fraction(4))]]
+    m = matrix(grid)
     assert m.rank() == 1
     assert not m.is_bijective()
     ker = m.kernel_basis()
     assert len(ker) == 1
-    for row in range(2):
+    for row in grid:
         s = F.zero()
-        for col, v in enumerate(ker[0]):
-            s = s + m.entries[row][col] * v
+        for col, v in ker[0].items():
+            s = s + row[col] * v
         assert s.is_zero()
-    inv = ExactMatrix(2, 2, [[one, two], [F.zero(), one]], F)
+    inv = matrix([[one, two], [F.zero(), one]])
     assert inv.is_bijective()
-    sol = inv.solve([two, one])
+    sol = inv.solve(vec([two, one]))
     assert sol is not None
-    assert inv.multiply_vector(sol) == [two, one]
+    assert inv.multiply_vector(sol) == vec([two, one])
 
 
 def test_matrix_solve_inconsistent():
     one = F.one()
-    m = ExactMatrix(2, 1, [[one], [one]], F)
-    assert m.solve([one, F.zero()]) is None
+    m = matrix([[one], [one]])
+    assert m.solve(vec([one, F.zero()])) is None
 
 
 def test_matrix_random_solve_roundtrip():
@@ -204,8 +216,8 @@ def test_matrix_random_solve_roundtrip():
             [F.rational(Fraction(rng.randint(-3, 3))) for _ in range(cols)]
             for _ in range(rows)
         ]
-        m = ExactMatrix(rows, cols, entries, F)
-        x0 = [F.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)]
+        m = matrix(entries)
+        x0 = vec([F.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)])
         b = m.multiply_vector(x0)
         sol = m.solve(b)
         assert sol is not None
@@ -231,26 +243,27 @@ def _random_columns(rng, field, rows, cols):
 @pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
 def test_elimination_kernel_and_solve_shapes(field):
     rng = random.Random(7)
-    zero, one = field.zero(), field.one()
+    one = field.one()
     for _ in range(30):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         columns = _random_columns(rng, field, rows, cols)
-        m = ExactMatrix.from_columns(columns, rows, field)
-        prefix = [ExactMatrix.from_columns(columns[:k], rows, field).rank()
+        columns = [vec(col) for col in columns]
+        m = ExactMatrix(rows, columns, field)
+        prefix = [ExactMatrix(rows, columns[:k], field).rank()
                   for k in range(cols + 1)]
         free = [j for j in range(cols) if prefix[j + 1] == prefix[j]]
         kernel = m.kernel_basis()
         assert len(kernel) == cols - m.rank() == len(free)
         for v, j in zip(kernel, free):
-            assert all(x.is_zero() for x in m.multiply_vector(v))
+            assert m.multiply_vector(v) == {}
             assert v[j] == one
-            assert all(v[k] == zero for k in free if k != j)
-        x0 = [field.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)]
+            assert all(k not in v for k in free if k != j)
+        x0 = vec([field.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)])
         b = m.multiply_vector(x0)
         x = m.solve(b)
         assert m.multiply_vector(x) == b
-        assert all(x[j].is_zero() for j in free)
-        units = ([one if i == r else zero for i in range(rows)] for r in range(rows))
+        assert all(j not in x for j in free)
+        units = ({r: one} for r in range(rows))
         if m.rank() < rows:
             assert any(m.solve(e) is None for e in units)
 
@@ -272,7 +285,25 @@ def test_matrix_of_identity_map():
     assert m.is_bijective()
     for i in range(2):
         for j in range(2):
-            assert m.entries[i][j].is_zero() == (i != j)
+            assert (i in m.columns[j]) == (i == j)
+
+
+def test_matrix_degenerate_shapes():
+    one = F.one()
+    empty_rows = ExactMatrix(0, [{}, {}], F)
+    assert empty_rows.rank() == 0
+    assert empty_rows.kernel_basis() == [{0: one}, {1: one}]
+    assert empty_rows.solve({}) == {}
+    no_columns = ExactMatrix(2, [], F)
+    assert no_columns.solve({0: one}) is None
+
+
+def test_matrix_drops_explicit_zeros():
+    # a zero kept in a column would become a pivot lead and be inverted
+    m = ExactMatrix(1, [{0: F.zero()}], F)
+    assert m.columns == [{}]
+    assert m.rank() == 0
+    assert m.kernel_basis() == [{0: F.one()}]
 
 
 def test_matrix_of_composition_operator():
