@@ -3,6 +3,9 @@
 Each check runs an exact computation (no tolerances) over all instances
 within explicit bounds and returns a CheckReport.  Verdicts about
 statements with unbounded quantifiers are reported as pass-up-to-bound.
+A check body raises CheckFailed with its witness at the first
+counterexample; `_report` times the body and builds the report.  The
+checks take library values and know nothing of command lines.
 
 "Factors through the unit" is used throughout in its combinatorial form:
 a basis diagram factors through [0] exactly when no block mixes upper and
@@ -14,11 +17,10 @@ may be missing even though the combinatorial condition holds).
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cobordism import (
@@ -30,13 +32,7 @@ from .cobordism import (
     partition_crosscheck,
     st_datum,
 )
-from .homspace import (
-    HomBasis,
-    LinMorphism,
-    Subspace,
-    hom_basis,
-    matrix_of,
-)
+from .homspace import LinMorphism, Subspace, hom_basis, matrix_of
 from .karoubi import (
     KarHom,
     KarMorphism,
@@ -46,7 +42,7 @@ from .karoubi import (
     kar_tensor,
     split_solve,
 )
-from .moebius import moebius_x_prime, special_morphisms, symmetrizer, x_e, x_j
+from .moebius import moebius_x_prime, special_morphisms, x_e, x_j
 from .partition import (
     DiagramClass,
     PartitionDiagram,
@@ -69,20 +65,26 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status in ("pass", "pass-up-to-bound")
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def _finish(check, params, status, witness, t0) -> CheckReport:
+class CheckFailed(Exception):
+    """Raised by a check body at its counterexample."""
+
+    def __init__(self, witness):
+        super().__init__(witness)
+        self.witness = witness
+
+
+def _report(check, params, run, status="pass") -> CheckReport:
+    """Time run(): its return value is the witness of `status`, and a
+    CheckFailed it raises makes a fail with that witness."""
+    t0 = time.perf_counter()
+    try:
+        witness = run()
+    except CheckFailed as failed:
+        status, witness = "fail", failed.witness
     elapsed = int((time.perf_counter() - t0) * 1000)
     return CheckReport(check, params, status, witness, elapsed)
 
@@ -103,45 +105,39 @@ def check_diag(cls: DiagramClass, max_points: int = 6) -> CheckReport:
     (a) (b, b') -> b (x) b' is injective into the basis of the target;
     (b) if b (x) b' factors through the unit, so do b and b'.
     """
-    t0 = time.perf_counter()
-    params = {"class": cls.value, "max_points": max_points}
-    replay = f"diagcat check diag --class {cls.value} --max-points {max_points}"
-    seen = {}
-    for m, n, m2, n2 in _shapes_within(max_points, 4):
-        for b in hom_basis(cls, m, n):
-            for b2 in hom_basis(cls, m2, n2):
-                prod = tensor(b, b2)
-                if not cls.member(prod):
-                    witness = {
-                        "pair": [b.to_text(), b2.to_text()],
-                        "tensor": prod.to_text(),
-                        "problem": "tensor left the class basis",
-                        "replay": replay,
-                    }
-                    return _finish("diag", params, "fail", witness, t0)
-                key = (m, n, m2, n2, prod)
-                if key in seen and seen[key] != (b, b2):
-                    other = seen[key]
-                    witness = {
-                        "pair": [b.to_text(), b2.to_text()],
-                        "other_pair": [other[0].to_text(), other[1].to_text()],
-                        "tensor": prod.to_text(),
-                        "problem": "tensor map not injective",
-                        "replay": replay,
-                    }
-                    return _finish("diag", params, "fail", witness, t0)
-                seen[key] = (b, b2)
-                if factors_through_unit(prod) and not (
-                    factors_through_unit(b) and factors_through_unit(b2)
-                ):
-                    witness = {
-                        "pair": [b.to_text(), b2.to_text()],
-                        "tensor": prod.to_text(),
-                        "problem": "factor of a through-unit tensor is not through-unit",
-                        "replay": replay,
-                    }
-                    return _finish("diag", params, "fail", witness, t0)
-    return _finish("diag", params, "pass", None, t0)
+
+    def run():
+        seen = {}
+        for m, n, m2, n2 in _shapes_within(max_points, 4):
+            for b in hom_basis(cls, m, n):
+                for b2 in hom_basis(cls, m2, n2):
+                    prod = tensor(b, b2)
+                    if not cls.member(prod):
+                        raise CheckFailed({
+                            "pair": [b.to_text(), b2.to_text()],
+                            "tensor": prod.to_text(),
+                            "problem": "tensor left the class basis",
+                        })
+                    key = (m, n, m2, n2, prod)
+                    if key in seen and seen[key] != (b, b2):
+                        other = seen[key]
+                        raise CheckFailed({
+                            "pair": [b.to_text(), b2.to_text()],
+                            "other_pair": [other[0].to_text(), other[1].to_text()],
+                            "tensor": prod.to_text(),
+                            "problem": "tensor map not injective",
+                        })
+                    seen[key] = (b, b2)
+                    if factors_through_unit(prod) and not (
+                        factors_through_unit(b) and factors_through_unit(b2)
+                    ):
+                        raise CheckFailed({
+                            "pair": [b.to_text(), b2.to_text()],
+                            "tensor": prod.to_text(),
+                            "problem": "factor of a through-unit tensor is not through-unit",
+                        })
+
+    return _report("diag", {"class": cls.value, "max_points": max_points}, run)
 
 
 def _through_unit_span(lin: LinMorphism) -> bool:
@@ -165,7 +161,6 @@ def check_ex(
     factors in the through-unit span; the basis-level structural argument
     is rechecked alongside the samples.
     """
-    t0 = time.perf_counter()
     field = field or FieldSpec.generic()
     params = {
         "class": cls.value,
@@ -174,48 +169,47 @@ def check_ex(
         "field": field.describe(),
     }
     if mode == 1:
-        replay = f"diagcat check ex1 --class {cls.value} --max-points {max_points}"
-        for a in range(max_points + 1):
-            for b in range(max_points + 1 - a):
-                us = hom_basis(cls, a, 0)
-                vs = hom_basis(cls, 0, b)
-                if not us or not vs:
-                    continue
-                target = hom_basis(cls, a, b)
-                pairs = [(v, u) for v in vs for u in us]
-                matrix = matrix_of(
-                    lambda vu: LinMorphism.from_diagram(vu[0], field).tensor(
-                        LinMorphism.from_diagram(vu[1], field), field
-                    ),
-                    pairs,
-                    target,
-                    field,
-                )
-                rank = matrix.rank()
-                if rank != len(pairs):
-                    witness = {
-                        "U": a,
-                        "V": b,
-                        "columns": len(pairs),
-                        "rank": rank,
-                        "problem": "psi_{U,V} not injective",
-                        "replay": replay,
-                    }
-                    return _finish("ex1", params, "fail", witness, t0)
-        return _finish("ex1", params, "pass", None, t0)
-
+        return _report("ex1", params, lambda: _ex1(cls, max_points, field))
     if mode != 2:
         raise ValueError("mode must be 1 or 2")
     params["samples"] = samples
     params["seed"] = seed
-    replay = (
-        f"diagcat check ex2 --class {cls.value} --max-points {max_points}"
-        f" --samples {samples} --seed {seed}"
-    )
+    return _report("ex2", params, lambda: _ex2(cls, max_points, samples, seed, field))
+
+
+def _ex1(cls, max_points, field):
+    for a in range(max_points + 1):
+        for b in range(max_points + 1 - a):
+            us = hom_basis(cls, a, 0)
+            vs = hom_basis(cls, 0, b)
+            if not us or not vs:
+                continue
+            target = hom_basis(cls, a, b)
+            pairs = [(v, u) for v in vs for u in us]
+            matrix = matrix_of(
+                lambda vu: LinMorphism.from_diagram(vu[0], field).tensor(
+                    LinMorphism.from_diagram(vu[1], field), field
+                ),
+                pairs,
+                target,
+                field,
+            )
+            rank = matrix.rank()
+            if rank != len(pairs):
+                raise CheckFailed({
+                    "U": a,
+                    "V": b,
+                    "columns": len(pairs),
+                    "rank": rank,
+                    "problem": "psi_{U,V} not injective",
+                })
+
+
+def _ex2(cls, max_points, samples, seed, field):
     # structural route: at the basis level this is exactly check_diag (b)
     structural = check_diag(cls, max_points)
     if structural.status != "pass":
-        return _finish("ex2", params, "fail", structural.witness, t0)
+        raise CheckFailed(structural.witness)
     rng = random.Random(seed)
     hits = 0
     shapes = [
@@ -236,21 +230,13 @@ def check_ex(
             continue
         hits += 1
         if not (_through_unit_span(f) and _through_unit_span(g)):
-            witness = {
+            raise CheckFailed({
                 "f": f.to_text(),
                 "g": g.to_text(),
                 "tensor": prod.to_text(),
                 "problem": "factor escapes the through-unit span",
-                "replay": replay,
-            }
-            return _finish("ex2", params, "fail", witness, t0)
-    return _finish(
-        "ex2",
-        params,
-        "pass",
-        {"mode": "structural pass via (Diag) + sampled pass", "hits": hits},
-        t0,
-    )
+            })
+    return {"mode": "structural pass via (Diag) + sampled pass", "hits": hits}
 
 
 def _random_combination(rng, cls, m, n, field, unit_bias=False):
@@ -285,7 +271,6 @@ def check_uex(
     f -> f . (u (x) U - U (x) u) on Hom(U, V) must equal the image of
     v -> v . u from Hom(1, V), and v -> v . u must be injective.
     """
-    t0 = time.perf_counter()
     field = field or FieldSpec.generic()
     if u.is_zero():
         raise ValueError("the morphism collection U(C) excludes zero morphisms")
@@ -298,78 +283,62 @@ def check_uex(
         "max_target_word": max_target_word,
         "field": field.describe(),
     }
-    replay = (
-        f"diagcat check uex --class {cls.value}"
-        f" --max-points {max_target_word} --u \"{u.to_text()}\""
-    )
-    ident = LinMorphism.from_diagram(PartitionDiagram.identity(uw), field)
-    w = u.tensor(ident, field) - ident.tensor(u, field)
-    for k in range(max_target_word + 1):
-        basis_uv = hom_basis(cls, uw, k)
-        basis_1v = hom_basis(cls, 0, k)
-        hom_uv = list(basis_uv)
-        hom_1v = list(basis_1v)
-        if len(hom_uv) == 0 and len(hom_1v) == 0:
-            continue
-        a = matrix_of(
-            lambda f: f.compose(w, field),
-            basis_uv,
-            hom_basis(cls, 2 * uw, k),
-            field,
-        )
-        kernel = a.kernel_basis()
-        b = matrix_of(
-            lambda v: v.compose(u, field),
-            basis_1v,
-            basis_uv,
-            field,
-        )
-        if b.rank() != len(hom_1v):
-            witness = {
-                "V": k,
-                "problem": "v -> v.u is not injective",
-                "replay": replay,
-            }
-            return _finish("uex", params, "fail", witness, t0)
-        # image of b inside the kernel, and equality of dimensions
-        image = Subspace(field)
-        for j in range(len(hom_1v)):
-            v = LinMorphism.from_diagram(hom_1v[j], field)
-            vu = v.compose(u, field)
-            if not vu.compose(w, field).is_zero():
-                witness = {
+
+    def run():
+        ident = LinMorphism.from_diagram(PartitionDiagram.identity(uw), field)
+        w = u.tensor(ident, field) - ident.tensor(u, field)
+        for k in range(max_target_word + 1):
+            basis_uv = hom_basis(cls, uw, k)
+            basis_1v = hom_basis(cls, 0, k)
+            if not basis_uv and not basis_1v:
+                continue
+            a = matrix_of(
+                lambda f: f.compose(w, field),
+                basis_uv,
+                hom_basis(cls, 2 * uw, k),
+                field,
+            )
+            kernel = a.kernel_basis()
+            b = matrix_of(
+                lambda v: v.compose(u, field),
+                basis_1v,
+                basis_uv,
+                field,
+            )
+            if b.rank() != len(basis_1v):
+                raise CheckFailed({"V": k, "problem": "v -> v.u is not injective"})
+            # image of b inside the kernel, and equality of dimensions
+            image = Subspace(field)
+            for j, d in enumerate(basis_1v):
+                vu = LinMorphism.from_diagram(d, field).compose(u, field)
+                if not vu.compose(w, field).is_zero():
+                    raise CheckFailed({
+                        "V": k,
+                        "v": d.to_text(),
+                        "problem": "image of v -> v.u escapes the kernel",
+                    })
+                image.add(b.columns[j])
+            if image.dimension() != len(kernel):
+                raise CheckFailed({
                     "V": k,
-                    "v": hom_1v[j].to_text(),
-                    "problem": "image of v -> v.u escapes the kernel",
-                    "replay": replay,
-                }
-                return _finish("uex", params, "fail", witness, t0)
-            image.add(b.columns[j])
-        if image.dimension() != len(kernel):
-            witness = {
-                "V": k,
-                "kernel_dim": len(kernel),
-                "image_dim": image.dimension(),
-                "problem": "coequalizer kernel exceeds the image of v -> v.u",
-                "replay": replay,
-            }
-            return _finish("uex", params, "fail", witness, t0)
-        for vec in kernel:
-            if not image.contains(vec):
-                witness = {
-                    "V": k,
-                    "problem": "kernel vector outside the image of v -> v.u",
-                    "replay": replay,
-                }
-                return _finish("uex", params, "fail", witness, t0)
-    return _finish("uex", params, "pass-up-to-bound", None, t0)
+                    "kernel_dim": len(kernel),
+                    "image_dim": image.dimension(),
+                    "problem": "coequalizer kernel exceeds the image of v -> v.u",
+                })
+            for vec in kernel:
+                if not image.contains(vec):
+                    raise CheckFailed({
+                        "V": k,
+                        "problem": "kernel vector outside the image of v -> v.u",
+                    })
+
+    return _report("uex", params, run, status="pass-up-to-bound")
 
 
 def check_splitting_object(
     x: KarObject, f: KarMorphism, side: str = "left"
 ) -> CheckReport:
     """Whether X (x) f (or f (x) X) is split."""
-    t0 = time.perf_counter()
     if x.is_zero():
         raise ValueError("splitting objects must be non-zero")
     if side not in ("left", "right"):
@@ -380,27 +349,16 @@ def check_splitting_object(
         "class": x.cls.value,
         "field": x.field.describe(),
     }
-    ident = KarMorphism.identity(x)
-    prod = kar_tensor(ident, f) if side == "left" else kar_tensor(f, ident)
-    witness = split_solve(prod)
-    if witness is None:
-        return _finish(
-            "splitting-object",
-            params,
-            "fail",
-            {
-                "problem": "X tensor f is not split",
-                "replay": "diagcat check split",
-            },
-            t0,
-        )
-    return _finish(
-        "splitting-object",
-        params,
-        "pass",
-        {"g": witness.g.to_text(), "denominators": list(witness.denominators)},
-        t0,
-    )
+
+    def run():
+        ident = KarMorphism.identity(x)
+        prod = kar_tensor(ident, f) if side == "left" else kar_tensor(f, ident)
+        witness = split_solve(prod)
+        if witness is None:
+            raise CheckFailed({"problem": "X tensor f is not split"})
+        return {"g": witness.g.to_text(), "denominators": list(witness.denominators)}
+
+    return _report("splitting-object", params, run)
 
 
 def check_split_sweep(
@@ -412,7 +370,6 @@ def check_split_sweep(
 ) -> CheckReport:
     """split_solve on every basis diagram within the bound, plus sampled
     combinations; every returned witness is re-verified exactly."""
-    t0 = time.perf_counter()
     field = field or FieldSpec.generic()
     params = {
         "class": cls.value,
@@ -421,39 +378,36 @@ def check_split_sweep(
         "seed": seed,
         "field": field.describe(),
     }
-    replay = (
-        f"diagcat check split --class {cls.value} --max-points {max_points}"
-        f" --samples {samples} --seed {seed}"
-    )
-    rng = random.Random(seed)
-    checked = 0
-    cases = []
-    for m in range(max_points + 1):
-        for n in range(max_points + 1 - m):
-            for d in hom_basis(cls, m, n):
-                cases.append(LinMorphism.from_diagram(d, field))
-    shapes = [
-        (m, n)
-        for m in range(max_points + 1)
-        for n in range(max_points + 1 - m)
-        if len(hom_basis(cls, m, n)) > 0
-    ]
-    for _ in range(samples):
-        m, n = rng.choice(shapes)
-        lin = _random_combination(rng, cls, m, n, field)
-        cases.append(lin)
-    for lin in cases:
-        f = KarMorphism.from_lin(lin, cls, field)
-        w = split_solve(f)
-        if w is None:
-            witness = {
-                "morphism": lin.to_text(),
-                "problem": "no split witness found",
-                "replay": replay,
-            }
-            return _finish("split", params, "fail", witness, t0)
-        checked += 1
-    return _finish("split", params, "pass", {"morphisms_checked": checked}, t0)
+
+    def run():
+        rng = random.Random(seed)
+        checked = 0
+        cases = []
+        for m in range(max_points + 1):
+            for n in range(max_points + 1 - m):
+                for d in hom_basis(cls, m, n):
+                    cases.append(LinMorphism.from_diagram(d, field))
+        shapes = [
+            (m, n)
+            for m in range(max_points + 1)
+            for n in range(max_points + 1 - m)
+            if len(hom_basis(cls, m, n)) > 0
+        ]
+        for _ in range(samples):
+            m, n = rng.choice(shapes)
+            lin = _random_combination(rng, cls, m, n, field)
+            cases.append(lin)
+        for lin in cases:
+            f = KarMorphism.from_lin(lin, cls, field)
+            if split_solve(f) is None:
+                raise CheckFailed({
+                    "morphism": lin.to_text(),
+                    "problem": "no split witness found",
+                })
+            checked += 1
+        return {"morphisms_checked": checked}
+
+    return _report("split", params, run)
 
 
 def _rep_h_objects(i: int, field: FieldSpec):
@@ -467,18 +421,36 @@ def _rep_h_objects(i: int, field: FieldSpec):
     return x
 
 
-def _phi_matrix(hom: KarHom, p_entries, target: HomBasis, field: FieldSpec):
-    """Matrix of h -> p . h into the diagram basis of Hom([m], [0])."""
+def _phi_bijective(cls, x, p_entries, m_max, field):
+    """Bijectivity of phi = (p . -): Hom([m], X) -> Hom_S([m], [0]) for every
+    m <= m_max; the fail lists each m where phi is not bijective."""
 
     def phi(elem):
-        total = LinMorphism.zero(hom.dom.words[0], 0)
+        total = LinMorphism.zero(elem.dom.words[0], 0)
         for j, p_j in enumerate(p_entries):
             entry = elem.entries[j][0]
             if not entry.is_zero():
                 total = total + p_j.compose(entry, field)
         return total
 
-    return matrix_of(phi, hom.elements, target, field)
+    failures = []
+    for m in range(m_max + 1):
+        hom = KarHom(KarObject.word(m, cls, field), x)
+        target = hom_basis(DiagramClass.ALL, m, 0)
+        matrix = matrix_of(phi, hom.elements, target, field)
+        if not matrix.is_bijective():
+            failures.append(
+                {
+                    "m": m,
+                    "hom_dim": hom.dimension(),
+                    "target_dim": len(target),
+                    "rank": matrix.rank(),
+                }
+            )
+    if failures:
+        raise CheckFailed(
+            {"problem": "phi = (p . -) is not bijective", "failures": failures}
+        )
 
 
 def representable_H(
@@ -489,47 +461,20 @@ def representable_H(
     The even-blocks statement holds for m <= i; probing larger m exhibits
     the rank deficit that makes the full direct sum necessary.
     """
-    t0 = time.perf_counter()
     field = field or FieldSpec.generic()
+
+    def run():
+        x = _rep_h_objects(i, field)
+        p_entries = [
+            special_morphisms("p_j", j, field).compose(x_e(j, field), field)
+            for j in range(i + 1)
+        ]
+        _phi_bijective(DiagramClass.EVEN_BLOCKS, x, p_entries, m_max, field)
+        skeleton = sum(_verify_h_skeleton(i, m, field) for m in range(m_max + 1))
+        return {"skeleton_instances": skeleton}
+
     params = {"i": i, "m_max": m_max, "field": field.describe()}
-    replay = f"diagcat check representable-h --i {i} --m-max {m_max}"
-    x = _rep_h_objects(i, field)
-    p_entries = [
-        special_morphisms("p_j", j, field).compose(x_e(j, field), field)
-        for j in range(i + 1)
-    ]
-    skeleton = 0
-    failures = []
-    for m in range(m_max + 1):
-        dom = KarObject.word(m, DiagramClass.EVEN_BLOCKS, field)
-        hom = KarHom(dom, x)
-        target = hom_basis(DiagramClass.ALL, m, 0)
-        matrix = _phi_matrix(hom, p_entries, target, field)
-        if not matrix.is_bijective():
-            failures.append(
-                {
-                    "m": m,
-                    "hom_dim": hom.dimension(),
-                    "target_dim": len(target),
-                    "rank": matrix.rank(),
-                }
-            )
-            continue
-        skeleton += _verify_h_skeleton(i, m, field)
-    if failures:
-        witness = {
-            "problem": "phi = (p . -) is not bijective",
-            "failures": failures,
-            "replay": replay,
-        }
-        return _finish("representable-h", params, "fail", witness, t0)
-    return _finish(
-        "representable-h",
-        params,
-        "pass",
-        {"skeleton_instances": skeleton},
-        t0,
-    )
+    return _report("representable-h", params, run)
 
 
 def _verify_h_skeleton(i: int, m: int, field: FieldSpec) -> int:
@@ -572,52 +517,31 @@ def representable_Sprime(
     m_max: int, field: FieldSpec | None = None
 ) -> CheckReport:
     """Bijectivity of (p_0, p_1) . - : Hom_S'([m], X_0 + X_1) -> Hom_S([m],[0])."""
-    t0 = time.perf_counter()
     field = field or FieldSpec.generic()
     field.require_nonzero_t("representable_Sprime")
+
+    def run():
+        cls = DiagramClass.EVEN_MANY_ODD_BLOCKS
+        x0 = kar_object(
+            0,
+            LinMorphism.from_diagram(PartitionDiagram.identity(0), field),
+            cls,
+            field,
+            name="id",
+        )
+        x1 = kar_object(
+            1, special_morphisms("e_1_sprime", 1, field), cls, field, name="e_1_sprime"
+        )
+        p_entries = [
+            special_morphisms("p_j", 0, field),
+            special_morphisms("p_j", 1, field).compose(
+                special_morphisms("e_1_sprime", 1, field), field
+            ),
+        ]
+        _phi_bijective(cls, direct_sum(x0, x1), p_entries, m_max, field)
+
     params = {"m_max": m_max, "field": field.describe()}
-    replay = f"diagcat check representable-sprime --m-max {m_max}"
-    cls = DiagramClass.EVEN_MANY_ODD_BLOCKS
-    x0 = kar_object(
-        0,
-        LinMorphism.from_diagram(PartitionDiagram.identity(0), field),
-        cls,
-        field,
-        name="id",
-    )
-    x1 = kar_object(
-        1, special_morphisms("e_1_sprime", 1, field), cls, field, name="e_1_sprime"
-    )
-    x = direct_sum(x0, x1)
-    p_entries = [
-        special_morphisms("p_j", 0, field),
-        special_morphisms("p_j", 1, field).compose(
-            special_morphisms("e_1_sprime", 1, field), field
-        ),
-    ]
-    failures = []
-    for m in range(m_max + 1):
-        dom = KarObject.word(m, cls, field)
-        hom = KarHom(dom, x)
-        target = hom_basis(DiagramClass.ALL, m, 0)
-        matrix = _phi_matrix(hom, p_entries, target, field)
-        if not matrix.is_bijective():
-            failures.append(
-                {
-                    "m": m,
-                    "hom_dim": hom.dimension(),
-                    "target_dim": len(target),
-                    "rank": matrix.rank(),
-                }
-            )
-    if failures:
-        witness = {
-            "problem": "phi = (p . -) is not bijective",
-            "failures": failures,
-            "replay": replay,
-        }
-        return _finish("representable-sprime", params, "fail", witness, t0)
-    return _finish("representable-sprime", params, "pass", None, t0)
+    return _report("representable-sprime", params, run)
 
 
 def verify_lemma(
@@ -627,38 +551,41 @@ def verify_lemma(
     field: FieldSpec | None = None,
 ) -> CheckReport:
     """Exhaustive instances of the absorption / computation lemmas."""
-    t0 = time.perf_counter()
     field = field or FieldSpec.generic()
     params = {"which": which, "j_max": j_max, "m_max": m_max}
-    replay = f"diagcat check lemma-{which.replace('_', '-')}"
-    count = 0
     if which == "absorption":
-        for j in range(j_max + 1):
-            xj = x_j(j, field)
-            for m in range(m_max + 1):
-                for g in all_diagrams(m, j):
-                    if not any(
-                        sum(1 for p in b if p > m) >= 2 for b in g.blocks
-                    ):
-                        continue
-                    prod = xj.compose(LinMorphism.from_diagram(g, field), field)
-                    if not prod.is_zero():
-                        witness = {
-                            "j": j,
-                            "g": g.to_text(),
-                            "x_j.g": prod.to_text(),
-                            "problem": "absorption violated",
-                            "replay": replay,
-                        }
-                        return _finish(
-                            "lemma-absorption", params, "fail", witness, t0
-                        )
-                    count += 1
-        return _finish(
-            "lemma-absorption", params, "pass", {"instances": count}, t0
+        return _report(
+            "lemma-absorption", params, lambda: _absorption(j_max, m_max, field)
         )
     if which != "computation_H":
         raise ValueError("which must be absorption or computation_H")
+    return _report(
+        "lemma-computation", params, lambda: _computation(j_max, m_max, field)
+    )
+
+
+def _absorption(j_max, m_max, field):
+    count = 0
+    for j in range(j_max + 1):
+        xj = x_j(j, field)
+        for m in range(m_max + 1):
+            for g in all_diagrams(m, j):
+                if not any(sum(1 for p in b if p > m) >= 2 for b in g.blocks):
+                    continue
+                prod = xj.compose(LinMorphism.from_diagram(g, field), field)
+                if not prod.is_zero():
+                    raise CheckFailed({
+                        "j": j,
+                        "g": g.to_text(),
+                        "x_j.g": prod.to_text(),
+                        "problem": "absorption violated",
+                    })
+                count += 1
+    return {"instances": count}
+
+
+def _computation(j_max, m_max, field):
+    count = 0
     for j in range(j_max + 1):
         pxe = special_morphisms("p_j", j, field).compose(x_e(j, field), field)
         for m in range(m_max + 1):
@@ -671,67 +598,52 @@ def verify_lemma(
                 f = upper_partition(g)
                 rhs = moebius_x_prime(f, field)
                 if lhs != rhs:
-                    witness = {
+                    raise CheckFailed({
                         "j": j,
                         "g": g.to_text(),
                         "lhs": lhs.to_text(),
                         "rhs": rhs.to_text(),
                         "problem": "computation lemma violated",
-                        "replay": replay,
-                    }
-                    return _finish(
-                        "lemma-computation", params, "fail", witness, t0
-                    )
+                    })
                 count += 1
-    return _finish(
-        "lemma-computation", params, "pass", {"instances": count}, t0
-    )
+    return {"instances": count}
 
 
 def check_crosscheck_cob(max_points: int = 5) -> CheckReport:
     """Partition composition against cobordism gluing, plus handle scalars."""
-    t0 = time.perf_counter()
-    params = {"max_points": max_points}
-    replay = f"diagcat check crosscheck-cob --max-points {max_points}"
-    checked = 0
-    for m in range(max_points + 1):
-        for k in range(max_points + 1 - m):
-            for n in range(max_points + 1 - m - k):
-                for g in all_diagrams(m, k):
-                    for f in all_diagrams(k, n):
-                        if not partition_crosscheck(f, g):
-                            witness = {
-                                "f": f.to_text(),
-                                "g": g.to_text(),
-                                "problem": "cobordism route disagrees",
-                                "replay": replay,
-                            }
-                            return _finish(
-                                "crosscheck-cob", params, "fail", witness, t0
-                            )
-                        checked += 1
-    field = FieldSpec.generic()
-    for datum in (st_datum(field), fibonacci_datum(field)):
-        for i in range(5):
-            cur = CobLin.from_cobordism(generator("eta"), field)
-            phi = CobLin.from_cobordism(generator("phi"), field)
-            for _ in range(i):
-                cur = cob_compose(phi, cur, datum)
-            cur = cob_compose(
-                CobLin.from_cobordism(generator("eps"), field), cur, datum
-            )
-            want = CobLin(
-                0, 0, {Cobordism(0, 0, []): datum.alpha(i)}
-            )
-            if cur != want:
-                witness = {
-                    "datum": datum.describe(),
-                    "i": i,
-                    "problem": "handle power scalar mismatch",
-                    "replay": replay,
-                }
-                return _finish("crosscheck-cob", params, "fail", witness, t0)
-            checked += 1
-    return _finish(
-        "crosscheck-cob", params, "pass", {"instances": checked}, t0
-    )
+
+    def run():
+        checked = 0
+        for m in range(max_points + 1):
+            for k in range(max_points + 1 - m):
+                for n in range(max_points + 1 - m - k):
+                    for g in all_diagrams(m, k):
+                        for f in all_diagrams(k, n):
+                            if not partition_crosscheck(f, g):
+                                raise CheckFailed({
+                                    "f": f.to_text(),
+                                    "g": g.to_text(),
+                                    "problem": "cobordism route disagrees",
+                                })
+                            checked += 1
+        field = FieldSpec.generic()
+        for datum in (st_datum(field), fibonacci_datum(field)):
+            for i in range(5):
+                cur = CobLin.from_cobordism(generator("eta"), field)
+                phi = CobLin.from_cobordism(generator("phi"), field)
+                for _ in range(i):
+                    cur = cob_compose(phi, cur, datum)
+                cur = cob_compose(
+                    CobLin.from_cobordism(generator("eps"), field), cur, datum
+                )
+                want = CobLin(0, 0, {Cobordism(0, 0, []): datum.alpha(i)})
+                if cur != want:
+                    raise CheckFailed({
+                        "datum": datum.describe(),
+                        "i": i,
+                        "problem": "handle power scalar mismatch",
+                    })
+                checked += 1
+        return {"instances": checked}
+
+    return _report("crosscheck-cob", {"max_points": max_points}, run)

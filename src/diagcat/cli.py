@@ -1,18 +1,26 @@
 """Command-line surface: parsing, check orchestration, JSON reporting.
 
+Each `check` and `fp` name is one row of CHECKS or FP_OPS: the options it
+reads with their defaults, and the call it makes.  The name's sub-parser
+accepts only those options.  A failing check's witness gets a `replay`
+command line that gives every option the check read, resolved.
+
 Exit codes: 0 all requested checks pass, 1 a check fails (witness printed),
-2 usage or precondition errors.  The default truncation bound is 6 total
-points; the DIAGCAT_MAX_POINTS environment variable overrides it and an
-explicit --max-points flag wins over both.
+2 usage or precondition errors.  The default truncation bound of a check
+depends on the check; the DIAGCAT_MAX_POINTS environment variable, read on
+every run, overrides it and an explicit --max-points flag wins over both.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shlex
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .checks import (
     check_crosscheck_cob,
@@ -25,7 +33,7 @@ from .checks import (
     representable_Sprime,
     verify_lemma,
 )
-from .cobordism import CobLin, Cobordism, fibonacci_datum, glue, st_datum
+from .cobordism import Cobordism, fibonacci_datum, glue, st_datum
 from .fpfun import (
     FpMorphism,
     fp_cokernel,
@@ -60,32 +68,165 @@ def count(text: str) -> int:
     return value
 
 
-def resolve_bound(value, default: int) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("DIAGCAT_MAX_POINTS")
-    if env is not None:
+def env_bound(default: int):
+    """A --max-points default read when the check runs: DIAGCAT_MAX_POINTS
+    if it is set, else `default`."""
+
+    def resolve(_options) -> int:
+        env = os.environ.get("DIAGCAT_MAX_POINTS")
+        if env is None:
+            return default
         try:
             return count(env)
         except ValueError as exc:
             raise ValueError(f"DIAGCAT_MAX_POINTS: {exc}") from None
-    return default
+
+    return resolve
 
 
-def _add_common(sub):
-    sub.add_argument("--t", default="generic", help="generic or a rational like 5 or 1/2")
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
+# Each option a check or fp name may read: flag -> (argparse type, help).
+OPTIONS = {
+    "class": (str, "diagram class tag (all, even-blocks, even-many-odd-blocks, "
+              "blocks-size-2, non-crossing-size-2)"),
+    "t": (str, "generic or a rational like 5 or 1/2"),
+    "max-points": (count, "total points bound; DIAGCAT_MAX_POINTS overrides the default"),
+    "samples": (count, "number of random combinations"),
+    "seed": (int, "seed of the random combinations"),
+    "u": (str, "morphism U -> 1 (default: the canonical one of the class)"),
+    "i": (count, "summand bound"),
+    "m-max": (count, "largest source word [m]"),
+    "j-max": (count, "largest j"),
+    "word": (count, "word of the (first) object"),
+    "word2": (count, "word of the second object"),
+    "dom": (count, "domain word of the morphism"),
+    "cod": (count, "codomain word of the morphism"),
+    "s-word": (count, "source word of the splitting epi"),
+    "lin": (str, "morphism text [dom] -> [cod]"),
+}
 
 
-def _add_class(sub):
-    sub.add_argument(
-        "--class",
-        dest="cls",
-        default="all",
-        help="diagram class tag (all, even-blocks, even-many-odd-blocks, blocks-size-2, non-crossing-size-2)",
+# check name -> (the options it reads with their defaults, the call it makes).
+# A callable default is computed when the check runs, from the options before
+# it; a None default makes the option required.  The calls name the checks
+# through this module's globals, so that a wrapper put there sees each call.
+CHECKS = {
+    "diag": (
+        {"class": "all", "max-points": env_bound(6)},
+        lambda o: check_diag(o.cls, o.max_points),
+    ),
+    "ex1": (
+        {"class": "all", "max-points": env_bound(6)},
+        lambda o: check_ex(1, o.cls, o.max_points),
+    ),
+    "ex2": (
+        {"class": "all", "max-points": env_bound(6), "samples": 200, "seed": 0,
+         "t": "generic"},
+        lambda o: check_ex(2, o.cls, o.max_points, o.samples, o.seed, o.field),
+    ),
+    "uex": (
+        {"class": "all", "max-points": env_bound(3), "t": "generic",
+         "u": lambda o: default_unit_morphism(o.cls, o.field).to_text()},
+        lambda o: check_uex(
+            parse_linmorphism(o.u, o.field), o.cls, o.max_points, o.field
+        ),
+    ),
+    "split": (
+        {"class": "all", "max-points": env_bound(4), "samples": 200, "seed": 0,
+         "t": "generic"},
+        lambda o: check_split_sweep(o.cls, o.max_points, o.field, o.samples, o.seed),
+    ),
+    "representable-h": (
+        {"i": 3, "m-max": lambda o: o.i, "t": "generic"},
+        lambda o: representable_H(o.i, o.m_max, o.field),
+    ),
+    "representable-sprime": (
+        {"m-max": 4, "t": "generic"},
+        lambda o: representable_Sprime(o.m_max, o.field),
+    ),
+    "lemma-absorption": (
+        {"j-max": 3, "m-max": 3, "t": "generic"},
+        lambda o: verify_lemma("absorption", o.j_max, o.m_max, o.field),
+    ),
+    "lemma-computation": (
+        {"j-max": 3, "m-max": 3, "t": "generic"},
+        lambda o: verify_lemma("computation_H", o.j_max, o.m_max, o.field),
+    ),
+    "crosscheck-cob": (
+        {"max-points": env_bound(5)},
+        lambda o: check_crosscheck_cob(o.max_points),
+    ),
+}
+
+
+def _word(o, n: int) -> KarObject:
+    return KarObject.word(n, o.cls, o.field)
+
+
+def _fp_square(o) -> FpMorphism:
+    """The morphism Hom(-, [dom]) -> Hom(-, [cod]) given by --lin."""
+    lin = parse_linmorphism(o.lin, o.field, dom=o.dom, cod=o.cod)
+    src = yoneda(_word(o, o.dom))
+    dst = yoneda(_word(o, o.cod))
+    return FpMorphism(
+        src, dst, KarMorphism.from_lin(lin, o.cls, o.field), KarMorphism.zero(src.Q, dst.Q)
     )
 
 
+def _fp_hom(o):
+    dims = len(fp_hom(yoneda(_word(o, o.word)), yoneda(_word(o, o.word2))))
+    payload = {"op": "fp-hom", "a": o.word, "b": o.word2, "dimension": dims}
+    return payload, [f"dimension: {dims}"]
+
+
+def _fp_embed(o):
+    obj = fp_embed(_word(o, o.word), unit_presentation_split_epi(o.field, o.cls))
+    payload = {"op": "fp-embed", "word": o.word, "presentation": obj.to_text()}
+    return payload, [obj.to_text()]
+
+
+def _fp_coker(o):
+    obj = fp_cokernel(_fp_square(o))
+    zero = fp_is_zero_object(obj)
+    payload = {"op": "fp-coker", "presentation": obj.to_text(), "is_zero": zero}
+    return payload, [obj.to_text(), f"is_zero: {zero}"]
+
+
+def _fp_kernel(o):
+    square = _fp_square(o)
+    eps_text = " ".join(str(i + 1) for i in range(o.s_word))
+    eps = parse_linmorphism(eps_text, o.field, dom=o.s_word, cod=0)
+    kernel, _ = fp_kernel(
+        square, _word(o, o.s_word), KarMorphism.from_lin(eps, o.cls, o.field)
+    )
+    payload = {
+        "op": "fp-kernel",
+        "presentation": kernel.to_text(),
+        "is_zero": fp_is_zero_object(kernel),
+    }
+    return payload, [kernel.to_text()]
+
+
+# fp name -> (the options it reads with their defaults, the call it makes).
+FP_OPS = {
+    "hom": ({"class": "all", "t": "generic", "word": 1, "word2": 0}, _fp_hom),
+    "embed": ({"class": "all", "t": "generic", "word": 1}, _fp_embed),
+    "coker": (
+        {"class": "all", "t": "generic", "dom": 1, "cod": 0, "lin": None},
+        _fp_coker,
+    ),
+    "kernel": (
+        {"class": "all", "t": "generic", "dom": 1, "cod": 0, "s-word": 1, "lin": None},
+        _fp_kernel,
+    ),
+}
+
+
+def _add_common(sub):
+    sub.add_argument("--t", default="generic", help=OPTIONS["t"][1])
+    sub.add_argument("--json", action="store_true", help="emit a JSON report")
+
+
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagcat",
@@ -110,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("hom-basis", help="list the diagram basis of Hom([m],[n])")
     _add_common(p)
-    _add_class(p)
+    p.add_argument("--class", dest="cls", default="all", help=OPTIONS["class"][1])
     p.add_argument("m", type=count)
     p.add_argument("n", type=count)
 
@@ -120,42 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outer")
     p.add_argument("inner")
 
-    p = subs.add_parser("check", help="run a named verification")
-    p.add_argument(
-        "name",
-        choices=[
-            "diag",
-            "ex1",
-            "ex2",
-            "uex",
-            "split",
-            "representable-h",
-            "representable-sprime",
-            "lemma-absorption",
-            "lemma-computation",
-            "crosscheck-cob",
-        ],
-    )
-    _add_common(p)
-    _add_class(p)
-    p.add_argument("--max-points", type=count, default=None, help="total points bound")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=count, default=200)
-    p.add_argument("--u", default=None, help="morphism U -> 1 for the uex check")
-    p.add_argument("--i", type=count, default=3, help="summand bound for representable-h")
-    p.add_argument("--m-max", type=count, default=None)
-    p.add_argument("--j-max", type=count, default=3)
-
-    p = subs.add_parser("fp", help="finitely presented functor operations")
-    p.add_argument("name", choices=["hom", "coker", "kernel", "embed"])
-    _add_common(p)
-    _add_class(p)
-    p.add_argument("--dom", type=count, default=1, help="domain word for coker/kernel")
-    p.add_argument("--cod", type=count, default=0, help="codomain word for coker/kernel")
-    p.add_argument("--word", type=count, default=1, help="word for hom/embed")
-    p.add_argument("--word2", type=count, default=None, help="second word for hom")
-    p.add_argument("--s-word", type=count, default=1, help="splitting source for kernel")
-    p.add_argument("--lin", default=None, help="morphism text for coker/kernel")
+    for command, table, text in (
+        ("check", CHECKS, "run a named verification"),
+        ("fp", FP_OPS, "finitely presented functor operations"),
+    ):
+        names = subs.add_parser(command, help=text).add_subparsers(
+            dest="name", required=True
+        )
+        for name, (defaults, _call) in table.items():
+            p = names.add_parser(name)
+            for flag, default in defaults.items():
+                kind, help_text = OPTIONS[flag]
+                p.add_argument(
+                    f"--{flag}", type=kind, help=help_text, required=default is None,
+                    default=None if callable(default) else default,
+                )
+            p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     return parser
 
@@ -168,43 +289,39 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
+def _resolve(args, defaults):
+    """The options a name reads, defaults filled in, as a command line gives
+    them; and the namespace its call reads, where --class is `cls` and --t
+    is `field`."""
+    values, o = {}, SimpleNamespace()
+    for flag, default in defaults.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is None:
+            value = default(o)
+        values[flag] = value
+        if flag == "class":
+            o.cls = DiagramClass.from_text(value)
+        elif flag == "t":
+            o.field = parse_field(value)
+        else:
+            setattr(o, flag.replace("-", "_"), value)
+    return values, o
+
+
+def _replay(name, values) -> str:
+    """The command line that reruns check `name` with its resolved options."""
+    words = ["diagcat", "check", name]
+    for flag, value in values.items():
+        words += [f"--{flag}", str(value)]
+    return shlex.join(words)
+
+
 def run_check(args) -> int:
-    cls = DiagramClass.from_text(args.cls)
-    field = parse_field(args.t)
-    name = args.name
-    if name == "diag":
-        report = check_diag(cls, resolve_bound(args.max_points, 6))
-    elif name == "ex1":
-        report = check_ex(1, cls, resolve_bound(args.max_points, 6))
-    elif name == "ex2":
-        report = check_ex(
-            2, cls, resolve_bound(args.max_points, 6), args.samples, args.seed, field
-        )
-    elif name == "uex":
-        u = (
-            parse_linmorphism(args.u, field)
-            if args.u is not None
-            else default_unit_morphism(cls, field)
-        )
-        report = check_uex(u, cls, resolve_bound(args.max_points, 3), field)
-    elif name == "split":
-        report = check_split_sweep(
-            cls, resolve_bound(args.max_points, 4), field, args.samples, args.seed
-        )
-    elif name == "representable-h":
-        m_max = args.m_max if args.m_max is not None else args.i
-        report = representable_H(args.i, m_max, field)
-    elif name == "representable-sprime":
-        m_max = args.m_max if args.m_max is not None else 4
-        report = representable_Sprime(m_max, field)
-    elif name == "lemma-absorption":
-        m_max = args.m_max if args.m_max is not None else 3
-        report = verify_lemma("absorption", args.j_max, m_max, field)
-    elif name == "lemma-computation":
-        m_max = args.m_max if args.m_max is not None else 3
-        report = verify_lemma("computation_H", args.j_max, m_max, field)
-    else:
-        report = check_crosscheck_cob(resolve_bound(args.max_points, 5))
+    defaults, call = CHECKS[args.name]
+    values, o = _resolve(args, defaults)
+    report = call(o)
+    if report.status == "fail":
+        report.witness["replay"] = _replay(args.name, values)
     if args.json:
         print(report.to_json())
     else:
@@ -215,111 +332,17 @@ def run_check(args) -> int:
 
 
 def run_fp(args) -> int:
-    field = parse_field(args.t)
-    cls = DiagramClass.from_text(args.cls)
-    if args.name == "hom":
-        a = args.word
-        b = args.word2 if args.word2 is not None else args.cod
-        dims = len(
-            fp_hom(
-                yoneda(KarObject.word(a, cls, field)),
-                yoneda(KarObject.word(b, cls, field)),
-            )
-        )
-        _emit(
-            {"op": "fp-hom", "a": a, "b": b, "dimension": dims},
-            args.json,
-            [f"dimension: {dims}"],
-        )
-        return 0
-    if args.name == "embed":
-        unit = unit_presentation_split_epi(field, cls)
-        obj = fp_embed(KarObject.word(args.word, cls, field), unit)
-        _emit(
-            {"op": "fp-embed", "word": args.word, "presentation": obj.to_text()},
-            args.json,
-            [obj.to_text()],
-        )
-        return 0
-    if args.lin is None:
-        raise ValueError(f"fp {args.name} needs a morphism argument")
-    lin = parse_linmorphism(args.lin, field, dom=args.dom, cod=args.cod)
-    src = yoneda(KarObject.word(args.dom, cls, field))
-    dst = yoneda(KarObject.word(args.cod, cls, field))
-    square = FpMorphism(
-        src, dst, KarMorphism.from_lin(lin, cls, field), KarMorphism.zero(src.Q, dst.Q)
-    )
-    if args.name == "coker":
-        obj = fp_cokernel(square)
-        zero = fp_is_zero_object(obj)
-        _emit(
-            {
-                "op": "fp-coker",
-                "presentation": obj.to_text(),
-                "is_zero": zero,
-            },
-            args.json,
-            [obj.to_text(), f"is_zero: {zero}"],
-        )
-        return 0
-    s_obj = KarObject.word(args.s_word, cls, field)
-    eps = KarMorphism.from_lin(
-        parse_linmorphism(
-            " ".join(str(i + 1) for i in range(args.s_word)), field,
-            dom=args.s_word, cod=0,
-        ),
-        cls,
-        field,
-    )
-    kernel, _ = fp_kernel(square, s_obj, eps)
-    _emit(
-        {
-            "op": "fp-kernel",
-            "presentation": kernel.to_text(),
-            "is_zero": fp_is_zero_object(kernel),
-        },
-        args.json,
-        [kernel.to_text()],
-    )
+    defaults, call = FP_OPS[args.name]
+    payload, lines = call(_resolve(args, defaults)[1])
+    _emit(payload, args.json, lines)
     return 0
 
 
 def run_plain(args) -> int:
     field = parse_field(args.t)
-    if args.command == "compose":
-        outer = parse_linmorphism(args.outer, field)
-        inner = parse_linmorphism(args.inner, field)
-        result = outer.compose(inner, field)
-        _emit(
-            {"op": "compose", "result": result.to_text()},
-            args.json,
-            [result.to_text()],
-        )
-        return 0
-    if args.command == "tensor":
-        left = parse_linmorphism(args.left, field)
-        right = parse_linmorphism(args.right, field)
-        result = left.tensor(right, field)
-        _emit(
-            {"op": "tensor", "result": result.to_text()},
-            args.json,
-            [result.to_text()],
-        )
-        return 0
-    if args.command == "moebius":
-        d = PartitionDiagram.parse(args.diagram)
-        fn = moebius_x if args.kind == "x" else moebius_x_prime
-        result = fn(d, field)
-        _emit(
-            {"op": "moebius", "kind": args.kind, "result": result.to_text()},
-            args.json,
-            [result.to_text()],
-        )
-        return 0
     if args.command == "hom-basis":
         cls = DiagramClass.from_text(args.cls)
-        basis = hom_basis(cls, args.m, args.n)
-        texts = [d.to_text() for d in basis]
+        texts = [d.to_text() for d in hom_basis(cls, args.m, args.n)]
         _emit(
             {
                 "op": "hom-basis",
@@ -333,22 +356,33 @@ def run_plain(args) -> int:
             texts + [f"count: {len(texts)}"],
         )
         return 0
-    # cobordism-glue
-    datum = st_datum(field) if args.datum == "st" else fibonacci_datum(field)
-    outer = Cobordism.parse(args.outer)
-    inner = Cobordism.parse(args.inner)
-    result = glue(outer, inner, datum)
-    _emit(
-        {"op": "cobordism-glue", "datum": args.datum, "result": result.to_text()},
-        args.json,
-        [result.to_text()],
-    )
+    if args.command == "compose":
+        outer = parse_linmorphism(args.outer, field)
+        inner = parse_linmorphism(args.inner, field)
+        result = outer.compose(inner, field)
+        payload = {"op": "compose"}
+    elif args.command == "tensor":
+        left = parse_linmorphism(args.left, field)
+        right = parse_linmorphism(args.right, field)
+        result = left.tensor(right, field)
+        payload = {"op": "tensor"}
+    elif args.command == "moebius":
+        fn = moebius_x if args.kind == "x" else moebius_x_prime
+        result = fn(PartitionDiagram.parse(args.diagram), field)
+        payload = {"op": "moebius", "kind": args.kind}
+    else:  # cobordism-glue
+        datum = st_datum(field) if args.datum == "st" else fibonacci_datum(field)
+        outer = Cobordism.parse(args.outer)
+        inner = Cobordism.parse(args.inner)
+        result = glue(outer, inner, datum)
+        payload = {"op": "cobordism-glue", "datum": args.datum}
+    payload["result"] = result.to_text()
+    _emit(payload, args.json, [payload["result"]])
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "check":
             return run_check(args)

@@ -14,8 +14,6 @@ constructions are revalidated.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .homspace import CompressedBasis, LinMorphism, hom_basis, matrix_of
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram

@@ -195,8 +195,7 @@ def test_representable_h_rank_deficit():
     assert rows[2]["hom_dim"] == 1
     assert rows[2]["target_dim"] == 2
     assert rows[2]["rank"] == 1
-    assert "replay" in r.witness
-    assert "representable-h" in r.witness["replay"]
+    assert "replay" not in r.witness
 
 
 def test_representable_sprime_generic_and_specialized():

@@ -1,12 +1,15 @@
-"""End-to-end command-line tests run through subprocesses."""
+"""End-to-end command-line tests, most run through subprocesses."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+from diagcat import cli
+from diagcat.checks import CheckReport
 from diagcat.homspace import hom_basis
 from diagcat.partition import DiagramClass, PartitionDiagram
 
@@ -239,3 +242,63 @@ def test_negative_counts_exit_2(args, env):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def report_without_time(text):
+    payload = json.loads(text)
+    payload.pop("elapsed_ms")
+    return payload
+
+
+def test_fail_replay_reproduces_the_run():
+    first = run_cli("check", "representable-h", "--i", "0", "--m-max", "2", "--t", "5/2", "--json")
+    assert first.returncode == 1
+    replay = json.loads(first.stdout)["witness"]["replay"]
+    words = shlex.split(replay)
+    assert words[:3] == ["diagcat", "check", "representable-h"]
+    again = run_cli(*words[1:], "--json")
+    assert again.returncode == 1
+    assert report_without_time(again.stdout) == report_without_time(first.stdout)
+
+
+def test_fail_replay_names_lemma_computation(monkeypatch, capsys):
+    def failing(which, j_max, m_max, field):
+        params = {"which": which, "j_max": j_max, "m_max": m_max}
+        return CheckReport("lemma-computation", params, "fail", {"problem": "forced"}, 0)
+
+    monkeypatch.setattr(cli, "verify_lemma", failing)
+    assert cli.main(["check", "lemma-computation", "--j-max", "1", "--json"]) == 1
+    first = capsys.readouterr().out
+    replay = json.loads(first)["witness"]["replay"]
+    assert replay == "diagcat check lemma-computation --j-max 1 --m-max 3 --t generic"
+    assert cli.main(shlex.split(replay)[1:] + ["--json"]) == 1
+    assert report_without_time(capsys.readouterr().out) == report_without_time(first)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "diag", "--max-points", "2", "--u", "1"),
+        ("check", "diag", "--t", "5"),
+        ("check", "ex1", "--t", "5/2"),
+        ("check", "lemma-absorption", "--class", "all"),
+        ("check", "crosscheck-cob", "--class", "even-blocks"),
+        ("check", "representable-h", "--class", "all"),
+        ("fp", "embed", "--word", "1", "--dom", "3"),
+        ("fp", "hom", "--cod", "2"),
+    ],
+)
+def test_options_a_name_does_not_read_exit_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+
+
+def test_cached_parser_reads_the_bound_on_each_call(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["check", "diag", "--class", "blocks-size-2", "--json"]
+    for bound in (2, 3):
+        monkeypatch.setenv("DIAGCAT_MAX_POINTS", str(bound))
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["max_points"] == bound
