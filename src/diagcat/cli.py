@@ -226,7 +226,7 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagcat",
@@ -277,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None if callable(default) else default,
                 )
             p.add_argument("--json", action="store_true", help="emit a JSON report")
+            p.set_defaults(parser=p)
 
     return parser
 
@@ -382,7 +383,11 @@ def run_plain(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # a check or fp name reports an option it does not read under its own usage
+        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if args.command == "check":
             return run_check(args)

@@ -70,10 +70,6 @@ class FrobeniusDatum:
         return f"alpha=({init}), u={poly_text(self.u, 'x')}"
 
 
-def validate_datum(alpha_init, u: Poly, field: FieldSpec) -> FrobeniusDatum:
-    return FrobeniusDatum(field, alpha_init, u)
-
-
 def st_datum(field: FieldSpec) -> FrobeniusDatum:
     """alpha = (t, t, ...), u = x - 1."""
     return FrobeniusDatum(field, (field.t(),), Poly((Fraction(-1), Fraction(1))))
@@ -126,11 +122,6 @@ class Cobordism:
     @classmethod
     def from_partition(cls, d: PartitionDiagram) -> "Cobordism":
         return cls(d.m, d.n, [(b, 0) for b in d.blocks])
-
-    def is_normal_form(self, datum: FrobeniusDatum) -> bool:
-        return all(
-            circles and genus < datum.degree() for circles, genus in self.components
-        )
 
     def key(self):
         return (self.m, self.n, self.components)

@@ -18,6 +18,7 @@ diagram basis, a compressed basis, or a quotient hom space of fpfun.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from . import partition
@@ -56,9 +57,6 @@ class LinMorphism:
 
     def coefficient(self, d, field: FieldSpec):
         return self.terms.get(d, field.zero())
-
-    def support(self):
-        return sorted(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, LinMorphism):
@@ -124,11 +122,7 @@ class LinMorphism:
             return "0"
         parts = []
         for d in sorted(self.terms):
-            c = self.terms[d]
-            if c.is_one():
-                parts.append(f"1 * {d.to_text()}")
-            else:
-                parts.append(f"{c.to_text()} * {d.to_text()}")
+            parts.append(f"{self.terms[d].to_text()} * {d.to_text()}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -221,15 +215,9 @@ def _diagram_vector(index, lin: LinMorphism):
     return {index[d]: c for d, c in lin.terms.items()}
 
 
-_hom_basis_cache: dict = {}
-
-
+@lru_cache(maxsize=1024)
 def hom_basis(cls: DiagramClass, m, n) -> HomBasis:
-    key = (cls, m, n)
-    basis = _hom_basis_cache.get(key)
-    if basis is None:
-        basis = _hom_basis_cache[key] = HomBasis(cls, m, n)
-    return basis
+    return HomBasis(cls, m, n)
 
 
 class Subspace:

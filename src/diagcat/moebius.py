@@ -1,29 +1,31 @@
 """Moebius idempotents on the coarsening lattice and symmetrizers.
 
-x(f) inverts the coarsening order: f = sum of x(f') over coarsenings f' of
-f, so x(f) = f - sum of x(f') over proper coarsenings.  Coefficients are
-integers (Moebius numbers of the partition lattice), computed once per
-diagram and cached; the cache is only ever filled idempotently, so sharing
-it between threads is safe.
+x(f) and x'(f) are one closed form over two sets of blocks of f:
 
-x'(f) is the variant that only merges the "active" blocks of f: the blocks
-containing lower points, or, for diagrams without lower points, the blocks
-of odd size.  Merged groups stay active.  Equivalently, in closed form,
-
-    x'(f) = sum over partitions pi of the active blocks of
-            mu(pi) * (f with each group of pi merged)
+    sum over partitions pi of the chosen blocks of
+        mu(pi) * (f with each group of pi merged)
 
 with mu the partition-lattice Moebius function mu(pi) = prod over groups B
-of (-1)^(|B|-1) (|B|-1)!.  Stated as a recursion: x'(f) = f - sum of
-x'(f') over proper coarsenings f' obtained by merging active blocks only.
-The closed form is what the absorption and computation identities pin down;
-the recursion over intrinsically-defined active blocks would differ once a
-merge of odd blocks produces an even block, and fails those identities.
+of (-1)^(|B|-1) (|B|-1)!.  x(f) chooses every block: it inverts the
+coarsening order, f = sum of x(f') over coarsenings f' of f, and its
+coefficients are the integer Moebius numbers of the partition lattice.
+x'(f) chooses the "active" blocks of f: the blocks containing lower
+points, or, for diagrams without lower points, the blocks of odd size.
+
+The closed form is what the absorption and computation identities pin
+down for x'.  The recursion x'(f) = f - sum of x'(f') over the proper
+coarsenings f' that merge active blocks of f, with each x'(f') merging the
+blocks active in f' itself, would differ once a merge of odd blocks
+produces an even block, and fails those identities.
+
+The terms of each (diagram, chosen blocks) pair are computed once and
+kept in a bounded lru_cache, shared by x and x'.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from itertools import permutations
 
@@ -32,28 +34,6 @@ from .partition import PartitionDiagram
 from .homspace import LinMorphism
 from .scalar import FieldSpec
 
-_x_cache: dict[PartitionDiagram, dict[PartitionDiagram, Fraction]] = {}
-
-
-def _x_terms(f: PartitionDiagram) -> dict[PartitionDiagram, Fraction]:
-    cached = _x_cache.get(f)
-    if cached is not None:
-        return cached
-    terms = {f: Fraction(1)}
-    for f2 in partition.coarsenings(f, proper=True):
-        for d, c in _x_terms(f2).items():
-            terms[d] = terms.get(d, Fraction(0)) - c
-    terms = {d: c for d, c in terms.items() if c}
-    _x_cache[f] = terms
-    return terms
-
-
-def moebius_x(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:
-    """x(f): the Moebius inverse of f along the coarsening order."""
-    return LinMorphism(
-        f.m, f.n, {d: field.rational(c) for d, c in _x_terms(f).items()}
-    )
-
 
 def _partition_moebius(grouping) -> int:
     out = 1
@@ -61,6 +41,26 @@ def _partition_moebius(grouping) -> int:
         k = len(group)
         out *= (-1) ** (k - 1) * factorial(k - 1)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _merged_terms(f: PartitionDiagram, blocks: tuple) -> tuple:
+    """The closed form over the given block indices of f, as (diagram,
+    integer coefficient) pairs; distinct groupings give distinct diagrams."""
+    return tuple(
+        (partition.merge_blocks(f, grouping), _partition_moebius(grouping))
+        for grouping in partition.set_partitions(blocks)
+    )
+
+
+def _moebius(f: PartitionDiagram, blocks, field: FieldSpec) -> LinMorphism:
+    terms = _merged_terms(f, tuple(blocks))
+    return LinMorphism(f.m, f.n, {d: field.rational(c) for d, c in terms})
+
+
+def moebius_x(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:
+    """x(f): the Moebius inverse of f along the coarsening order."""
+    return _moebius(f, range(len(f.blocks)), field)
 
 
 def active_blocks(f: PartitionDiagram):
@@ -72,13 +72,7 @@ def active_blocks(f: PartitionDiagram):
 
 def moebius_x_prime(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:
     """x'(f): Moebius inversion merging only the active blocks of f."""
-    active = active_blocks(f)
-    terms = {}
-    for grouping in partition.set_partitions(active):
-        c = Fraction(_partition_moebius(grouping))
-        d = partition.merge_blocks(f, grouping)
-        terms[d] = terms.get(d, Fraction(0)) + c
-    return LinMorphism(f.m, f.n, {d: field.rational(c) for d, c in terms.items()})
+    return _moebius(f, active_blocks(f), field)
 
 
 def symmetrizer(j: int, field: FieldSpec) -> LinMorphism:

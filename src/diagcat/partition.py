@@ -329,10 +329,6 @@ class DiagramClass(Enum):
         raise ValueError(f"unknown diagram class {text!r}")
 
 
-def class_member(f: PartitionDiagram, cls: DiagramClass) -> bool:
-    return cls.member(f)
-
-
 def all_diagrams(m, n) -> Iterable[PartitionDiagram]:
     """All of P_{m,n} (every set partition of the m+n points)."""
     for part in set_partitions(range(1, m + n + 1)):

@@ -293,6 +293,7 @@ def test_options_a_name_does_not_read_exit_2(args):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
+    assert r.stderr.startswith(f"usage: diagcat {args[0]} {args[1]} ")
 
 
 def test_cached_parser_reads_the_bound_on_each_call(monkeypatch, capsys):

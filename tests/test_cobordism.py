@@ -6,6 +6,7 @@ import pytest
 from diagcat.cobordism import (
     CobLin,
     Cobordism,
+    FrobeniusDatum,
     cob_compose,
     cob_tensor,
     cob_to_partition,
@@ -17,7 +18,6 @@ from diagcat.cobordism import (
     partition_to_cob,
     reduce_normal_form,
     st_datum,
-    validate_datum,
 )
 from diagcat.partition import PartitionDiagram, all_diagrams
 from diagcat.scalar import FieldSpec, Poly
@@ -38,11 +38,11 @@ def one_term(lin):
 
 def test_datum_validation():
     with pytest.raises(ValueError, match="monic"):
-        validate_datum((F.one(),), Poly((Fraction(1), Fraction(2))), F)
+        FrobeniusDatum(F, (F.one(),), Poly((Fraction(1), Fraction(2))))
     with pytest.raises(ValueError, match="degree"):
-        validate_datum((F.one(),), Poly.const(Fraction(3)), F)
+        FrobeniusDatum(F, (F.one(),), Poly.const(Fraction(3)))
     with pytest.raises(ValueError, match="initial alpha"):
-        validate_datum((F.one(), F.one()), Poly((Fraction(-1), Fraction(1))), F)
+        FrobeniusDatum(F, (F.one(), F.one()), Poly((Fraction(-1), Fraction(1))))
 
 
 def test_st_datum_alpha_constant():
@@ -52,7 +52,7 @@ def test_st_datum_alpha_constant():
 
 def test_zero_square_datum():
     a, b = F.rational(Fraction(7)), F.rational(Fraction(9))
-    d = validate_datum((a, b), Poly((Fraction(0), Fraction(0), Fraction(1))), F)
+    d = FrobeniusDatum(F, (a, b), Poly((Fraction(0), Fraction(0), Fraction(1))))
     assert d.alpha(2).is_zero() and d.alpha(3).is_zero()
 
 

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every memo is a bounded lru_cache rather than a module-level container."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import diagcat
 MODULES = sorted(
     p for p in Path(diagcat.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+EMPTY_CALLS = ("dict", "list", "set")
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +36,78 @@ def test_no_unused_imports(path):
 
 def test_the_guard_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os"]
+
+
+def empty_module_containers(source: str) -> list:
+    """Names bound at module level to an empty {}, [], set(), dict() or list()."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in EMPTY_CALLS
+                and not value.args
+                and not value.keywords
+            )
+        )
+        if empty:
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def unbounded_caches(namespace: dict) -> list:
+    """lru_cache wrappers without a finite maxsize among the values of a
+    module namespace and the dicts of its classes, classmethods included."""
+    found = []
+    for name, value in namespace.items():
+        members = [(name, value)]
+        if isinstance(value, type):
+            members += [(f"{name}.{k}", v) for k, v in vars(value).items()]
+        for label, member in members:
+            member = getattr(member, "__func__", member)
+            params = getattr(member, "cache_parameters", None)
+            if params is not None and params()["maxsize"] is None:
+                found.append(label)
+    return found
+
+
+def test_every_memo_is_bounded():
+    found = []
+    for path in MODULES:
+        names = empty_module_containers(path.read_text())
+        if path.stem != "__main__":  # importing it runs the command line
+            names += unbounded_caches(vars(importlib.import_module(f"diagcat.{path.stem}")))
+        found += [f"{path.stem}.{name}" for name in names]
+    assert found == []
+
+
+def test_the_guard_sees_an_unbounded_memo():
+    snippet = (
+        "from functools import lru_cache\n"
+        "_memo: dict = {}\n"
+        "_seen = set()\n"
+        "@lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    return x\n"
+        "class K:\n"
+        "    @classmethod\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def g(cls, x):\n"
+        "        return x\n"
+        "    @lru_cache(maxsize=8)\n"
+        "    def h(self, x):\n"
+        "        return x\n"
+    )
+    assert empty_module_containers(snippet) == ["_memo", "_seen"]
+    namespace = {}
+    exec(snippet, namespace)
+    assert unbounded_caches(namespace) == ["f", "K.g"]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from diagcat import moebius
 from diagcat.moebius import (
     active_blocks,
     moebius_x,
@@ -49,10 +50,11 @@ def test_x_of_id3_frozen():
     assert got == want
 
 
-def test_x_inverts_coarsening_sum():
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(6) for n in range(6 - m)])
+def test_x_inverts_coarsening_sum(m, n):
     # the defining triangular relation: f equals the sum of x over all
     # coarsenings of f (f included)
-    for f in all_diagrams(2, 2):
+    for f in all_diagrams(m, n):
         total = None
         for g in coarsenings(f):
             xg = moebius_x(g, F)
@@ -60,6 +62,16 @@ def test_x_inverts_coarsening_sum():
         from diagcat.homspace import LinMorphism
 
         assert total == LinMorphism.from_diagram(f, F)
+
+
+def test_x_and_x_prime_share_one_memo():
+    f = D("1 | 2 | 3")  # every block is active, so x' merges what x merges
+    moebius_x(f, F)
+    before = moebius._merged_terms.cache_info()
+    assert moebius_x(f, F) == moebius_x_prime(f, F)
+    after = moebius._merged_terms.cache_info()
+    assert after.hits == before.hits + 2
+    assert after.misses == before.misses
 
 
 def test_x_coefficients_are_integers():

@@ -8,7 +8,6 @@ from diagcat.partition import (
     DiagramParseError,
     PartitionDiagram,
     all_diagrams,
-    class_member,
     coarsenings,
     compose,
     factors_through_unit,
@@ -215,21 +214,21 @@ def test_upper_partition():
 
 
 def test_class_membership_examples():
-    assert class_member(D("1 2 1' 2'"), DiagramClass.EVEN_BLOCKS)
-    assert not class_member(D("1 | 2 1' 2'"), DiagramClass.EVEN_BLOCKS)
+    assert DiagramClass.EVEN_BLOCKS.member(D("1 2 1' 2'"))
+    assert not DiagramClass.EVEN_BLOCKS.member(D("1 | 2 1' 2'"))
     # two odd blocks is evenly many; an odd total forces an odd count
-    assert class_member(D("1 | 1'"), DiagramClass.EVEN_MANY_ODD_BLOCKS)
-    assert class_member(D("1 | 2 1' 2'"), DiagramClass.EVEN_MANY_ODD_BLOCKS)
-    assert not class_member(D("1"), DiagramClass.EVEN_MANY_ODD_BLOCKS)
-    assert not class_member(D("1 2 3 | 4 5"), DiagramClass.EVEN_MANY_ODD_BLOCKS)
-    assert class_member(D("1 1' | 2 2'"), DiagramClass.BLOCKS_SIZE_2)
-    assert not class_member(D("1 1' 2 2'"), DiagramClass.BLOCKS_SIZE_2)
+    assert DiagramClass.EVEN_MANY_ODD_BLOCKS.member(D("1 | 1'"))
+    assert DiagramClass.EVEN_MANY_ODD_BLOCKS.member(D("1 | 2 1' 2'"))
+    assert not DiagramClass.EVEN_MANY_ODD_BLOCKS.member(D("1"))
+    assert not DiagramClass.EVEN_MANY_ODD_BLOCKS.member(D("1 2 3 | 4 5"))
+    assert DiagramClass.BLOCKS_SIZE_2.member(D("1 1' | 2 2'"))
+    assert not DiagramClass.BLOCKS_SIZE_2.member(D("1 1' 2 2'"))
     # the crossing swap is rejected, nested cups pass
-    assert not class_member(D("1 2' | 2 1'"), DiagramClass.NON_CROSSING_SIZE_2)
-    assert class_member(D("1 1' | 2 2'"), DiagramClass.NON_CROSSING_SIZE_2)
-    assert class_member(D("1 2 | 1' 2'"), DiagramClass.NON_CROSSING_SIZE_2)
-    assert class_member(D("1 4 | 2 3"), DiagramClass.NON_CROSSING_SIZE_2)
-    assert not class_member(D("1 3 | 2 4"), DiagramClass.NON_CROSSING_SIZE_2)
+    assert not DiagramClass.NON_CROSSING_SIZE_2.member(D("1 2' | 2 1'"))
+    assert DiagramClass.NON_CROSSING_SIZE_2.member(D("1 1' | 2 2'"))
+    assert DiagramClass.NON_CROSSING_SIZE_2.member(D("1 2 | 1' 2'"))
+    assert DiagramClass.NON_CROSSING_SIZE_2.member(D("1 4 | 2 3"))
+    assert not DiagramClass.NON_CROSSING_SIZE_2.member(D("1 3 | 2 4"))
 
 
 def test_class_closure_under_compose_and_tensor():
