@@ -34,10 +34,10 @@ from .cobordism import (
 )
 from .homspace import LinMorphism, Subspace, hom_basis, matrix_of
 from .karoubi import (
-    KarHom,
     KarMorphism,
     KarObject,
     direct_sum,
+    kar_hom,
     kar_object,
     kar_tensor,
     split_solve,
@@ -435,7 +435,7 @@ def _phi_bijective(cls, x, p_entries, m_max, field):
 
     failures = []
     for m in range(m_max + 1):
-        hom = KarHom(KarObject.word(m, cls, field), x)
+        hom = kar_hom(KarObject.word(m, cls, field), x)
         target = hom_basis(DiagramClass.ALL, m, 0)
         matrix = matrix_of(phi, hom.elements, target, field)
         if not matrix.is_bijective():

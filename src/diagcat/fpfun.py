@@ -18,11 +18,11 @@ from functools import lru_cache
 
 from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of
 from .karoubi import (
-    KarHom,
     KarMorphism,
     KarObject,
     direct_sum,
     kar_compose,
+    kar_hom,
     kar_row,
     kar_tensor,
     split_solve,
@@ -211,9 +211,9 @@ class FpHomSpace:
         self.dst = dst
         field = src.field
         self.field = field
-        self.ha = KarHom(src.P, dst.P)
-        self.ho = KarHom(src.Q, dst.Q)
-        hc = KarHom(src.Q, dst.P)
+        self.ha = kar_hom(src.P, dst.P)
+        self.ho = kar_hom(src.Q, dst.Q)
+        hc = kar_hom(src.Q, dst.P)
         a = self.ha.dimension()
         pre_rho = matrix_of(
             lambda e: kar_compose(e, src.rho), self.ha.elements, hc, field
@@ -225,7 +225,7 @@ class FpHomSpace:
         constraint = ExactMatrix(hc.dimension(), pre_rho.columns + negated, field)
 
         self.space = Subspace(field)
-        for beta in KarHom(src.P, dst.Q).elements:
+        for beta in kar_hom(src.P, dst.Q).elements:
             self.space.add(
                 self._vector_of(kar_compose(dst.rho, beta), kar_compose(beta, src.rho))
             )
@@ -381,9 +381,9 @@ def weak_kernel_exact_at(
 ) -> bool:
     """Exactness of Hom(X,K) -> Hom(X,A) -> Hom(X,B) at the middle."""
     field = probe.field
-    hx = KarHom(probe, theta.dom)
-    hb = KarHom(probe, theta.cod)
-    hk = KarHom(probe, k_obj)
+    hx = kar_hom(probe, theta.dom)
+    hb = kar_hom(probe, theta.cod)
+    hk = kar_hom(probe, k_obj)
     kernel = matrix_of(
         lambda h: kar_compose(theta, h), hx.elements, hb, field
     ).kernel_basis()

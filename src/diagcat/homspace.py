@@ -310,8 +310,11 @@ class CompressedBasis:
         self._keep_independent(candidates)
 
     def _keep_independent(self, candidates):
+        """Keep the candidates that enlarge the span; return their positions."""
         self.space = Subspace(self.field)
-        self.elements = [c for c in candidates if self.space.add(self._vector_of(c))]
+        kept = [k for k, c in enumerate(candidates) if self.space.add(self._vector_of(c))]
+        self.elements = tuple(candidates[k] for k in kept)
+        return kept
 
     def __len__(self):
         return len(self.elements)

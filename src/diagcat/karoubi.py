@@ -14,6 +14,8 @@ constructions are revalidated.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .homspace import CompressedBasis, LinMorphism, hom_basis, matrix_of
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
@@ -430,6 +432,8 @@ class KarHom(CompressedBasis):
     Candidates E_B . unit(d) . E_A over all entry slots and class diagrams
     are filtered to a basis by exact rank; coordinates are taken in the
     same compressed space, with each slot's diagram basis at its offset.
+    units holds the bare unit(d) of each kept element, in the same order.
+    Build it through kar_hom, which shares one per pair of objects.
     """
 
     def __init__(self, dom: KarObject, cod: KarObject):
@@ -443,15 +447,22 @@ class KarHom(CompressedBasis):
             for i, w_cod in enumerate(cod.words)
             for j, w_dom in enumerate(dom.words)
         }
-        self._keep_independent(
-            self._cut_unit(i, j, d)
+        slots = [
+            (i, j, LinMorphism.from_diagram(d, self.field))
             for (i, j), basis in self._slot_index.items()
             for d in basis
-        )
+        ]
+        kept = self._keep_independent([self._cut_unit(*slot) for slot in slots])
+        self.units = tuple(self._bare_unit(*slots[k]) for k in kept)
 
-    def _cut_unit(self, i: int, j: int, d: PartitionDiagram) -> KarMorphism:
+    def _bare_unit(self, i: int, j: int, unit: LinMorphism) -> KarMorphism:
+        """unit in slot (i, j) and zero elsewhere; it does not absorb the cuts."""
+        entries = [list(row) for row in _mat_zero(self.dom.words, self.cod.words)]
+        entries[i][j] = unit
+        return KarMorphism(self.dom, self.cod, entries, validate=False)
+
+    def _cut_unit(self, i: int, j: int, unit: LinMorphism) -> KarMorphism:
         field = self.field
-        unit = LinMorphism.from_diagram(d, field)
         entries = []
         for r in range(len(self.cod.words)):
             row = []
@@ -514,15 +525,24 @@ def _witness_denominators(g: KarMorphism):
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=256)
+def kar_hom(dom: KarObject, cod: KarObject) -> KarHom:
+    """Hom(dom, cod), built once per pair of objects with equal keys."""
+    return KarHom(dom, cod)
+
+
 def split_solve(f: KarMorphism):
     """Find g with f.g.f = f, or None when the exact system is inconsistent."""
-    gh = KarHom(f.cod, f.dom)
-    fh = gh if f.dom == f.cod else KarHom(f.dom, f.cod)
+    gh = kar_hom(f.cod, f.dom)
+    fh = kar_hom(f.dom, f.cod)
     target = fh.coordinates_of(f)
     if target is None:
         raise ValueError("morphism escapes its own hom space")
+    # f lies in the span of the cut units of fh, so it absorbs its cuts:
+    # f.E_dom = f = E_cod.f, hence f.(E_dom.U.E_cod).f = f.U.f for the bare
+    # unit U of each element of gh, with far fewer terms to compose.
     matrix = matrix_of(
-        lambda g: kar_compose(f, kar_compose(g, f)), gh.elements, fh, gh.field
+        lambda g: kar_compose(f, kar_compose(g, f)), gh.units, fh, gh.field
     )
     coords = matrix.solve(target)
     if coords is None:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every memo is a bounded lru_cache rather than a module-level container."""
+"""Source hygiene: every name a package module imports is used in it,
+every memo is a bounded lru_cache rather than a module-level container,
+and every Karoubi hom space is built through its memo."""
 
 import ast
 import importlib
@@ -111,3 +112,41 @@ def test_the_guard_sees_an_unbounded_memo():
     namespace = {}
     exec(snippet, namespace)
     assert unbounded_caches(namespace) == ["f", "K.g"]
+
+
+def calls_outside(source: str, callee: str, builder: str) -> list:
+    """Line numbers of calls to callee anywhere but inside the function builder."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == builder
+        for node in ast.walk(func)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == callee
+        and id(node) not in inside
+    ]
+
+
+def test_every_hom_space_goes_through_the_memo():
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in calls_outside(path.read_text(), "KarHom", "kar_hom")
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_direct_build():
+    snippet = (
+        "def kar_hom(a, b):\n"
+        "    return KarHom(a, b)\n"
+        "def solve(f):\n"
+        "    return KarHom(f.cod, f.dom), kar_hom(f.dom, f.cod)\n"
+    )
+    assert calls_outside(snippet, "KarHom", "kar_hom") == [4]

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from diagcat.homspace import LinMorphism, hom_basis, parse_linmorphism
+from diagcat.fpfun import weak_kernel
+from diagcat.homspace import LinMorphism, hom_basis, matrix_of, parse_linmorphism
 from diagcat.karoubi import (
     KarHom,
     KarMorphism,
@@ -12,6 +14,7 @@ from diagcat.karoubi import (
     kar_col,
     kar_compose,
     kar_direct_sum,
+    kar_hom,
     kar_object,
     kar_row,
     kar_tensor,
@@ -216,20 +219,91 @@ def test_split_identity():
     assert kar_compose(ident, kar_compose(w.g, ident)) == ident
 
 
-def test_split_endomorphism_builds_one_hom_space(monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """Empties the hom-space memo and records each KarHom construction."""
+    kar_hom.cache_clear()
+    pairs = []
     original = KarHom.__init__
 
     def counted(self, dom, cod):
-        built.append((dom, cod))
+        pairs.append((dom, cod))
         original(self, dom, cod)
 
     monkeypatch.setattr(KarHom, "__init__", counted)
+    return pairs
+
+
+def test_split_endomorphism_builds_one_hom_space(built):
     assert split_solve(KarMorphism.identity(word(2))) is not None
     assert len(built) == 1
     built.clear()
     assert split_solve(KarMorphism.from_lin(lin("1 * 1"), ALL, F)) is not None
     assert len(built) == 2
+
+
+def test_kar_hom_is_built_once_per_object_pair(built):
+    assert split_solve(KarMorphism.from_lin(lin("1 * 1"), ALL, F)) is not None
+    assert len(built) == 2
+    built.clear()
+    # freshly built objects with equal keys share the memoised hom spaces
+    assert split_solve(KarMorphism.from_lin(lin("1 * 1"), ALL, F)) is not None
+    assert built == []
+    at_five_halves = KarObject.word(1, ALL, FieldSpec.at(Fraction(5, 2)))
+    generic = kar_hom(word(1), word(1))
+    assert generic is kar_hom(word(1), word(1))
+    assert generic is not kar_hom(at_five_halves, at_five_halves)
+    assert len(built) == 2
+
+
+def _split_inputs(field, rng):
+    """Random morphisms on the four kinds of cut that split_solve meets."""
+
+    def combination(hom):
+        f = KarMorphism.zero(hom.dom, hom.cod)
+        for elem in rng.sample(hom.elements, min(3, len(hom.elements))):
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            f = f + elem.scale(field.rational(c))
+        return f
+
+    one = KarObject.word(1, ALL, field)
+    x2 = kar_object(2, x_e(2, field), ALL, field)
+    sprime = kar_object(1, special_morphisms("e_1_sprime", 1, field), ALL, field)
+    eps = KarMorphism.from_lin(
+        LinMorphism.from_diagram(PartitionDiagram.parse("1"), field), ALL, field
+    )
+    # two copies of eps give a kernel object with a full 2 x 2 cut
+    k_obj, _ = weak_kernel(kar_row([eps, eps]), one, eps)
+    assert not k_obj.is_block_diagonal()
+    return [
+        combination(kar_hom(x2, x2)),
+        combination(kar_hom(KarObject.word(2, ALL, field), sprime)),
+        kar_tensor(KarMorphism.identity(x2), combination(kar_hom(one, one))),
+        kar_tensor(KarMorphism.identity(x2), eps),
+        combination(kar_hom(k_obj, k_obj)),
+    ]
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+def test_split_matrix_over_bare_units_equals_cut_units(t):
+    # f absorbs its cuts, so f.(E.U.E).f = f.U.f column by column
+    field = F if t is None else FieldSpec.at(t)
+    for f in _split_inputs(field, random.Random(7)):
+        gh, fh = kar_hom(f.cod, f.dom), kar_hom(f.dom, f.cod)
+
+        def fgf(g):
+            return kar_compose(f, kar_compose(g, f))
+
+        over_units = matrix_of(fgf, gh.units, fh, field)
+        assert over_units.columns == matrix_of(fgf, gh.elements, fh, field).columns
+
+
+def test_split_refuses_a_morphism_that_does_not_absorb_its_cuts():
+    e1 = special_morphisms("e_1_sprime", 1, F)
+    x1 = kar_object(1, e1, ALL, F)
+    bare = KarMorphism(x1, x1, ((lin("1 * 1 1'"),),), validate=False)
+    with pytest.raises(ValueError, match="hom space"):
+        split_solve(bare)
 
 
 def test_generic_semisimplicity_sweep():
