@@ -19,7 +19,6 @@ import json
 import os
 import shlex
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .checks import (
@@ -48,14 +47,14 @@ from .homspace import hom_basis, parse_linmorphism
 from .karoubi import KarMorphism, KarObject
 from .moebius import moebius_x, moebius_x_prime
 from .partition import DiagramClass, DiagramParseError, PartitionDiagram
-from .scalar import FieldSpec
+from .scalar import FieldSpec, parse_rational
 
 
 def parse_field(text: str) -> FieldSpec:
     if text == "generic":
         return FieldSpec.generic()
     try:
-        return FieldSpec.at(Fraction(text))
+        return FieldSpec.at(parse_rational(text))
     except ValueError:
         raise ValueError(f"--t expects 'generic' or a rational, got {text!r}")
 

@@ -48,11 +48,12 @@ class FrobeniusDatum:
         if i < 0:
             raise ValueError("alpha index must be nonnegative")
         d = self.degree()
+        u = self.u.coeffs
         while len(self._alpha) <= i:
             j = len(self._alpha) - d
             acc = self.field.zero()
             for k in range(d):
-                c = self.u.coeffs[k]
+                c = u[k]
                 if c:
                     acc = acc + self.field.rational(c) * self._alpha[j + k]
             self._alpha.append(-acc)

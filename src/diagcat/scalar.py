@@ -6,8 +6,13 @@ Two coefficient fields are supported, selected by a FieldSpec:
   with a monic denominator;
 * specialized mode: Q, with t fixed to a concrete rational.
 
-All arithmetic is exact.  Values are immutable and hash-free on purpose;
-nothing here ever rounds or approximates.
+A polynomial over Q is kept as integer numerators over one shared
+denominator, the layout of FLINT's fmpq_poly, so its arithmetic runs on
+Python ints with one gcd per result instead of one per coefficient.
+
+All arithmetic is exact.  Values are immutable and kept in a canonical
+form, so equal values compare equal structurally (and polynomials hash
+alike); nothing here ever rounds or approximates.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -31,101 +37,110 @@ class PoleError(ZeroDivisionError):
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients indexed by degree.
+    """Dense univariate polynomial over Q: sum(nums[i] * t^i) / den.
 
-    The zero polynomial has degree -1.  Coefficient tuples are always
-    trimmed, so equal polynomials compare equal structurally.
+    `nums` is a trimmed tuple of ints (the zero polynomial has none and
+    degree -1) and `den` a positive int with gcd(den, *nums) == 1, so equal
+    polynomials compare equal structurally.  `coeffs` gives the
+    coefficients as Fractions, indexed by degree.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self.nums, self.den = p.nums, p.den
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @classmethod
     def const(cls, c):
-        return cls((c,))
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        return _raw((c.numerator,), c.denominator) if c else _P_ZERO
 
     @classmethod
     def x(cls):
-        return cls((_ZERO, _ONE))
+        return _raw((0, 1), 1)
 
     @classmethod
     @lru_cache(maxsize=64)
     def x_power(cls, k):
-        return cls((_ZERO,) * k + (_ONE,))
+        return _raw((0,) * k + (1,), 1)
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def is_one(self):
-        return self.coeffs == (_ONE,)
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.nums == (1,) and self.den == 1
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def monic(self):
         if self.is_zero() or self.is_monic():
             return self
-        lc = self.coeffs[-1]
-        return Poly(c / lc for c in self.coeffs)
+        return _poly(list(self.nums), self.nums[-1])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            a = [n * (db // g) for n in a]
+            b = [n * (da // g) for n in b]
+            da = da // g * db
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        for i, n in enumerate(b):
+            out[i] += n
+        return _poly(out, da)
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _raw(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
-            return Poly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+            return _P_ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, na in enumerate(a):
+            if na:
+                for j, nb in enumerate(b):
+                    out[i + j] += na * nb
+        return _poly(out, self.den * other.den)
 
     def scale(self, c):
         c = Fraction(c)
-        return Poly(c * a for a in self.coeffs)
+        return _poly([n * c.numerator for n in self.nums], self.den * c.denominator)
 
     def evaluate(self, q):
         q = Fraction(q)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+        p, r = q.numerator, q.denominator
+        acc, rk = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * rk
+            rk *= r
+        # acc = sum nums[i] p^i r^(deg-i), and rk = r^(deg+1)
+        return Fraction(acc * r, rk * self.den)
 
     def to_text(self, var="t"):
         return poly_text(self, var)
@@ -134,32 +149,94 @@ class Poly:
         return f"Poly({self.to_text()!r})"
 
 
+_new = object.__new__
+
+
+def _raw(nums, den):
+    """The Poly nums/den, for nums and den already in canonical form."""
+    p = _new(Poly)
+    p.nums = nums
+    p.den = den
+    return p
+
+
+def _poly(nums, den):
+    """The Poly nums/den in canonical form, from a list of ints and a nonzero int."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _P_ZERO
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return _raw(tuple(nums), den)
+
+
+def _primitive(nums):
+    """nums divided by its content, with a positive leading coefficient."""
+    if not nums:
+        return nums
+    g = gcd(*nums)
+    if nums[-1] < 0:
+        g = -g
+    return nums if g == 1 else [n // g for n in nums]
+
+
+def _long_division(rem, divisor):
+    """Divide the int list rem by divisor in place and return the quotient.
+
+    Every leading coefficient met must be a multiple of divisor's, so that
+    the quotient has int coefficients; rem[:deg divisor] is left holding
+    the remainder.
+    """
+    m = len(divisor) - 1
+    lead = divisor[-1]
+    quo = [0] * (len(rem) - m)
+    for i in range(len(rem) - 1, m - 1, -1):
+        c = rem[i]
+        if c:
+            f = c // lead
+            quo[i - m] = f
+            for j in range(m):
+                rem[i - m + j] -= f * divisor[j]
+    return quo
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s * a = q * b + r in Z[t], for int sequences a and b
+    with deg a >= deg b: s = lc(b)^(deg a - deg b + 1), and r is trimmed,
+    of degree below deg b."""
+    s = b[-1] ** (len(a) - len(b) + 1)
+    rem = [n * s for n in a]
+    quo = _long_division(rem, b)
+    del rem[len(b) - 1 :]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem, s
+
+
 def poly_divmod(a: Poly, b: Poly):
-    """Exact division with remainder; b must be nonzero."""
+    """Exact division with remainder over Q; b must be nonzero."""
     if b.is_zero():
         raise ZeroDivisionError("zero divisor")
-    rem = list(a.coeffs)
-    db, lb = b.degree(), b.leading()
-    if len(rem) - 1 < db:
-        return Poly(), Poly(rem)
-    quo = [_ZERO] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        f = c / lb
-        quo[i - db] = f
-        for j, cb in enumerate(b.coeffs):
-            rem[i - db + j] -= f * cb
-    return Poly(quo), Poly(rem)
+    if len(a.nums) < len(b.nums):
+        return _P_ZERO, a
+    quo, rem, s = _pseudo_divmod(a.nums, b.nums)
+    den = a.den * s
+    return _poly([n * b.den for n in quo], den), _poly(rem, den)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r.monic()
-    return a.monic()
+    """Monic gcd via the primitive Euclidean algorithm over Z."""
+    x, y = _primitive(a.nums), _primitive(b.nums)
+    while y:
+        rem = _pseudo_divmod(x, y)[1] if len(x) >= len(y) else x
+        x, y = y, _primitive(rem)
+    # x is primitive, so x / lc(x) needs no further reduction
+    return _raw(tuple(x), x[-1]) if x else _P_ZERO
 
 
 def poly_text(p: Poly, var="t"):
@@ -167,20 +244,28 @@ def poly_text(p: Poly, var="t"):
         return "0"
     parts = []
     for d in range(p.degree(), -1, -1):
-        c = p.coeffs[d]
-        if not c:
+        n = p.nums[d]
+        if not n:
             continue
+        mag = str(abs(Fraction(n, p.den)))
         if d == 0:
-            body = str(abs(c))
+            body = mag
         else:
-            mag = abs(c)
-            head = "" if mag == 1 else str(mag)
+            head = "" if mag == "1" else mag
             body = head + (var if d == 1 else f"{var}^{d}")
         if not parts:
-            parts.append(("-" if c < 0 else "") + body)
+            parts.append(("-" if n < 0 else "") + body)
         else:
-            parts.append(("-" if c < 0 else "+") + body)
+            parts.append(("-" if n < 0 else "+") + body)
     return "".join(parts)
+
+
+def parse_rational(text):
+    """A rational from text like '5' or '-1/2'."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_poly(text, var="t"):
@@ -204,7 +289,7 @@ def parse_poly(text, var="t"):
         sign, num, varpart, exp = m.groups()
         if not num and not varpart:
             raise ValueError(f"bad polynomial at position {pos}: {text!r}")
-        c = Fraction(num) if num else _ONE
+        c = parse_rational(num) if num else _ONE
         if sign == "-":
             c = -c
         d = 0
@@ -218,8 +303,8 @@ def parse_poly(text, var="t"):
     return Poly(out)
 
 
-_P_ZERO = Poly()
-_P_ONE = Poly((_ONE,))
+_P_ZERO = _raw((), 1)
+_P_ONE = _raw((1,), 1)
 
 
 class FieldElement:
@@ -249,15 +334,20 @@ class FieldElement:
             return cls("rf", num=_P_ZERO, den=_P_ONE)
         if den.is_one():
             return cls("rf", num=num, den=den)
+        top, bottom = num.nums, den.nums
         g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        if not den.is_monic():
-            lc = den.leading()
-            den = den.monic()
-            num = num.scale(1 / lc)
-        return cls("rf", num=num, den=den)
+        if len(g.nums) > 1:
+            # g is monic, so g.nums is primitive and, by Gauss's lemma,
+            # divides both exactly in Z[t]
+            top = _long_division(list(top), g.nums)
+            bottom = _long_division(list(bottom), g.nums)
+        # num/den = (top/num.den) / (bottom/den.den); divide both by lc(bottom)
+        lead = bottom[-1]
+        return cls(
+            "rf",
+            num=_poly([n * den.den for n in top], num.den * lead),
+            den=_poly(list(bottom), lead),
+        )
 
     def _check(self, other):
         if self.kind != other.kind:
@@ -306,7 +396,7 @@ class FieldElement:
             raise FieldModeError("field mode mismatch")
         if self.kind == "q":
             return FieldElement.rational(self.q * other.q)
-        if not self.num.coeffs or not other.num.coeffs:
+        if not self.num.nums or not other.num.nums:
             return FieldElement("rf", num=_P_ZERO, den=_P_ONE)
         if self.is_one():
             return other
@@ -329,7 +419,7 @@ class FieldElement:
             return str(self.q)
         if self.den.is_one():
             body = poly_text(self.num)
-            nterms = sum(1 for c in self.num.coeffs if c)
+            nterms = sum(1 for n in self.num.nums if n)
             return body if nterms <= 1 else f"({body})"
         return f"({poly_text(self.num)})/({poly_text(self.den)})"
 
@@ -349,17 +439,21 @@ def specialize(fe: FieldElement, q) -> FieldElement:
 
 
 def parse_field_element(text, field: "FieldSpec") -> FieldElement:
-    """Parse '5', '-1/2', 't', '(t^2-1)/(t)' in the given field."""
+    """Parse '5', '-1/2', 't', '(1/2t+1)', '(t^2-1)/(t)' in the given field."""
     s = text.strip().replace(" ", "")
-    if "/" in s and "(" in s:
-        ln, _, ld = s.partition(")/(")
-        num = parse_poly(ln.lstrip("("), "t")
-        den = parse_poly(ld.rstrip(")"), "t")
-        fe = FieldElement.ratfunc(num, den)
-    elif "t" in s:
-        fe = FieldElement.ratfunc(parse_poly(s.strip("()"), "t"))
+    if "t" not in s:
+        return field.rational(parse_rational(s))
+    den = _P_ONE
+    if s.startswith("(") and s.endswith(")"):
+        top, sep, bottom = s[1:-1].partition(")/(")
+        num = parse_poly(top, "t")
+        if sep:
+            den = parse_poly(bottom, "t")
+            if den.is_zero():
+                raise ValueError(f"zero denominator in {text!r}")
     else:
-        return field.rational(Fraction(s))
+        num = parse_poly(s, "t")
+    fe = FieldElement.ratfunc(num, den)
     if field.mode == "specialized":
         return specialize(fe, field.t_value)
     return fe

@@ -205,6 +205,28 @@ def test_round_trip_via_cli():
     assert PartitionDiagram.parse(text) == d
 
 
+def test_fractional_polynomial_coefficient_round_trips_via_cli():
+    r = run_cli("compose", "(1/2t+1) * 1 1'", "1 1'")
+    assert r.returncode == 0
+    assert r.stdout.strip() == "(1/2t+1) * 1 1'"
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("compose", "--t", "1/0", "1", "1'"), "'1/0'"),
+        (("compose", "1/0 * 1 1'", "1 1'"), "'1/0'"),
+        (("compose", "3/0t * 1 1'", "1 1'"), "'3/0'"),
+        (("compose", "(t)/(0) * 1 1'", "1 1'"), "'(t)/(0)'"),
+    ],
+)
+def test_zero_denominator_exits_2_quoting_the_text(args, text):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert text in r.stderr
+
+
 def test_json_byte_stability():
     args = ("check", "ex2", "--class", "all", "--max-points", "4",
             "--samples", "40", "--seed", "7", "--json")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -167,3 +168,135 @@ def test_parse_field_element():
     sp = FieldSpec.at(Fraction(3))
     assert parse_field_element("t", sp) == FieldElement.rational(3)
     assert parse_field_element("-1/2", sp) == FieldElement.rational(Fraction(-1, 2))
+
+
+# ---- integer layout against a Fraction-coefficient reference -------------------
+
+
+def rand_fractions(rng, max_len=5):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, max_len))]
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        f = rem[i] / b[-1]
+        quo[i - len(b) + 1] = f
+        for j, c in enumerate(b):
+            rem[i - len(b) + 1 + j] -= f * c
+    return ref_trim(quo), ref_trim(rem)
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_monic(ref_divmod(a, b)[1])
+    return ref_monic(a)
+
+
+def ref_text(cs):
+    parts = []
+    for d in range(len(cs) - 1, -1, -1):
+        c = cs[d]
+        if not c:
+            continue
+        mag = abs(c)
+        body = str(mag) if d == 0 else ("" if mag == 1 else str(mag)) + ("t" if d == 1 else f"t^{d}")
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
+def assert_layout(p, ref):
+    """p is canonical and equals the reference coefficient tuple."""
+    assert p.den > 0
+    assert all(type(n) is int for n in p.nums) and type(p.den) is int
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+    assert p.coeffs == ref
+    assert p == Poly(ref) and hash(p) == hash(Poly(ref))
+    assert p.to_text() == ref_text(ref)
+
+
+def test_integer_layout_matches_fraction_reference():
+    rng = random.Random(41)
+    for _ in range(300):
+        a, b = ref_trim(rand_fractions(rng)), ref_trim(rand_fractions(rng))
+        pa, pb = Poly(a), Poly(b)
+        assert_layout(pa, a)
+        assert_layout(pa + pb, ref_add(a, b))
+        assert_layout(pa - pb, ref_add(a, tuple(-c for c in b)))
+        assert_layout(-pa, tuple(-c for c in a))
+        assert_layout(pa * pb, ref_mul(a, b))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert_layout(pa.scale(c), ref_trim(c * x for x in a))
+        assert_layout(pa.monic(), ref_monic(a))
+        assert_layout(poly_gcd(pa, pb), ref_gcd(a, b))
+        if b:
+            q, r = poly_divmod(pa, pb)
+            ref_q, ref_r = ref_divmod(a, b)
+            assert_layout(q, ref_q)
+            assert_layout(r, ref_r)
+            fe = FieldElement.ratfunc(pa, pb)
+            if a:
+                g = ref_gcd(a, b)
+                num, den = ref_divmod(a, g)[0], ref_divmod(b, g)[0]
+                num = tuple(x / den[-1] for x in num)
+                den = ref_monic(den)
+            else:
+                num, den = (), (Fraction(1),)
+            assert_layout(fe.num, num)
+            assert_layout(fe.den, den)
+            assert fe.to_text() == (
+                f"({ref_text(num)})/({ref_text(den)})" if den != (1,)
+                else ref_text(num) if sum(1 for x in num if x) <= 1
+                else f"({ref_text(num)})"
+            )
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert pa.evaluate(q) == sum((c * q**i for i, c in enumerate(a)), Fraction(0))
+
+
+def test_text_round_trip_randomized():
+    rng = random.Random(43)
+    generic = FieldSpec.generic()
+    for _ in range(300):
+        den = Poly(rand_fractions(rng, 3))
+        fe = FieldElement.ratfunc(Poly(rand_fractions(rng)), Poly((1,)) if den.is_zero() else den)
+        assert parse_field_element(fe.to_text(), generic) == fe
+    at = FieldSpec.at(Fraction(5, 2))
+    for _ in range(100):
+        fe = FieldElement.rational(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+        assert parse_field_element(fe.to_text(), at) == fe
+        assert parse_field_element(fe.to_text(), generic) == generic.rational(fe.q)
+
+
+def test_rational_text_with_zero_denominator_is_named():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_field_element("1/0", FieldSpec.generic())
+    with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+        parse_poly("1+3/0t")
+    with pytest.raises(ValueError, match=r"zero denominator in '\(t\)/\(0\)'"):
+        parse_field_element("(t)/(0)", FieldSpec.generic())
