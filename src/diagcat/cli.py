@@ -46,8 +46,12 @@ from .fpfun import (
 from .homspace import hom_basis, parse_linmorphism
 from .karoubi import KarMorphism, KarObject
 from .moebius import moebius_x, moebius_x_prime
-from .partition import DiagramClass, DiagramParseError, PartitionDiagram
+from .partition import DiagramClass, DiagramParseError, PartitionDiagram, bell_number
 from .scalar import FieldSpec, parse_rational
+
+# hom-basis walks every set partition of its m+n points before it filters
+# by class; Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
+MAX_ENUMERATION = 10**6
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -342,6 +346,12 @@ def run_plain(args) -> int:
     field = parse_field(args.t)
     if args.command == "hom-basis":
         cls = DiagramClass.from_text(args.cls)
+        size = bell_number(args.m + args.n)
+        if size > MAX_ENUMERATION:
+            raise ValueError(
+                f"hom-basis {args.m} {args.n} would enumerate Bell({args.m + args.n}) = "
+                f"{size} set partitions, more than the limit of {MAX_ENUMERATION}"
+            )
         texts = [d.to_text() for d in hom_basis(cls, args.m, args.n)]
         _emit(
             {

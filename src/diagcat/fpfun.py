@@ -103,10 +103,6 @@ def yoneda(a: KarObject, certify_bound: int = 1) -> FpObject:
     return fp_object(KarMorphism.zero(zero, a), certify_bound)
 
 
-def unit_presentation_trivial(cls: DiagramClass, field: FieldSpec) -> FpObject:
-    return yoneda(KarObject.word(0, cls, field), certify_bound=0)
-
-
 def unit_presentation_split_epi(
     field: FieldSpec, cls: DiagramClass = DiagramClass.ALL
 ) -> FpObject:

@@ -390,15 +390,6 @@ class ExactMatrix:
     def is_bijective(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
-    def multiply_vector(self, x):
-        """A x for a sparse x, as a sparse vector."""
-        out = {}
-        for j, v in x.items():
-            for i, a in self.columns[j].items():
-                cur = out.get(i)
-                out[i] = a * v if cur is None else cur + a * v
-        return {i: c for i, c in out.items() if not c.is_zero()}
-
 
 def matrix_of(
     fn: Callable,

@@ -382,21 +382,6 @@ def kar_tensor(f: KarMorphism, g: KarMorphism) -> KarMorphism:
     return KarMorphism(dom, cod, entries, validate=False)
 
 
-def kar_direct_sum(f: KarMorphism, g: KarMorphism) -> KarMorphism:
-    dom = direct_sum(f.dom, g.dom)
-    cod = direct_sum(f.cod, g.cod)
-    entries = _mat_zero(dom.words, cod.words)
-    entries = [list(row) for row in entries]
-    for i, row in enumerate(f.entries):
-        for j, x in enumerate(row):
-            entries[i][j] = x
-    oi, oj = len(f.cod.words), len(f.dom.words)
-    for i, row in enumerate(g.entries):
-        for j, x in enumerate(row):
-            entries[oi + i][oj + j] = x
-    return KarMorphism(dom, cod, entries, validate=False)
-
-
 def kar_row(morphisms) -> KarMorphism:
     """[f1 f2 ...]: dom1 ⊕ dom2 ⊕ ... → common codomain."""
     morphisms = list(morphisms)
@@ -410,19 +395,6 @@ def kar_row(morphisms) -> KarMorphism:
         tuple(x for m in morphisms for x in m.entries[i])
         for i in range(len(cod.words))
     ]
-    return KarMorphism(dom, cod, entries, validate=False)
-
-
-def kar_col(morphisms) -> KarMorphism:
-    """[f1; f2; ...]: common domain → cod1 ⊕ cod2 ⊕ ..."""
-    morphisms = list(morphisms)
-    dom = morphisms[0].dom
-    if any(m.dom != dom for m in morphisms):
-        raise ValueError("column assembly needs a common domain")
-    cod = morphisms[0].cod
-    for m in morphisms[1:]:
-        cod = direct_sum(cod, m.cod)
-    entries = [row for m in morphisms for row in m.entries]
     return KarMorphism(dom, cod, entries, validate=False)
 
 

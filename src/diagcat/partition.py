@@ -10,6 +10,10 @@ Composition glues the lower boundary of the inner diagram to the upper
 boundary of the outer one; merged blocks that end up with middle points only
 are removed and counted as loops (each contributes one factor of t at the
 linear level).
+
+`compose` and `tensor` are each memoised in a bounded lru_cache: they are
+pure functions of two immutable, hashable diagrams, and every criterion
+runs them over and over on the same few pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -55,6 +60,17 @@ def set_partitions(items):
         yield ((first,),) + part
         for i, block in enumerate(part):
             yield part[:i] + ((first,) + block,) + part[i + 1 :]
+
+
+def bell_number(size):
+    """How many set partitions `set_partitions` yields for `size` items."""
+    row = [1]  # Bell triangle: each row starts with the previous row's end
+    for _ in range(size):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 class PartitionDiagram:
@@ -189,6 +205,7 @@ class ComposeResult(NamedTuple):
     loops: int
 
 
+@lru_cache(maxsize=4096)
 def compose(g: PartitionDiagram, f: PartitionDiagram) -> ComposeResult:
     """Glue f's lower boundary to g's upper boundary (g after f)."""
     if f.n != g.m:
@@ -232,6 +249,7 @@ def compose(g: PartitionDiagram, f: PartitionDiagram) -> ComposeResult:
     return ComposeResult(PartitionDiagram._from_valid(m, g.n, out_blocks), loops)
 
 
+@lru_cache(maxsize=1024)
 def tensor(f: PartitionDiagram, g: PartitionDiagram) -> PartitionDiagram:
     """Place g to the right of f."""
     m, n = f.m + g.m, f.n + g.n

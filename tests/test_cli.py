@@ -14,7 +14,7 @@ from diagcat.homspace import hom_basis
 from diagcat.partition import DiagramClass, PartitionDiagram
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -23,6 +23,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -80,6 +81,29 @@ def test_hom_basis_json():
     payload = json.loads(r.stdout)
     assert payload["count"] == 1
     assert payload["diagrams"] == ["1 1'"]
+
+
+@pytest.mark.parametrize(
+    "args, bell",
+    [
+        (("hom-basis", "7", "7"), "Bell(14) = 190899322"),
+        (("hom-basis", "6", "6", "--json"), "Bell(12) = 4213597"),
+    ],
+)
+def test_hom_basis_refuses_an_enumeration_that_cannot_finish(args, bell):
+    r = run_cli(*args, timeout=30)
+    assert r.returncode == 2
+    assert bell in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_hom_basis_below_the_limit_is_unchanged():
+    r = run_cli("hom-basis", "2", "1")
+    assert r.returncode == 0
+    assert r.stdout.splitlines() == [
+        "1 | 2 | 1'", "1 | 2 1'", "1 2 | 1'", "1 2 1'", "1 1' | 2", "count: 5",
+    ]
 
 
 def test_cobordism_glue():

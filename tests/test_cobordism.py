@@ -8,8 +8,6 @@ from diagcat.cobordism import (
     Cobordism,
     FrobeniusDatum,
     cob_compose,
-    cob_tensor,
-    cob_to_partition,
     fibonacci_datum,
     generator,
     glue,
@@ -25,6 +23,31 @@ from diagcat.scalar import FieldSpec, Poly
 F = FieldSpec.generic()
 ST = st_datum(F)
 FIB = fibonacci_datum(F)
+
+
+def cob_tensor(a: Cobordism, b: Cobordism) -> Cobordism:
+    comps = []
+    for circles, genus in a.components:
+        comps.append(
+            (tuple(p if p <= a.m else p + b.m for p in circles), genus)
+        )
+    for circles, genus in b.components:
+        comps.append(
+            (
+                tuple(p + a.m if p <= b.m else p + a.m + a.n for p in circles),
+                genus,
+            )
+        )
+    return Cobordism(a.m + b.m, a.n + b.n, comps)
+
+
+def cob_to_partition(c: Cobordism) -> PartitionDiagram:
+    for circles, genus in c.components:
+        if not circles:
+            raise ValueError("closed component has no partition counterpart")
+        if genus:
+            raise ValueError("positive genus has no partition counterpart")
+    return PartitionDiagram(c.m, c.n, [circles for circles, _ in c.components])
 
 
 def C(text):

@@ -21,7 +21,6 @@ from diagcat.fpfun import (
     fp_vanishing_dimension,
     fp_zero_morphism,
     unit_presentation_split_epi,
-    unit_presentation_trivial,
     weak_kernel,
     weak_kernel_exact_at,
     yoneda,
@@ -37,6 +36,10 @@ CLS = DiagramClass.ALL
 
 def word(m):
     return KarObject.word(m, CLS, F)
+
+
+def unit_presentation_trivial(cls: DiagramClass, field: FieldSpec):
+    return yoneda(KarObject.word(0, cls, field), certify_bound=0)
 
 
 def eps_kar():

@@ -33,6 +33,16 @@ def vec(entries):
     return {i: c for i, c in enumerate(entries) if not c.is_zero()}
 
 
+def multiply_vector(a, x):
+    """A x for a sparse x, as a sparse vector."""
+    out = {}
+    for j, v in x.items():
+        for i, c in a.columns[j].items():
+            cur = out.get(i)
+            out[i] = c * v if cur is None else cur + c * v
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
 def matrix(grid, field=F):
     """ExactMatrix of a dense row-major grid literal."""
     cols = len(grid[0]) if grid else 0
@@ -198,7 +208,7 @@ def test_matrix_rank_kernel_solve():
     assert inv.is_bijective()
     sol = inv.solve(vec([two, one]))
     assert sol is not None
-    assert inv.multiply_vector(sol) == vec([two, one])
+    assert multiply_vector(inv, sol) == vec([two, one])
 
 
 def test_matrix_solve_inconsistent():
@@ -218,10 +228,10 @@ def test_matrix_random_solve_roundtrip():
         ]
         m = matrix(entries)
         x0 = vec([F.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)])
-        b = m.multiply_vector(x0)
+        b = multiply_vector(m, x0)
         sol = m.solve(b)
         assert sol is not None
-        assert m.multiply_vector(sol) == b
+        assert multiply_vector(m, sol) == b
 
 
 def _random_columns(rng, field, rows, cols):
@@ -255,13 +265,13 @@ def test_elimination_kernel_and_solve_shapes(field):
         kernel = m.kernel_basis()
         assert len(kernel) == cols - m.rank() == len(free)
         for v, j in zip(kernel, free):
-            assert m.multiply_vector(v) == {}
+            assert multiply_vector(m, v) == {}
             assert v[j] == one
             assert all(k not in v for k in free if k != j)
         x0 = vec([field.rational(Fraction(rng.randint(-2, 2))) for _ in range(cols)])
-        b = m.multiply_vector(x0)
+        b = multiply_vector(m, x0)
         x = m.solve(b)
-        assert m.multiply_vector(x) == b
+        assert multiply_vector(m, x) == b
         assert all(j not in x for j in free)
         units = ({r: one} for r in range(rows))
         if m.rank() < rows:

@@ -1,9 +1,11 @@
 """Source hygiene: every name a package module imports is used in it,
 every memo is a bounded lru_cache rather than a module-level container,
-and every Karoubi hom space is built through its memo."""
+the README names every memo, and every Karoubi hom space is built through
+its memo."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -65,20 +67,65 @@ def empty_module_containers(source: str) -> list:
     return found
 
 
-def unbounded_caches(namespace: dict) -> list:
-    """lru_cache wrappers without a finite maxsize among the values of a
+def lru_caches(namespace: dict):
+    """(label, wrapper) for each lru_cache wrapper among the values of a
     module namespace and the dicts of its classes, classmethods included."""
-    found = []
     for name, value in namespace.items():
         members = [(name, value)]
         if isinstance(value, type):
             members += [(f"{name}.{k}", v) for k, v in vars(value).items()]
         for label, member in members:
             member = getattr(member, "__func__", member)
-            params = getattr(member, "cache_parameters", None)
-            if params is not None and params()["maxsize"] is None:
-                found.append(label)
+            if hasattr(member, "cache_parameters"):
+                yield label, member
+
+
+def unbounded_caches(namespace: dict) -> list:
+    """lru_cache wrappers without a finite maxsize in a module namespace."""
+    return [
+        label
+        for label, member in lru_caches(namespace)
+        if member.cache_parameters()["maxsize"] is None
+    ]
+
+
+def package_memos() -> set:
+    """Every lru_cache of the package, by defining module and qualified name
+    (a memo imported into another module is the same memo)."""
+    found = set()
+    for path in MODULES:
+        if path.stem != "__main__":  # importing it runs the command line
+            module = importlib.import_module(f"diagcat.{path.stem}")
+            for _, member in lru_caches(vars(module)):
+                found.add(f"{member.__module__.removeprefix('diagcat.')}.{member.__qualname__}")
     return found
+
+
+def readme_memos(text: str) -> set:
+    """The dotted package names in backticks in the README's Caching paragraph."""
+    section = text.split("## Caching", 1)[1].split("\n\n", 2)[1]
+    stems = {path.stem for path in MODULES}
+    return {
+        name
+        for name in re.findall(r"`([\w.]+)`", section)
+        if "." in name and name.split(".")[0] in stems
+    }
+
+
+def test_the_readme_lists_every_memo():
+    readme = Path(diagcat.__file__).parents[2] / "README.md"
+    assert readme_memos(readme.read_text()) == package_memos()
+
+
+def test_the_guard_sees_an_unlisted_memo():
+    text = (
+        "## Caching\n\n"
+        "Every memo is a `functools.lru_cache`. There are two:\n"
+        "`partition.compose` (4096 pairs) and `scalar.Poly.x_power` (64),\n"
+        "see `tests/test_hygiene.py`.\n\n"
+        "`karoubi.kar_hom` is in the next paragraph.\n"
+    )
+    assert readme_memos(text) == {"partition.compose", "scalar.Poly.x_power"}
 
 
 def test_every_memo_is_bounded():

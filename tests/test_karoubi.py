@@ -11,9 +11,7 @@ from diagcat.karoubi import (
     KarMorphism,
     KarObject,
     direct_sum,
-    kar_col,
     kar_compose,
-    kar_direct_sum,
     kar_hom,
     kar_object,
     kar_row,
@@ -37,6 +35,33 @@ def word(w, cls=ALL):
 
 def lin(text, dom=None, cod=None):
     return parse_linmorphism(text, F, dom=dom, cod=cod)
+
+
+def kar_direct_sum(f: KarMorphism, g: KarMorphism) -> KarMorphism:
+    dom = direct_sum(f.dom, g.dom)
+    cod = direct_sum(f.cod, g.cod)
+    entries = [list(row) for row in KarMorphism.zero(dom, cod).entries]
+    for i, row in enumerate(f.entries):
+        for j, x in enumerate(row):
+            entries[i][j] = x
+    oi, oj = len(f.cod.words), len(f.dom.words)
+    for i, row in enumerate(g.entries):
+        for j, x in enumerate(row):
+            entries[oi + i][oj + j] = x
+    return KarMorphism(dom, cod, entries, validate=False)
+
+
+def kar_col(morphisms) -> KarMorphism:
+    """[f1; f2; ...]: common domain → cod1 ⊕ cod2 ⊕ ..."""
+    morphisms = list(morphisms)
+    dom = morphisms[0].dom
+    if any(m.dom != dom for m in morphisms):
+        raise ValueError("column assembly needs a common domain")
+    cod = morphisms[0].cod
+    for m in morphisms[1:]:
+        cod = direct_sum(cod, m.cod)
+    entries = [row for m in morphisms for row in m.entries]
+    return KarMorphism(dom, cod, entries, validate=False)
 
 
 def test_kar_object_word():

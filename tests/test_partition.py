@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+from diagcat.homspace import parse_linmorphism
 from diagcat.partition import (
     ComposeResult,
     DiagramClass,
     DiagramParseError,
     PartitionDiagram,
     all_diagrams,
+    bell_number,
     coarsenings,
     compose,
     factors_through_unit,
@@ -15,6 +17,7 @@ from diagcat.partition import (
     tensor,
     upper_partition,
 )
+from diagcat.scalar import FieldSpec
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -191,6 +194,43 @@ def test_associativity_exhaustive_small():
 def test_set_partitions_counts():
     for size, bell in enumerate(BELL[:6]):
         assert sum(1 for _ in set_partitions(range(size))) == bell
+    assert [bell_number(size) for size in range(len(BELL))] == BELL
+
+
+def test_memoised_compose_and_tensor_match_the_uncached_kernels():
+    pairs = 0
+    for m, k, n in itertools.product(range(7), repeat=3):
+        if m + k + n > 6:
+            continue
+        for f in all_diagrams(m, k):
+            for g in all_diagrams(k, n):
+                expected = compose.__wrapped__(g, f)
+                for _ in range(2):  # the second call is served by the memo
+                    got = compose(g, f)
+                    assert (got.diagram, got.loops) == (expected.diagram, expected.loops)
+                pairs += 1
+    assert pairs > 10_000
+    shapes = list(itertools.product(range(3), repeat=2))
+    small = [d for m, n in shapes for d in all_diagrams(m, n)]
+    for f in small:
+        for g in small:
+            expected = tensor.__wrapped__(f, g)
+            assert tensor(f, g) == expected
+            assert tensor(f, g) == expected
+
+
+def test_repeated_lin_compose_is_served_by_the_compose_memo():
+    field = FieldSpec.generic()
+    f = parse_linmorphism("1 1' + 2 * 1 | 1'", field)
+    g = parse_linmorphism("1 | 1' + 1/2 * 1 1'", field)
+    compose.cache_clear()
+    first = g.compose(f, field)
+    before = compose.cache_info()
+    assert before.misses > 0
+    assert g.compose(f, field) == first
+    after = compose.cache_info()
+    assert after.hits > before.hits
+    assert after.misses == before.misses
 
 
 def test_coarsenings():
