@@ -46,11 +46,13 @@ from .fpfun import (
 from .homspace import hom_basis, parse_linmorphism
 from .karoubi import KarMorphism, KarObject
 from .moebius import moebius_x, moebius_x_prime
-from .partition import DiagramClass, DiagramParseError, PartitionDiagram, bell_number
+from .partition import DiagramClass, DiagramParseError, PartitionDiagram
+from .partition import bell_number, matching_count
 from .scalar import FieldSpec, parse_rational
 
-# hom-basis walks every set partition of its m+n points before it filters
-# by class; Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
+# hom-basis walks every set partition of its m+n points (every perfect
+# matching, for the two matching classes) before it filters by class;
+# Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
 MAX_ENUMERATION = 10**6
 
 
@@ -346,11 +348,17 @@ def run_plain(args) -> int:
     field = parse_field(args.t)
     if args.command == "hom-basis":
         cls = DiagramClass.from_text(args.cls)
-        size = bell_number(args.m + args.n)
+        points = args.m + args.n
+        if cls.is_matching():
+            size = matching_count(points)
+            walk = f"({points}-1)!! = {size} perfect matchings"
+        else:
+            size = bell_number(points)
+            walk = f"Bell({points}) = {size} set partitions"
         if size > MAX_ENUMERATION:
             raise ValueError(
-                f"hom-basis {args.m} {args.n} would enumerate Bell({args.m + args.n}) = "
-                f"{size} set partitions, more than the limit of {MAX_ENUMERATION}"
+                f"hom-basis {args.m} {args.n} would enumerate {walk}, "
+                f"more than the limit of {MAX_ENUMERATION}"
             )
         texts = [d.to_text() for d in hom_basis(cls, args.m, args.n)]
         _emit(

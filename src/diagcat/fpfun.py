@@ -59,6 +59,9 @@ class FpObject:
     def __eq__(self, other):
         return isinstance(other, FpObject) and self.rho == other.rho
 
+    def __hash__(self):
+        return hash(self.rho)
+
     def to_text(self) -> str:
         return f"coker( {self.rho.to_text()} )"
 
@@ -198,6 +201,11 @@ class FpHomSpace:
     coordinates.  One Subspace takes a basis of R' first and the
     representatives self.reps after it, so a square's coordinates past the
     R' generators are its class in R/R' over self.reps.
+
+    R/R' depends only on the two presentations, so fp_hom_space builds one
+    per pair of equal presentations and shares it: its reps carry the
+    objects (and certificates) of the first caller, as kar_hom's spaces
+    carry the first caller's names.
     """
 
     def __init__(self, src: FpObject, dst: FpObject):
@@ -269,13 +277,19 @@ class FpHomSpace:
         return out
 
 
+@lru_cache(maxsize=256)
+def fp_hom_space(src: FpObject, dst: FpObject) -> FpHomSpace:
+    """R/R' for src and dst, built once per pair of equal presentations."""
+    return FpHomSpace(src, dst)
+
+
 def fp_hom(src: FpObject, dst: FpObject):
     """Representative squares for a basis of R/R'."""
-    return FpHomSpace(src, dst).reps
+    return fp_hom_space(src, dst).reps
 
 
 def fp_is_zero_morphism(phi: FpMorphism) -> bool:
-    return FpHomSpace(phi.src, phi.dst).coordinates_of(phi) == {}
+    return fp_hom_space(phi.src, phi.dst).coordinates_of(phi) == {}
 
 
 def fp_is_zero_object(m: FpObject) -> bool:
@@ -306,8 +320,14 @@ def _projection(parts, index: int) -> KarMorphism:
     return KarMorphism(total, target, entries, validate=False)
 
 
+@lru_cache(maxsize=64)
 def split_epi_section(eps: KarMorphism) -> KarMorphism:
-    """The section of a split epimorphism, or an error."""
+    """The section of a split epimorphism, or an error.
+
+    Memoised per morphism key: the first split of an eps is verified
+    (fg = id here, fgf = f in split_solve), and a failure raises and is
+    not stored.
+    """
     w = split_solve(eps)
     if w is None or w.fg != KarMorphism.identity(eps.cod):
         raise ValueError("eps is not a split epimorphism")
@@ -394,16 +414,16 @@ def weak_kernel_exact_at(
 
 def fp_vanishing_dimension(phi: FpMorphism, probe: FpObject) -> int:
     """dim of {h: dst -> probe with h.phi = 0 in the quotient}."""
-    hs = FpHomSpace(phi.dst, probe)
-    target = FpHomSpace(phi.src, probe)
+    hs = fp_hom_space(phi.dst, probe)
+    target = fp_hom_space(phi.src, probe)
     image = matrix_of(lambda h: fp_compose(h, phi), hs.reps, target, hs.field)
     return hs.dimension() - image.rank()
 
 
 def fp_covanishing_reps(phi: FpMorphism, probe: FpObject):
     """Representative squares h: probe -> src with phi.h = 0 in the quotient."""
-    hs = FpHomSpace(probe, phi.src)
-    target = FpHomSpace(probe, phi.dst)
+    hs = fp_hom_space(probe, phi.src)
+    target = fp_hom_space(probe, phi.dst)
     image = matrix_of(lambda h: fp_compose(phi, h), hs.reps, target, hs.field)
     return [hs.from_coordinates(vec) for vec in image.kernel_basis()]
 
@@ -412,8 +432,8 @@ def fp_factors_through(tail: FpMorphism, h: FpMorphism) -> bool:
     """Whether h: T -> M factors through tail: K -> M in the quotient."""
     if tail.dst != h.dst:
         raise ValueError("codomain mismatch")
-    hs = FpHomSpace(h.src, tail.src)
-    target = FpHomSpace(h.src, h.dst)
+    hs = fp_hom_space(h.src, tail.src)
+    target = fp_hom_space(h.src, h.dst)
     image = matrix_of(lambda z: fp_compose(tail, z), hs.reps, target, hs.field)
     coords = target.coordinates_of(h)
     if coords is None:

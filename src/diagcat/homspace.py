@@ -188,9 +188,10 @@ class HomBasis:
         self.cls = cls
         self.m = m
         self.n = n
-        self.diagrams = tuple(
-            sorted(d for d in partition.all_diagrams(m, n) if cls.member(d))
-        )
+        # The matching classes hold perfect matchings only, far fewer than
+        # the Bell(m+n) set partitions of every other class.
+        walk = partition.all_matchings if cls.is_matching() else partition.all_diagrams
+        self.diagrams = tuple(sorted(d for d in walk(m, n) if cls.member(d)))
         self._index = {d: i for i, d in enumerate(self.diagrams)}
 
     def __len__(self):

@@ -75,6 +75,14 @@ def _mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _mat_key(a):
+    """Sorted (diagram, coefficient text) pairs of each entry, row by row."""
+    return tuple(
+        tuple(sorted((d, c.to_text()) for d, c in x.terms.items()))
+        for row in a for x in row
+    )
+
+
 class KarObject:
     """Words cut by an idempotent matrix over a fixed diagram class."""
 
@@ -107,8 +115,10 @@ class KarObject:
         self._key = None
 
     @classmethod
+    @lru_cache(maxsize=256)
     def word(cls, w: int, diagram_class: DiagramClass, field: FieldSpec):
-        """The plain object [w] with identity cut."""
+        """The plain object [w] with identity cut, one instance per
+        (w, class, field), so its cut is checked idempotent only once."""
         e = LinMorphism.from_diagram(PartitionDiagram.identity(w), field)
         return cls(diagram_class, field, (w,), ((e,),), names=("id",))
 
@@ -136,13 +146,7 @@ class KarObject:
     def key(self):
         """Class, field, words and cut text; built once, as objects never change."""
         if self._key is None:
-            self._key = (
-                self.cls,
-                self.field,
-                self.words,
-                tuple(tuple(sorted((d, c.to_text()) for d, c in x.terms.items()))
-                      for row in self.cut for x in row),
-            )
+            self._key = (self.cls, self.field, self.words, _mat_key(self.cut))
         return self._key
 
     def __eq__(self, other):
@@ -319,6 +323,10 @@ class KarMorphism:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
+    def key(self):
+        """The keys of both objects and the entry text, built like KarObject.key."""
+        return (self.dom.key(), self.cod.key(), _mat_key(self.entries))
+
     def __eq__(self, other):
         return (
             isinstance(other, KarMorphism)
@@ -326,6 +334,9 @@ class KarMorphism:
             and self.cod == other.cod
             and _mat_eq(self.entries, other.entries)
         )
+
+    def __hash__(self):
+        return hash(self.key())
 
     def __add__(self, other):
         if self.dom != other.dom or self.cod != other.cod:
@@ -472,6 +483,18 @@ class KarHom(CompressedBasis):
         return out
 
 
+class _SlotCoordinates:
+    """A hom space's total slot coordinates (one position per slot diagram)
+    as a codomain for matrix_of; they are injective on its span."""
+
+    def __init__(self, hom: KarHom):
+        self.coordinates_of = hom._vector_of
+        self._size = sum(len(basis) for basis in hom._slot_index.values())
+
+    def __len__(self):
+        return self._size
+
+
 class SplitWitness:
     """g with f.g.f = f, plus the induced idempotents."""
 
@@ -507,22 +530,25 @@ def split_solve(f: KarMorphism):
     """Find g with f.g.f = f, or None when the exact system is inconsistent."""
     gh = kar_hom(f.cod, f.dom)
     fh = kar_hom(f.dom, f.cod)
-    target = fh.coordinates_of(f)
-    if target is None:
+    if fh.coordinates_of(f) is None:
         raise ValueError("morphism escapes its own hom space")
     # f lies in the span of the cut units of fh, so it absorbs its cuts:
     # f.E_dom = f = E_cod.f, hence f.(E_dom.U.E_cod).f = f.U.f for the bare
-    # unit U of each element of gh, with far fewer terms to compose.
+    # unit U of each element of gh, with far fewer terms to compose.  The
+    # columns are taken in fh's slot coordinates, not its compressed basis:
+    # both maps are injective on fh's span, so the pivot columns and the
+    # solution with the free variables at zero are the same.
+    slots = _SlotCoordinates(fh)
     matrix = matrix_of(
-        lambda g: kar_compose(f, kar_compose(g, f)), gh.units, fh, gh.field
+        lambda g: kar_compose(f, kar_compose(g, f)), gh.units, slots, gh.field
     )
-    coords = matrix.solve(target)
+    coords = matrix.solve(fh._vector_of(f))
     if coords is None:
         return None
     g = gh.from_coordinates(coords)
-    if kar_compose(f, kar_compose(g, f)) != f:
-        raise AssertionError("split solver produced an invalid witness")
     gf = kar_compose(g, f)
+    if kar_compose(f, gf) != f:
+        raise AssertionError("split solver produced an invalid witness")
     fg = kar_compose(f, g)
     kernel_idem = KarMorphism.identity(f.dom) - gf
     return SplitWitness(g, gf, fg, kernel_idem, _witness_denominators(g))

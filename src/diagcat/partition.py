@@ -22,6 +22,7 @@ import re
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
+from math import prod
 from typing import Iterable, NamedTuple
 
 
@@ -71,6 +72,27 @@ def bell_number(size):
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
+
+
+def perfect_matchings(items):
+    """Yield all perfect matchings of the given sequence, as tuples of
+    pairs; there are none when it has an odd number of items."""
+    items = list(items)
+    if len(items) % 2:
+        return
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        for part in perfect_matchings(rest[:i] + rest[i + 1 :]):
+            yield ((first, partner),) + part
+
+
+def matching_count(size):
+    """How many perfect matchings `perfect_matchings` yields: (size-1)!!,
+    or 0 for an odd size."""
+    return 0 if size % 2 else prod(range(size - 1, 0, -2))
 
 
 class PartitionDiagram:
@@ -328,6 +350,10 @@ class DiagramClass(Enum):
     BLOCKS_SIZE_2 = "blocks-size-2"
     NON_CROSSING_SIZE_2 = "non-crossing-size-2"
 
+    def is_matching(self) -> bool:
+        """Whether every diagram of the class is a perfect matching."""
+        return self in (DiagramClass.BLOCKS_SIZE_2, DiagramClass.NON_CROSSING_SIZE_2)
+
     def member(self, f: PartitionDiagram) -> bool:
         if self is DiagramClass.ALL:
             return True
@@ -351,3 +377,9 @@ def all_diagrams(m, n) -> Iterable[PartitionDiagram]:
     """All of P_{m,n} (every set partition of the m+n points)."""
     for part in set_partitions(range(1, m + n + 1)):
         yield PartitionDiagram(m, n, part)
+
+
+def all_matchings(m, n) -> Iterable[PartitionDiagram]:
+    """The perfect matchings in P_{m,n}; none when m+n is odd."""
+    for part in perfect_matchings(range(1, m + n + 1)):
+        yield PartitionDiagram._from_valid(m, n, part)

@@ -98,6 +98,21 @@ def test_hom_basis_refuses_an_enumeration_that_cannot_finish(args, bell):
     assert r.stdout == ""
 
 
+def test_hom_basis_refuses_a_matching_enumeration_by_its_own_count():
+    r = run_cli("hom-basis", "8", "8", "--class", "blocks-size-2", timeout=30)
+    assert r.returncode == 2
+    assert "(16-1)!! = 2027025 perfect matchings" in r.stderr
+    assert r.stdout == ""
+
+
+def test_hom_basis_of_a_matching_class_with_odd_points_is_empty_at_once():
+    # Bell(11) set partitions would take seconds; an odd count has no matching
+    r = run_cli("hom-basis", "5", "6", "--class", "blocks-size-2", "--json", timeout=10)
+    assert r.returncode == 0
+    assert '"count": 0' in r.stdout
+    assert json.loads(r.stdout)["diagrams"] == []
+
+
 def test_hom_basis_below_the_limit_is_unchanged():
     r = run_cli("hom-basis", "2", "1")
     assert r.returncode == 0

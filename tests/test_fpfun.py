@@ -96,8 +96,11 @@ def test_certificates_recorded():
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """Empties the certificate memo and records each fpfun.split_solve call."""
+    """Empties the certificate, section and hom-space memos and records
+    each fpfun.split_solve call."""
     fpfun._certify.cache_clear()
+    fpfun.split_epi_section.cache_clear()
+    fpfun.fp_hom_space.cache_clear()
     calls = []
     original = fpfun.split_solve
 
@@ -139,12 +142,50 @@ def test_kernel_certifies_each_object_once(split_calls):
     phi = eps_square()
     split_calls.clear()
     first, _ = fp_kernel(phi, word(1), eps_kar())
-    # two certificates at bound 0, then two split_solve calls per weak kernel
-    assert len(split_calls) == 6
+    # two certificates at bound 0, eps split once for both weak kernels,
+    # and one S (x) theta split per weak kernel
+    assert len(split_calls) == 5
+    assert split_calls.count(eps_kar()) == 1
     split_calls.clear()
     second, _ = fp_kernel(phi, word(1), eps_kar())
-    assert len(split_calls) == 4
+    assert len(split_calls) == 2
+    assert split_calls.count(eps_kar()) == 0
     assert first.certificate == second.certificate
+
+
+@pytest.fixture
+def fp_built(monkeypatch):
+    """Empties the presented hom-space memo and records each FpHomSpace build."""
+    fpfun.fp_hom_space.cache_clear()
+    pairs = []
+    original = FpHomSpace.__init__
+
+    def counted(self, src, dst):
+        pairs.append((src, dst))
+        original(self, src, dst)
+
+    monkeypatch.setattr(FpHomSpace, "__init__", counted)
+    return pairs
+
+
+def test_repeated_presentation_pair_builds_one_hom_space(fp_built):
+    first = fp_hom(yoneda(word(1)), yoneda(word(2)))
+    assert len(fp_built) == 1
+    # freshly built presentations with equal keys share the memoised space
+    assert fp_hom(yoneda(word(1)), yoneda(word(2))) is first
+    assert fp_is_zero_morphism(fp_zero_morphism(yoneda(word(1)), yoneda(word(2))))
+    assert len(fp_built) == 1
+
+
+def test_presented_hom_spaces_keep_fields_apart(fp_built):
+    at = FieldSpec.at(Fraction(5, 2))
+    generic = fpfun.fp_hom_space(yoneda(word(1)), yoneda(word(1)))
+    special = fpfun.fp_hom_space(
+        yoneda(KarObject.word(1, CLS, at)), yoneda(KarObject.word(1, CLS, at))
+    )
+    assert generic is not special
+    assert generic.field == F and special.field == at
+    assert len(fp_built) == 2
 
 
 def test_unit_presentations():

@@ -356,3 +356,14 @@ def test_hom_basis_respects_class_filter():
 def test_all_diagrams_matches_hom_basis():
     for m, n in [(0, 0), (1, 1), (2, 1)]:
         assert list(hom_basis(DiagramClass.ALL, m, n)) == sorted(all_diagrams(m, n))
+
+
+@pytest.mark.parametrize(
+    "cls", [DiagramClass.BLOCKS_SIZE_2, DiagramClass.NON_CROSSING_SIZE_2],
+    ids=lambda c: c.value,
+)
+def test_matching_bases_equal_the_filtered_bell_enumeration(cls):
+    for size in range(9):
+        for m in range(size + 1):
+            filtered = sorted(d for d in all_diagrams(m, size - m) if cls.member(d))
+            assert HomBasis(cls, m, size - m).diagrams == tuple(filtered)

@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
 every memo is a bounded lru_cache rather than a module-level container,
-the README names every memo, and every Karoubi hom space is built through
-its memo."""
+the README names every memo, and every Karoubi hom space and every hom
+space of presented functors is built through its memo."""
 
 import ast
 import importlib
@@ -197,3 +197,23 @@ def test_the_guard_sees_a_direct_build():
         "    return KarHom(f.cod, f.dom), kar_hom(f.dom, f.cod)\n"
     )
     assert calls_outside(snippet, "KarHom", "kar_hom") == [4]
+
+
+def test_every_presented_hom_space_goes_through_the_memo():
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in calls_outside(path.read_text(), "FpHomSpace", "fp_hom_space")
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_direct_presented_build():
+    snippet = (
+        "def fp_hom_space(a, b):\n"
+        "    return FpHomSpace(a, b)\n"
+        "def vanish(phi, probe):\n"
+        "    hs = fp_hom_space(phi.dst, probe)\n"
+        "    return hs, FpHomSpace(phi.src, probe)\n"
+    )
+    assert calls_outside(snippet, "FpHomSpace", "fp_hom_space") == [5]

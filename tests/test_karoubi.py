@@ -81,6 +81,31 @@ def test_kar_object_key_includes_field():
     assert generic == KarObject.word(1, ALL, F)
 
 
+def test_word_objects_are_shared():
+    assert KarObject.word(2, ALL, F) is KarObject.word(2, ALL, F)
+    at = FieldSpec.at(Fraction(5, 2))
+    others = [
+        KarObject.word(1, ALL, F),
+        KarObject.word(2, DiagramClass.EVEN_BLOCKS, F),
+        KarObject.word(2, ALL, at),
+    ]
+    assert all(other is not KarObject.word(2, ALL, F) for other in others)
+    assert KarObject.word(2, ALL, at) is KarObject.word(2, ALL, FieldSpec.at(Fraction(5, 2)))
+
+
+def test_equal_kar_morphisms_hash_equal():
+    # the same morphism built twice, with its terms in the other order
+    f = KarMorphism.from_lin(lin("1 * 1 1' + (1)/(t) * 1 | 1'"), ALL, F)
+    g = KarMorphism.from_lin(lin("(1)/(t) * 1 | 1' + 1 * 1 1'"), ALL, F)
+    assert f == g and f.key() == g.key() and hash(f) == hash(g)
+    assert len({f, g, f.scale(F.rational(2))}) == 2
+    # Q(t) and Q coefficients print alike; the morphisms must still differ
+    at_zero = FieldSpec.at(0)
+    h = KarMorphism.from_lin(parse_linmorphism("1 * 1 1'", at_zero), ALL, at_zero)
+    ident = KarMorphism.from_lin(lin("1 * 1 1'"), ALL, F)
+    assert h != ident and h.key() != ident.key()
+
+
 def test_kar_object_x2():
     x2e2 = x_e(2, F)
     obj = kar_object(2, x2e2, DiagramClass.EVEN_BLOCKS, F, name="x_j*e_j")
@@ -321,6 +346,38 @@ def test_split_matrix_over_bare_units_equals_cut_units(t):
 
         over_units = matrix_of(fgf, gh.units, fh, field)
         assert over_units.columns == matrix_of(fgf, gh.elements, fh, field).columns
+
+
+def _compressed_witness(f):
+    """g solved over fh's compressed basis, the coordinates split_solve
+    used before it took slot coordinates; None if no g exists."""
+    gh, fh = kar_hom(f.cod, f.dom), kar_hom(f.dom, f.cod)
+    matrix = matrix_of(
+        lambda g: kar_compose(f, kar_compose(g, f)), gh.units, fh, gh.field
+    )
+    coords = matrix.solve(fh.coordinates_of(f))
+    return None if coords is None else gh.from_coordinates(coords)
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_split_in_slot_coordinates_equals_compressed_solve(t, seed):
+    field = F if t is None else FieldSpec.at(t)
+    for f in _split_inputs(field, random.Random(seed)):
+        w = split_solve(f)
+        expected = _compressed_witness(f)
+        assert w is not None and expected is not None
+        assert w.g == expected
+        assert w.g.to_text() == expected.to_text()
+
+
+def test_split_in_slot_coordinates_fails_where_compressed_solve_fails():
+    at_zero = FieldSpec.at(Fraction(0))
+    eps = KarMorphism.from_lin(
+        LinMorphism.from_diagram(PartitionDiagram.parse("1"), at_zero), ALL, at_zero
+    )
+    assert _compressed_witness(eps) is None
+    assert split_solve(eps) is None
 
 
 def test_split_refuses_a_morphism_that_does_not_absorb_its_cuts():

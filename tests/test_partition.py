@@ -13,6 +13,8 @@ from diagcat.partition import (
     coarsenings,
     compose,
     factors_through_unit,
+    matching_count,
+    perfect_matchings,
     set_partitions,
     tensor,
     upper_partition,
@@ -195,6 +197,16 @@ def test_set_partitions_counts():
     for size, bell in enumerate(BELL[:6]):
         assert sum(1 for _ in set_partitions(range(size))) == bell
     assert [bell_number(size) for size in range(len(BELL))] == BELL
+
+
+def test_perfect_matchings_counts():
+    # (size-1)!! matchings for an even size, none for an odd one
+    assert [matching_count(size) for size in range(9)] == [1, 0, 1, 0, 3, 0, 15, 0, 105]
+    for size in range(9):
+        found = list(perfect_matchings(range(size)))
+        assert len(found) == len(set(found)) == matching_count(size)
+        for part in found:
+            assert sorted(p for pair in part for p in pair) == list(range(size))
 
 
 def test_memoised_compose_and_tensor_match_the_uncached_kernels():
