@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .cobordism import (
-    CobLin,
     Cobordism,
     cob_compose,
     fibonacci_datum,
@@ -442,7 +441,7 @@ def _phi_bijective(cls, x, p_entries, m_max, field):
             failures.append(
                 {
                     "m": m,
-                    "hom_dim": hom.dimension(),
+                    "hom_dim": len(hom),
                     "target_dim": len(target),
                     "rank": matrix.rank(),
                 }
@@ -629,14 +628,14 @@ def check_crosscheck_cob(max_points: int = 5) -> CheckReport:
         field = FieldSpec.generic()
         for datum in (st_datum(field), fibonacci_datum(field)):
             for i in range(5):
-                cur = CobLin.from_cobordism(generator("eta"), field)
-                phi = CobLin.from_cobordism(generator("phi"), field)
+                cur = LinMorphism.from_diagram(generator("eta"), field)
+                phi = LinMorphism.from_diagram(generator("phi"), field)
                 for _ in range(i):
                     cur = cob_compose(phi, cur, datum)
                 cur = cob_compose(
-                    CobLin.from_cobordism(generator("eps"), field), cur, datum
+                    LinMorphism.from_diagram(generator("eps"), field), cur, datum
                 )
-                want = CobLin(0, 0, {Cobordism(0, 0, []): datum.alpha(i)})
+                want = LinMorphism(0, 0, {Cobordism(0, 0, []): datum.alpha(i)})
                 if cur != want:
                     raise CheckFailed({
                         "datum": datum.describe(),

@@ -47,12 +47,12 @@ from .homspace import hom_basis, parse_linmorphism
 from .karoubi import KarMorphism, KarObject
 from .moebius import moebius_x, moebius_x_prime
 from .partition import DiagramClass, DiagramParseError, PartitionDiagram
-from .partition import bell_number, matching_count
+from .partition import bell_number, matching_count, non_crossing_count
 from .scalar import FieldSpec, parse_rational
 
-# hom-basis walks every set partition of its m+n points (every perfect
-# matching, for the two matching classes) before it filters by class;
-# Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
+# hom-basis walks every set partition of its m+n points (every perfect or
+# non-crossing matching, for the two matching classes) before it filters
+# by class; Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
 MAX_ENUMERATION = 10**6
 
 
@@ -349,9 +349,12 @@ def run_plain(args) -> int:
     if args.command == "hom-basis":
         cls = DiagramClass.from_text(args.cls)
         points = args.m + args.n
-        if cls.is_matching():
+        if cls is DiagramClass.BLOCKS_SIZE_2:
             size = matching_count(points)
             walk = f"({points}-1)!! = {size} perfect matchings"
+        elif cls is DiagramClass.NON_CROSSING_SIZE_2:
+            size = non_crossing_count(points)
+            walk = f"Catalan({points // 2}) = {size} non-crossing matchings"
         else:
             size = bell_number(points)
             walk = f"Bell({points}) = {size} set partitions"

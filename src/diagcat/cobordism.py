@@ -11,12 +11,16 @@ merged component comes from additivity of the Euler characteristic,
 g = 1 - (r + sum_i (2 - 2 g_i - b_i)) / 2, where r counts the surviving
 boundary circles.  The formula is exercised against the torus and
 pair-of-pants examples in the test suite before anything else trusts it.
+
+A formal sum of cobordisms is a homspace.LinMorphism whose terms are
+Cobordisms; cob_compose is its composition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .homspace import LinMorphism
 from .partition import PartitionDiagram, _UnionFind, DiagramParseError
 from .scalar import FieldElement, FieldSpec, Poly, poly_divmod
 
@@ -120,10 +124,6 @@ class Cobordism:
     def identity(cls, n: int) -> "Cobordism":
         return cls(n, n, [((i, n + i), 0) for i in range(1, n + 1)])
 
-    @classmethod
-    def from_partition(cls, d: PartitionDiagram) -> "Cobordism":
-        return cls(d.m, d.n, [(b, 0) for b in d.blocks])
-
     def key(self):
         return (self.m, self.n, self.components)
 
@@ -203,69 +203,7 @@ def generator(name: str) -> Cobordism:
     return Cobordism(*table[name])
 
 
-class CobLin:
-    """A formal FieldElement-weighted sum of cobordisms [dom] -> [cod]."""
-
-    __slots__ = ("dom", "cod", "terms")
-
-    def __init__(self, dom: int, cod: int, terms):
-        self.dom = dom
-        self.cod = cod
-        clean = {}
-        for c, coeff in terms.items():
-            if (c.m, c.n) != (dom, cod):
-                raise ValueError(
-                    f"term shape ({c.m},{c.n}) does not match morphism ({dom},{cod})"
-                )
-            if not coeff.is_zero():
-                clean[c] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, dom, cod):
-        return cls(dom, cod, {})
-
-    @classmethod
-    def from_cobordism(cls, c: Cobordism, field: FieldSpec, coeff=None):
-        return cls(c.m, c.n, {c: field.one() if coeff is None else coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CobLin)
-            and (self.dom, self.cod) == (other.dom, other.cod)
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise ValueError("shape mismatch in sum")
-        out = dict(self.terms)
-        for c, coeff in other.terms.items():
-            cur = out.get(c)
-            out[c] = coeff if cur is None else cur + coeff
-        return CobLin(self.dom, self.cod, out)
-
-    def scale(self, coeff: FieldElement):
-        return CobLin(
-            self.dom, self.cod, {c: coeff * v for c, v in self.terms.items()}
-        )
-
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for c in sorted(self.terms):
-            parts.append(f"{self.terms[c].to_text()} * {c.to_text()}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"CobLin({self.dom}, {self.cod}, {self.to_text()!r})"
-
-
-def reduce_normal_form(c: Cobordism, datum: FrobeniusDatum) -> CobLin:
+def reduce_normal_form(c: Cobordism, datum: FrobeniusDatum) -> LinMorphism:
     """Strip closed components via alpha and cap every genus below deg u."""
     field = datum.field
     d = datum.degree()
@@ -296,7 +234,7 @@ def reduce_normal_form(c: Cobordism, datum: FrobeniusDatum) -> CobLin:
         cob = Cobordism(c.m, c.n, comps)
         cur = terms.get(cob)
         terms[cob] = coeff if cur is None else cur + coeff
-    return CobLin(c.m, c.n, terms)
+    return LinMorphism(c.m, c.n, terms)
 
 
 def glue_raw(g: Cobordism, f: Cobordism) -> Cobordism:
@@ -343,15 +281,17 @@ def glue_raw(g: Cobordism, f: Cobordism) -> Cobordism:
     return Cobordism(m, n, out)
 
 
-def glue(g: Cobordism, f: Cobordism, datum: FrobeniusDatum) -> CobLin:
+def glue(g: Cobordism, f: Cobordism, datum: FrobeniusDatum) -> LinMorphism:
     return reduce_normal_form(glue_raw(g, f), datum)
 
 
-def cob_compose(g: CobLin, f: CobLin, datum: FrobeniusDatum) -> CobLin:
+def cob_compose(
+    g: LinMorphism, f: LinMorphism, datum: FrobeniusDatum
+) -> LinMorphism:
     """Bilinear extension of glue; g after f."""
     if f.cod != g.dom:
         raise ValueError("shape mismatch in composition")
-    out = CobLin.zero(f.dom, g.cod)
+    out = LinMorphism.zero(f.dom, g.cod)
     for cf, af in f.terms.items():
         for cg, ag in g.terms.items():
             out = out + glue(cg, cf, datum).scale(af * ag)
@@ -359,7 +299,8 @@ def cob_compose(g: CobLin, f: CobLin, datum: FrobeniusDatum) -> CobLin:
 
 
 def partition_to_cob(d: PartitionDiagram) -> Cobordism:
-    return Cobordism.from_partition(d)
+    """The genus-0 cobordism with one component per block of d."""
+    return Cobordism(d.m, d.n, [(b, 0) for b in d.blocks])
 
 
 def partition_crosscheck(f: PartitionDiagram, g: PartitionDiagram) -> bool:
@@ -369,7 +310,7 @@ def partition_crosscheck(f: PartitionDiagram, g: PartitionDiagram) -> bool:
     field = FieldSpec.generic()
     datum = st_datum(field)
     diagram, loops = compose(f, g)
-    expected = CobLin.from_cobordism(
+    expected = LinMorphism.from_diagram(
         partition_to_cob(diagram), field, field.t_power(loops)
     )
     got = glue(partition_to_cob(f), partition_to_cob(g), datum)

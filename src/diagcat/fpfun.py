@@ -20,7 +20,6 @@ from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of
 from .karoubi import (
     KarMorphism,
     KarObject,
-    direct_sum,
     kar_compose,
     kar_hom,
     kar_row,
@@ -218,7 +217,7 @@ class FpHomSpace:
         self.ha = kar_hom(src.P, dst.P)
         self.ho = kar_hom(src.Q, dst.Q)
         hc = kar_hom(src.Q, dst.P)
-        a = self.ha.dimension()
+        a = len(self.ha)
         pre_rho = matrix_of(
             lambda e: kar_compose(e, src.rho), self.ha.elements, hc, field
         )
@@ -226,7 +225,7 @@ class FpHomSpace:
             lambda o: kar_compose(dst.rho, o), self.ho.elements, hc, field
         )
         negated = [{i: -c for i, c in col.items()} for col in rho_post.columns]
-        constraint = ExactMatrix(hc.dimension(), pre_rho.columns + negated, field)
+        constraint = ExactMatrix(len(hc), pre_rho.columns + negated, field)
 
         self.space = Subspace(field)
         for beta in kar_hom(src.P, dst.Q).elements:
@@ -251,13 +250,10 @@ class FpHomSpace:
         vo = self.ho.coordinates_of(omega)
         if va is None or vo is None:
             return None
-        a = self.ha.dimension()
+        a = len(self.ha)
         return {**va, **{a + k: c for k, c in vo.items()}}
 
     def __len__(self):
-        return len(self.reps)
-
-    def dimension(self) -> int:
         return len(self.reps)
 
     def coordinates_of(self, phi: FpMorphism):
@@ -302,22 +298,13 @@ def fp_cokernel(phi: FpMorphism, certify_bound: int = 0) -> FpObject:
 
 
 def _projection(parts, index: int) -> KarMorphism:
-    """Projection of a direct sum onto one summand."""
-    total = parts[0]
-    for p in parts[1:]:
-        total = direct_sum(total, p)
+    """Projection of a direct sum onto one summand: the row of its identity
+    and zero blocks."""
     target = parts[index]
-    offset = sum(len(p.words) for p in parts[:index])
-    entries = []
-    for i, w_cod in enumerate(target.words):
-        row = []
-        for j, w_dom in enumerate(total.words):
-            if offset <= j < offset + len(target.words):
-                row.append(target.cut[i][j - offset])
-            else:
-                row.append(LinMorphism.zero(w_dom, w_cod))
-        entries.append(tuple(row))
-    return KarMorphism(total, target, entries, validate=False)
+    return kar_row(
+        KarMorphism.identity(p) if k == index else KarMorphism.zero(p, target)
+        for k, p in enumerate(parts)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -417,7 +404,7 @@ def fp_vanishing_dimension(phi: FpMorphism, probe: FpObject) -> int:
     hs = fp_hom_space(phi.dst, probe)
     target = fp_hom_space(phi.src, probe)
     image = matrix_of(lambda h: fp_compose(h, phi), hs.reps, target, hs.field)
-    return hs.dimension() - image.rank()
+    return len(hs) - image.rank()
 
 
 def fp_covanishing_reps(phi: FpMorphism, probe: FpObject):

@@ -1,25 +1,25 @@
 """Linear combinations of diagrams and exact linear algebra over the field.
 
-LinMorphism is a formal sum of partition diagrams of one shape with
-FieldElement coefficients.  Bilinear composition and tensor extend the
-diagram operations, with each loop contributing a factor of t.
+LinMorphism is a formal sum of diagrams of one shape with FieldElement
+coefficients: partition diagrams here, cobordisms in cobordism.  Bilinear
+composition and tensor extend the partition diagram operations, with each
+loop contributing a factor of t.
 
 Every vector is sparse: a dict from position to nonzero entry, with no
 zero entries stored.  All elimination, exact and without tolerances,
 happens in one place: Subspace, an incremental sparse echelon basis that
 answers membership and coordinates over the generators it accepted.
-Everything else is built on it.  CompressedBasis keeps the independent
-members of a spanning family (the hom spaces of the Karoubi envelope are
-one); ExactMatrix keeps sparse columns and feeds them left to right into
-a Subspace for rank, kernel, solving and bijectivity; matrix_of builds the
-matrix of a linear map into any space that gives sparse coordinates: a
-diagram basis, a compressed basis, or a quotient hom space of fpfun.
+Everything else is built on it.  ExactMatrix keeps sparse columns and
+feeds them left to right into a Subspace for rank, kernel, solving and
+bijectivity; matrix_of builds the matrix of a linear map into any space
+that gives sparse coordinates: a diagram basis, a Karoubi hom space of
+karoubi, or a quotient hom space of fpfun.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import partition
 from .partition import DiagramClass, PartitionDiagram
@@ -27,7 +27,8 @@ from .scalar import FieldElement, FieldSpec
 
 
 class LinMorphism:
-    """A finite formal sum of diagrams in Hom([dom], [cod])."""
+    """A finite formal sum of diagrams in Hom([dom], [cod]); a term is any
+    hashable, ordered diagram with its shape in .m and .n."""
 
     __slots__ = ("dom", "cod", "terms")
 
@@ -54,9 +55,6 @@ class LinMorphism:
 
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, d, field: FieldSpec):
-        return self.terms.get(d, field.zero())
 
     def __eq__(self, other):
         if not isinstance(other, LinMorphism):
@@ -189,8 +187,12 @@ class HomBasis:
         self.m = m
         self.n = n
         # The matching classes hold perfect matchings only, far fewer than
-        # the Bell(m+n) set partitions of every other class.
-        walk = partition.all_matchings if cls.is_matching() else partition.all_diagrams
+        # the Bell(m+n) set partitions of every other class; the
+        # non-crossing ones are generated directly.
+        walk = {
+            DiagramClass.BLOCKS_SIZE_2: partition.all_matchings,
+            DiagramClass.NON_CROSSING_SIZE_2: partition.non_crossing_matchings,
+        }.get(cls, partition.all_diagrams)
         self.diagrams = tuple(sorted(d for d in walk(m, n) if cls.member(d)))
         self._index = {d: i for i, d in enumerate(self.diagrams)}
 
@@ -205,15 +207,9 @@ class HomBasis:
 
     def coordinates_of(self, lin: LinMorphism):
         """Sparse coordinates of lin, or None if it uses another diagram."""
-        return _diagram_vector(self._index, lin)
-
-
-def _diagram_vector(index, lin: LinMorphism):
-    """Sparse vector of lin over numbered diagrams, or None if a diagram of
-    lin has no number."""
-    if any(d not in index for d in lin.terms):
-        return None
-    return {index[d]: c for d, c in lin.terms.items()}
+        if any(d not in self._index for d in lin.terms):
+            return None
+        return {self._index[d]: c for d, c in lin.terms.items()}
 
 
 @lru_cache(maxsize=1024)
@@ -292,46 +288,6 @@ class Subspace:
         return expr
 
 
-class CompressedBasis:
-    """Linearly independent subfamily of a spanning family, with coordinates.
-
-    Candidates become sparse vectors through _vector_of; those that enlarge
-    the span are kept as elements, in order.  This class takes LinMorphisms
-    and numbers their diagrams in order of first appearance; subclasses
-    supply their own _vector_of (KarHom uses slot offsets).
-    """
-
-    def __init__(self, candidates: Iterable[LinMorphism], field: FieldSpec):
-        candidates = list(candidates)
-        self.field = field
-        self.diagram_index = {}
-        for lin in candidates:
-            for d in lin.terms:
-                self.diagram_index.setdefault(d, len(self.diagram_index))
-        self._keep_independent(candidates)
-
-    def _keep_independent(self, candidates):
-        """Keep the candidates that enlarge the span; return their positions."""
-        self.space = Subspace(self.field)
-        kept = [k for k, c in enumerate(candidates) if self.space.add(self._vector_of(c))]
-        self.elements = tuple(candidates[k] for k in kept)
-        return kept
-
-    def __len__(self):
-        return len(self.elements)
-
-    def dimension(self) -> int:
-        return len(self.elements)
-
-    def _vector_of(self, lin: LinMorphism):
-        return _diagram_vector(self.diagram_index, lin)
-
-    def coordinates_of(self, x):
-        """Coefficients over self.elements, or None if x is outside the span."""
-        vec = self._vector_of(x)
-        return None if vec is None else self.space.coordinates_of(vec)
-
-
 class ExactMatrix:
     """Matrix over the exact field, kept as sparse columns (row -> entry).
 
@@ -402,7 +358,7 @@ def matrix_of(
 
     domain: HomBasis or a sequence of elements fn accepts; codomain: any
     space with len() and a coordinates_of that gives sparse coordinates, or
-    None outside its span (HomBasis, CompressedBasis and KarHom, FpHomSpace).
+    None outside its span (HomBasis, KarHom, FpHomSpace).
     If an image does not lie in the span of the codomain, raises.
     """
     if isinstance(domain, HomBasis):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .homspace import CompressedBasis, LinMorphism, hom_basis, matrix_of
+from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
 from .scalar import FieldElement, FieldSpec
@@ -69,6 +69,13 @@ def _mat_compose(b, a, field):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def _mat_tensor(a, b, field):
+    """Kronecker product, entry-wise x (x) y; b's indices vary fastest."""
+    return tuple(
+        tuple(x.tensor(y, field) for x in ra for y in rb) for ra in a for rb in b
+    )
 
 
 def _mat_eq(a, b):
@@ -259,19 +266,8 @@ def direct_sum(a: KarObject, b: KarObject) -> KarObject:
 def tensor_object(a: KarObject, b: KarObject) -> KarObject:
     if a.cls != b.cls:
         raise ValueError("class mismatch in tensor")
-    field = a.field
-    words = tuple(
-        wa + wb for wa in a.words for wb in b.words
-    )
-    cut = []
-    for ia in range(len(a.words)):
-        for ib in range(len(b.words)):
-            row = []
-            for ja in range(len(a.words)):
-                for jb in range(len(b.words)):
-                    row.append(a.cut[ia][ja].tensor(b.cut[ib][jb], field))
-            cut.append(tuple(row))
-    return KarObject(a.cls, field, words, cut)
+    words = tuple(wa + wb for wa in a.words for wb in b.words)
+    return KarObject(a.cls, a.field, words, _mat_tensor(a.cut, b.cut, a.field))
 
 
 class KarMorphism:
@@ -379,17 +375,9 @@ def kar_compose(g: KarMorphism, f: KarMorphism) -> KarMorphism:
 
 
 def kar_tensor(f: KarMorphism, g: KarMorphism) -> KarMorphism:
-    field = f.dom.field
     dom = tensor_object(f.dom, g.dom)
     cod = tensor_object(f.cod, g.cod)
-    entries = []
-    for i1 in range(len(f.cod.words)):
-        for i2 in range(len(g.cod.words)):
-            row = []
-            for j1 in range(len(f.dom.words)):
-                for j2 in range(len(g.dom.words)):
-                    row.append(f.entries[i1][j1].tensor(g.entries[i2][j2], field))
-            entries.append(tuple(row))
+    entries = _mat_tensor(f.entries, g.entries, f.dom.field)
     return KarMorphism(dom, cod, entries, validate=False)
 
 
@@ -409,14 +397,16 @@ def kar_row(morphisms) -> KarMorphism:
     return KarMorphism(dom, cod, entries, validate=False)
 
 
-class KarHom(CompressedBasis):
-    """Compressed basis of Hom(A, B) inside the envelope.
+class KarHom:
+    """Hom(A, B) inside the envelope, with a basis and coordinates over it.
 
-    Candidates E_B . unit(d) . E_A over all entry slots and class diagrams
-    are filtered to a basis by exact rank; coordinates are taken in the
-    same compressed space, with each slot's diagram basis at its offset.
-    units holds the bare unit(d) of each kept element, in the same order.
-    Build it through kar_hom, which shares one per pair of objects.
+    A morphism's slot vector lists its entries, each entry slot (i, j)
+    with the diagram basis of Hom([w_j], [w_i]) at its offset; there are
+    `slots` positions in all.  The cut units E_B . unit(d) . E_A over all
+    slot diagrams span the space, and those whose slot vectors enlarge
+    the span, in order, are kept as the basis `elements`; `units` holds
+    the bare unit(d) of each.  Build it through kar_hom, which shares one
+    per pair of objects.
     """
 
     def __init__(self, dom: KarObject, cod: KarObject):
@@ -430,38 +420,27 @@ class KarHom(CompressedBasis):
             for i, w_cod in enumerate(cod.words)
             for j, w_dom in enumerate(dom.words)
         }
-        slots = [
-            (i, j, LinMorphism.from_diagram(d, self.field))
-            for (i, j), basis in self._slot_index.items()
-            for d in basis
-        ]
-        kept = self._keep_independent([self._cut_unit(*slot) for slot in slots])
-        self.units = tuple(self._bare_unit(*slots[k]) for k in kept)
+        self.slots = sum(len(basis) for basis in self._slot_index.values())
+        cut_dom, cut_cod = KarMorphism.identity(dom), KarMorphism.identity(cod)
+        zero = _mat_zero(dom.words, cod.words)
+        self.space = Subspace(self.field)
+        elements, units = [], []
+        for (i, j), basis in self._slot_index.items():
+            for d in basis:
+                entries = [list(row) for row in zero]
+                entries[i][j] = LinMorphism.from_diagram(d, self.field)
+                unit = KarMorphism(dom, cod, entries, validate=False)
+                element = kar_compose(cut_cod, kar_compose(unit, cut_dom))
+                if self.space.add(self.slot_vector(element)):
+                    elements.append(element)
+                    units.append(unit)
+        self.elements = tuple(elements)
+        self.units = tuple(units)
 
-    def _bare_unit(self, i: int, j: int, unit: LinMorphism) -> KarMorphism:
-        """unit in slot (i, j) and zero elsewhere; it does not absorb the cuts."""
-        entries = [list(row) for row in _mat_zero(self.dom.words, self.cod.words)]
-        entries[i][j] = unit
-        return KarMorphism(self.dom, self.cod, entries, validate=False)
+    def __len__(self):
+        return len(self.elements)
 
-    def _cut_unit(self, i: int, j: int, unit: LinMorphism) -> KarMorphism:
-        field = self.field
-        entries = []
-        for r in range(len(self.cod.words)):
-            row = []
-            for c in range(len(self.dom.words)):
-                left = self.cod.cut[r][i]
-                right = self.dom.cut[j][c]
-                if left.is_zero() or right.is_zero():
-                    row.append(
-                        LinMorphism.zero(self.dom.words[c], self.cod.words[r])
-                    )
-                else:
-                    row.append(left.compose(unit, field).compose(right, field))
-            entries.append(tuple(row))
-        return KarMorphism(self.dom, self.cod, entries, validate=False)
-
-    def _vector_of(self, m: KarMorphism):
+    def slot_vector(self, m: KarMorphism):
         vec = {}
         pos = 0
         for (i, j), basis in self._slot_index.items():
@@ -474,25 +453,13 @@ class KarHom(CompressedBasis):
         """Coefficients over self.elements, or None if outside the span."""
         if m.dom != self.dom or m.cod != self.cod:
             raise ValueError("morphism does not live in this hom space")
-        return super().coordinates_of(m)
+        return self.space.coordinates_of(self.slot_vector(m))
 
     def from_coordinates(self, coords) -> KarMorphism:
         out = KarMorphism.zero(self.dom, self.cod)
         for k, c in coords.items():
             out = out + self.elements[k].scale(c)
         return out
-
-
-class _SlotCoordinates:
-    """A hom space's total slot coordinates (one position per slot diagram)
-    as a codomain for matrix_of; they are injective on its span."""
-
-    def __init__(self, hom: KarHom):
-        self.coordinates_of = hom._vector_of
-        self._size = sum(len(basis) for basis in hom._slot_index.values())
-
-    def __len__(self):
-        return self._size
 
 
 class SplitWitness:
@@ -535,14 +502,11 @@ def split_solve(f: KarMorphism):
     # f lies in the span of the cut units of fh, so it absorbs its cuts:
     # f.E_dom = f = E_cod.f, hence f.(E_dom.U.E_cod).f = f.U.f for the bare
     # unit U of each element of gh, with far fewer terms to compose.  The
-    # columns are taken in fh's slot coordinates, not its compressed basis:
-    # both maps are injective on fh's span, so the pivot columns and the
+    # columns are fh's slot vectors, not coordinates over its basis: both
+    # maps are injective on fh's span, so the pivot columns and the
     # solution with the free variables at zero are the same.
-    slots = _SlotCoordinates(fh)
-    matrix = matrix_of(
-        lambda g: kar_compose(f, kar_compose(g, f)), gh.units, slots, gh.field
-    )
-    coords = matrix.solve(fh._vector_of(f))
+    columns = [fh.slot_vector(kar_compose(f, kar_compose(g, f))) for g in gh.units]
+    coords = ExactMatrix(fh.slots, columns, gh.field).solve(fh.slot_vector(f))
     if coords is None:
         return None
     g = gh.from_coordinates(coords)

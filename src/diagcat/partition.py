@@ -22,7 +22,7 @@ import re
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import Iterable, NamedTuple
 
 
@@ -93,6 +93,13 @@ def matching_count(size):
     """How many perfect matchings `perfect_matchings` yields: (size-1)!!,
     or 0 for an odd size."""
     return 0 if size % 2 else prod(range(size - 1, 0, -2))
+
+
+def non_crossing_count(size):
+    """How many non-crossing perfect matchings `size` points have: the
+    Catalan number C(size/2), or 0 for an odd size."""
+    half = size // 2
+    return 0 if size % 2 else comb(size, half) // (half + 1)
 
 
 class PartitionDiagram:
@@ -350,10 +357,6 @@ class DiagramClass(Enum):
     BLOCKS_SIZE_2 = "blocks-size-2"
     NON_CROSSING_SIZE_2 = "non-crossing-size-2"
 
-    def is_matching(self) -> bool:
-        """Whether every diagram of the class is a perfect matching."""
-        return self in (DiagramClass.BLOCKS_SIZE_2, DiagramClass.NON_CROSSING_SIZE_2)
-
     def member(self, f: PartitionDiagram) -> bool:
         if self is DiagramClass.ALL:
             return True
@@ -383,3 +386,23 @@ def all_matchings(m, n) -> Iterable[PartitionDiagram]:
     """The perfect matchings in P_{m,n}; none when m+n is odd."""
     for part in perfect_matchings(range(1, m + n + 1)):
         yield PartitionDiagram._from_valid(m, n, part)
+
+
+def non_crossing_matchings(m, n) -> Iterable[PartitionDiagram]:
+    """The non-crossing perfect matchings in P_{m,n}, none when m+n is odd.
+    In the boundary order of _is_noncrossing_matching, the first point is
+    paired with each point that leaves an even number of points on both
+    sides, and both sides are matched the same way."""
+
+    def pairings(items):
+        if not items:
+            yield ()
+        for i in range(1, len(items), 2):
+            for inner in pairings(items[1:i]):
+                for outer in pairings(items[i + 1 :]):
+                    yield ((items[0], items[i]),) + inner + outer
+
+    if (m + n) % 2 == 0:
+        order = list(range(1, m + 1)) + list(range(m + n, m, -1))
+        for part in pairings(order):
+            yield PartitionDiagram._from_valid(m, n, part)

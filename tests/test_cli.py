@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -103,6 +104,18 @@ def test_hom_basis_refuses_a_matching_enumeration_by_its_own_count():
     assert r.returncode == 2
     assert "(16-1)!! = 2027025 perfect matchings" in r.stderr
     assert r.stdout == ""
+
+
+def test_hom_basis_generates_the_non_crossing_matchings_directly():
+    # Catalan(8) = 1430 diagrams, generated directly; the 15!! perfect
+    # matchings of blocks-size-2 at 8 8 are refused
+    r = run_cli("hom-basis", "8", "8", "--class", "non-crossing-size-2", "--json", timeout=30)
+    assert r.returncode == 0
+    assert '"count": 1430' in r.stdout
+    refused = run_cli("hom-basis", "14", "14", "--class", "non-crossing-size-2", timeout=30)
+    assert refused.returncode == 2
+    assert "Catalan(14) = 2674440 non-crossing matchings" in refused.stderr
+    assert refused.stdout == ""
 
 
 def test_hom_basis_of_a_matching_class_with_odd_points_is_empty_at_once():
@@ -364,3 +377,90 @@ def test_cached_parser_reads_the_bound_on_each_call(monkeypatch, capsys):
         monkeypatch.setenv("DIAGCAT_MAX_POINTS", str(bound))
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["params"]["max_points"] == bound
+
+
+# Value pools of the seeded command-line grammar test: valid and invalid
+# values of every option, at sizes that keep each invocation short.
+GRAMMAR_CLASSES = [c.value for c in DiagramClass] + ["none", "ALL", ""]
+GRAMMAR_TS = ["generic", "5/2", "0", "-1", "3", "x", "1/0", ""]
+GRAMMAR_LINS = [
+    "1", "1'", "1 1'", "1 | 1'", "2 * 1 1' + -1/2 * 1 | 1'", "(t)/(2) * 1 1'",
+    "<empty>", "0", "1 2 | 1'", "1 **", "(1/0) * 1", "q",
+]
+GRAMMAR_DIAGRAMS = ["1 2 | 1'", "1", "<empty>", "1 1'", "1 | 1' 2'", "bad", "3"]
+GRAMMAR_COBORDISMS = ["g=0: 1 2", "g=1: 1 1' 2'", "g=0: 1'", "g=2: 1", "<empty>", "g=x: 1", "1 1'"]
+GRAMMAR_INVALID_COUNTS = ["-1", "x", "2.5"]
+GRAMMAR_VALUES = {
+    "class": GRAMMAR_CLASSES,
+    "t": GRAMMAR_TS,
+    "max-points": ["0", "1", "2", "3"] + GRAMMAR_INVALID_COUNTS,
+    "samples": ["0", "1", "5"] + GRAMMAR_INVALID_COUNTS,
+    "seed": ["0", "7", "-3", "s"],
+    "u": ["1", "1 2", "(t) * 1", "0", "x", "1'"],
+    "i": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
+    "m-max": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
+    "j-max": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
+    "word": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
+    "word2": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
+    # fp kernel and coker stay at one point a side: larger kernels take minutes
+    "dom": ["0", "1"] + GRAMMAR_INVALID_COUNTS,
+    "cod": ["0", "1"] + GRAMMAR_INVALID_COUNTS,
+    "s-word": ["0", "1"] + GRAMMAR_INVALID_COUNTS,
+    "lin": GRAMMAR_LINS,
+}
+
+
+def grammar_argv(rng, target):
+    """One random command line for a plain command or a check/fp name."""
+    pick = rng.choice
+    if target[0] in ("check", "fp"):
+        table = cli.CHECKS if target[0] == "check" else cli.FP_OPS
+        argv = list(target)
+        for flag in table[target[1]][0]:
+            if rng.random() < 0.7:
+                argv += [f"--{flag}", pick(GRAMMAR_VALUES[flag])]
+        if rng.random() < 0.1:  # an option the name does not read
+            flag = pick(sorted(GRAMMAR_VALUES))
+            argv += [f"--{flag}", pick(GRAMMAR_VALUES[flag])]
+    elif target[0] == "hom-basis":
+        argv = [
+            "hom-basis", "--class", pick(GRAMMAR_CLASSES),
+            pick(GRAMMAR_VALUES["word"]), pick(GRAMMAR_VALUES["word"]),
+        ]
+    elif target[0] == "moebius":
+        argv = ["moebius", pick(["x", "xprime", "y"]), pick(GRAMMAR_DIAGRAMS)]
+    elif target[0] == "cobordism-glue":
+        argv = [
+            "cobordism-glue", "--datum", pick(["st", "fibonacci", "other"]),
+            pick(GRAMMAR_COBORDISMS), pick(GRAMMAR_COBORDISMS),
+        ]
+    else:  # compose, tensor
+        argv = [target[0], pick(GRAMMAR_LINS), pick(GRAMMAR_LINS)]
+    if target[0] not in ("check", "fp") and rng.random() < 0.7:
+        argv += ["--t", pick(GRAMMAR_TS)]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def test_random_command_lines_exit_0_1_or_2(monkeypatch, capsys):
+    # Seeded invocations of every command and every check and fp name, in
+    # process: each returns 0, 1 or 2, or argparse exits 2; nothing raises.
+    monkeypatch.setenv("DIAGCAT_MAX_POINTS", "3")
+    targets = [("compose",), ("tensor",), ("moebius",), ("hom-basis",), ("cobordism-glue",)]
+    targets += [("check", name) for name in cli.CHECKS]
+    targets += [("fp", name) for name in cli.FP_OPS]
+    rng = random.Random(11)
+    codes = set()
+    for k in range(200):
+        argv = grammar_argv(rng, targets[k % len(targets)])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1, 2), argv
+        codes.add(code)
+        capsys.readouterr()
+    assert {0, 2, ("argparse", 2)} <= codes

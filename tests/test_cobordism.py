@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from diagcat.cobordism import (
-    CobLin,
     Cobordism,
     FrobeniusDatum,
     cob_compose,
@@ -17,6 +16,7 @@ from diagcat.cobordism import (
     reduce_normal_form,
     st_datum,
 )
+from diagcat.homspace import LinMorphism
 from diagcat.partition import PartitionDiagram, all_diagrams
 from diagcat.scalar import FieldSpec, Poly
 
@@ -131,7 +131,7 @@ def test_parse_errors():
 def test_identity_gluing():
     cyl = Cobordism.identity(1)
     res = glue(cyl, cyl, ST)
-    assert res == CobLin.from_cobordism(cyl, F)
+    assert res == LinMorphism.from_diagram(cyl, F)
 
 
 def test_closed_torus_from_two_cylinders():
@@ -141,7 +141,7 @@ def test_closed_torus_from_two_cylinders():
     raw = glue_raw(bent_down, bent_up)
     assert raw.components == (((), 1),)
     res = glue(bent_down, bent_up, ST)
-    assert res == CobLin(0, 0, {Cobordism(0, 0, []): F.t()})
+    assert res == LinMorphism(0, 0, {Cobordism(0, 0, []): F.t()})
 
 
 def test_pants_copants_is_handle():
@@ -152,28 +152,28 @@ def test_pants_copants_is_handle():
 
 def test_handle_reduces_under_st():
     res = glue(generator("mu"), generator("delta"), ST)
-    assert res == CobLin.from_cobordism(Cobordism.identity(1), F)
+    assert res == LinMorphism.from_diagram(Cobordism.identity(1), F)
 
 
 def test_sphere_scalar():
     res = glue(generator("eps"), generator("eta"), ST)
-    assert res == CobLin(0, 0, {Cobordism(0, 0, []): F.t()})
+    assert res == LinMorphism(0, 0, {Cobordism(0, 0, []): F.t()})
 
 
 def test_reduce_examples():
     sphere = Cobordism(0, 0, [((), 0)])
-    assert reduce_normal_form(sphere, ST) == CobLin(
+    assert reduce_normal_form(sphere, ST) == LinMorphism(
         0, 0, {Cobordism(0, 0, []): F.t()}
     )
     g3 = Cobordism(1, 0, [((1,), 3)])
-    assert reduce_normal_form(g3, ST) == CobLin.from_cobordism(
+    assert reduce_normal_form(g3, ST) == LinMorphism.from_diagram(
         Cobordism(1, 0, [((1,), 0)]), F
     )
     g2 = Cobordism(1, 0, [((1,), 2)])
     got = reduce_normal_form(g2, FIB)
-    want = CobLin.from_cobordism(
+    want = LinMorphism.from_diagram(
         Cobordism(1, 0, [((1,), 1)]), F
-    ) + CobLin.from_cobordism(Cobordism(1, 0, [((1,), 0)]), F)
+    ) + LinMorphism.from_diagram(Cobordism(1, 0, [((1,), 0)]), F)
     assert got == want
 
 
@@ -185,7 +185,7 @@ def test_reduce_idempotent():
     for datum in (ST, FIB):
         for c in samples:
             once = reduce_normal_form(c, datum)
-            again = CobLin.zero(c.m, c.n)
+            again = LinMorphism.zero(c.m, c.n)
             for term, coeff in once.terms.items():
                 again = again + reduce_normal_form(term, datum).scale(coeff)
             assert again == once
@@ -195,14 +195,14 @@ def test_phi_hat_identity():
     # eps . phi^i . eta = alpha(i) for i <= 4 under both data
     for datum in (ST, FIB):
         for i in range(5):
-            cur = CobLin.from_cobordism(generator("eta"), F)
-            phi = CobLin.from_cobordism(generator("phi"), F)
+            cur = LinMorphism.from_diagram(generator("eta"), F)
+            phi = LinMorphism.from_diagram(generator("phi"), F)
             for _ in range(i):
                 cur = cob_compose(phi, cur, datum)
             cur = cob_compose(
-                CobLin.from_cobordism(generator("eps"), F), cur, datum
+                LinMorphism.from_diagram(generator("eps"), F), cur, datum
             )
-            assert cur == CobLin(0, 0, {Cobordism(0, 0, []): datum.alpha(i)})
+            assert cur == LinMorphism(0, 0, {Cobordism(0, 0, []): datum.alpha(i)})
 
 
 def test_tensor():
@@ -256,9 +256,9 @@ def test_glue_associativity_bounded():
             for a in pool[(k3, k4)]:
                 for b in pool[(k2, k3)]:
                     for c in pool[(k1, k2)]:
-                        la = CobLin.from_cobordism(a, F)
-                        lb = CobLin.from_cobordism(b, F)
-                        lc = CobLin.from_cobordism(c, F)
+                        la = LinMorphism.from_diagram(a, F)
+                        lb = LinMorphism.from_diagram(b, F)
+                        lc = LinMorphism.from_diagram(c, F)
                         left = cob_compose(cob_compose(la, lb, datum), lc, datum)
                         right = cob_compose(la, cob_compose(lb, lc, datum), datum)
                         assert left == right

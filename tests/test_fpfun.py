@@ -26,7 +26,15 @@ from diagcat.fpfun import (
     yoneda,
 )
 from diagcat.homspace import LinMorphism
-from diagcat.karoubi import KarHom, KarMorphism, KarObject, kar_compose, kar_object
+from diagcat.karoubi import (
+    KarHom,
+    KarMorphism,
+    KarObject,
+    direct_sum,
+    kar_compose,
+    kar_object,
+)
+from diagcat.moebius import special_morphisms
 from diagcat.partition import DiagramClass, PartitionDiagram
 from diagcat.scalar import FieldSpec
 
@@ -84,7 +92,7 @@ def test_yoneda_full_faithfulness_dims():
     for a in range(3):
         for b in range(3):
             dims = len(fp_hom(yoneda(word(a)), yoneda(word(b))))
-            assert dims == KarHom(word(a), word(b)).dimension()
+            assert dims == len(KarHom(word(a), word(b)))
 
 
 def test_certificates_recorded():
@@ -206,7 +214,7 @@ def test_embed_full_faithfulness_and_unit_case():
     for a in range(2):
         for b in range(2):
             dims = len(fp_hom(fp_embed(word(a), unit), fp_embed(word(b), unit)))
-            assert dims == KarHom(word(a), word(b)).dimension()
+            assert dims == len(KarHom(word(a), word(b)))
     again = fp_embed(word(0), unit)
     assert again.rho == unit.rho
 
@@ -320,7 +328,7 @@ def test_kernel_of_isomorphism_vanishes():
 
 def test_quotient_coordinates_of_representatives():
     space = eta_cokernel_space()
-    assert space.dimension() > 0
+    assert len(space) > 0
     for k, rep in enumerate(space.reps):
         assert space.coordinates_of(rep) == {k: F.one()}
     first = space.from_coordinates({0: F.one()})
@@ -367,3 +375,19 @@ def test_fp_zero_morphism_class():
     m, n = yoneda(word(1)), yoneda(word(1))
     assert fp_is_zero_morphism(fp_zero_morphism(m, n))
     assert not fp_is_zero_morphism(fp_identity(m))
+
+
+def test_projection_is_the_target_cut_in_its_block():
+    x1 = kar_object(1, special_morphisms("e_1_sprime", 1, F), CLS, F)
+    parts = [word(1), direct_sum(x1, word(0)), word(2)]
+    total = direct_sum(direct_sum(parts[0], parts[1]), parts[2])
+    for index, target in enumerate(parts):
+        p = fpfun._projection(parts, index)
+        assert (p.dom, p.cod) == (total, target)
+        offset = sum(len(q.words) for q in parts[:index])
+        for i, row in enumerate(p.entries):
+            for j, x in enumerate(row):
+                if offset <= j < offset + len(target.words):
+                    assert x == target.cut[i][j - offset]
+                else:
+                    assert x.is_zero()

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from diagcat.homspace import (
-    CompressedBasis,
     ExactMatrix,
     HomBasis,
     LinMorphism,
@@ -179,17 +178,6 @@ def test_subspace_rational_function_pivots():
     assert sub.dimension() == 2
 
 
-def test_compressed_basis():
-    a = lin("1 * 1 1'")
-    b = lin("1 * 1 | 1'")
-    cb = CompressedBasis([a, b, a + b], F)
-    assert len(cb) == 2
-    coords = cb.coordinates_of(a - b)
-    assert coords == {0: F.one(), 1: F.rational(Fraction(-1))}
-    other = lin("1 * 1 1' | 2 2'")
-    assert cb.coordinates_of(other) is None
-
-
 def test_matrix_rank_kernel_solve():
     one = F.one()
     two = F.rational(Fraction(2))
@@ -336,15 +324,6 @@ def test_matrix_of_escape_error():
 
     with pytest.raises(ValueError, match="escapes"):
         matrix_of(fn, dom, cod, F)
-
-
-def test_matrix_of_compressed_codomain():
-    a = lin("1 * 1 1'")
-    b = lin("1 * 1 | 1'")
-    cod = CompressedBasis([a + b, a - b], F)
-    dom = hom_basis(DiagramClass.ALL, 1, 1)
-    m = matrix_of(lambda v: v, dom, cod, F)
-    assert m.is_bijective()
 
 
 def test_hom_basis_respects_class_filter():

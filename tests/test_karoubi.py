@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diagcat.fpfun import weak_kernel
-from diagcat.homspace import LinMorphism, hom_basis, matrix_of, parse_linmorphism
+from diagcat.homspace import LinMorphism, Subspace, hom_basis, matrix_of, parse_linmorphism
 from diagcat.karoubi import (
     KarHom,
     KarMorphism,
@@ -155,6 +155,26 @@ def test_direct_sum_and_tensor_objects():
     assert t.cut[0][0] == LinMorphism.from_diagram(PartitionDiagram.identity(3), F)
 
 
+def test_tensor_object_is_the_domain_of_the_tensor_of_identities():
+    x1 = kar_object(1, special_morphisms("e_1_sprime", 1, F), ALL, F)
+    x2 = kar_object(2, x_e(2, F), ALL, F)
+    sums = [direct_sum(word(1), x1), direct_sum(x2, word(0)), direct_sum(x1, x1)]
+    for a, b in itertools.product(sums, repeat=2):
+        t = tensor_object(a, b)
+        ident = kar_tensor(KarMorphism.identity(a), KarMorphism.identity(b))
+        assert t == ident.dom == ident.cod
+        assert ident == KarMorphism.identity(t)
+        # the Kronecker order: b's indices vary fastest
+        nb = len(b.words)
+        for (ia, ja), (ib, jb) in itertools.product(
+            itertools.product(range(len(a.words)), repeat=2),
+            itertools.product(range(nb), repeat=2),
+        ):
+            assert t.cut[ia * nb + ib][ja * nb + jb] == a.cut[ia][ja].tensor(
+                b.cut[ib][jb], F
+            )
+
+
 def test_identity_morphism_is_cut():
     e1 = special_morphisms("e_1_sprime", 1, F)
     obj = kar_object(1, e1, ALL, F)
@@ -221,12 +241,12 @@ def test_tensor_morphisms_unit():
 def test_kar_hom_dimensions():
     # Hom([1],[1]) in class All has the 2-diagram basis
     h = KarHom(word(1), word(1))
-    assert h.dimension() == 2
+    assert len(h) == 2
     # cutting by e_1_sprime on both sides compresses to 1
     e1 = special_morphisms("e_1_sprime", 1, F)
     x1 = kar_object(1, e1, ALL, F)
     hc = KarHom(x1, x1)
-    assert hc.dimension() == 1
+    assert len(hc) == 1
     coords = hc.coordinates_of(KarMorphism.identity(x1))
     assert coords is not None
     assert hc.from_coordinates(coords) == KarMorphism.identity(x1)
@@ -346,6 +366,40 @@ def test_split_matrix_over_bare_units_equals_cut_units(t):
 
         over_units = matrix_of(fgf, gh.units, fh, field)
         assert over_units.columns == matrix_of(fgf, gh.elements, fh, field).columns
+
+
+def _cut_unit(hom, i, j, unit):
+    """E_cod . unit . E_dom with unit in slot (i, j), entry by entry."""
+    entries = []
+    for r in range(len(hom.cod.words)):
+        row = []
+        for c in range(len(hom.dom.words)):
+            left = hom.cod.cut[r][i]
+            right = hom.dom.cut[j][c]
+            if left.is_zero() or right.is_zero():
+                row.append(LinMorphism.zero(hom.dom.words[c], hom.cod.words[r]))
+            else:
+                row.append(left.compose(unit, hom.field).compose(right, hom.field))
+        entries.append(tuple(row))
+    return KarMorphism(hom.dom, hom.cod, entries, validate=False)
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+def test_kar_hom_elements_are_the_entrywise_cut_units(t):
+    field = F if t is None else FieldSpec.at(t)
+    for f in _split_inputs(field, random.Random(7)):
+        for dom, cod in ((f.dom, f.cod), (f.cod, f.dom)):
+            hom = kar_hom(dom, cod)
+            space = Subspace(field)
+            kept = []
+            for i, w_cod in enumerate(cod.words):
+                for j, w_dom in enumerate(dom.words):
+                    for d in hom_basis(ALL, w_dom, w_cod):
+                        cut = _cut_unit(hom, i, j, LinMorphism.from_diagram(d, field))
+                        if space.add(hom.slot_vector(cut)):
+                            kept.append(cut)
+            assert tuple(kept) == hom.elements
+            assert [x.to_text() for x in kept] == [x.to_text() for x in hom.elements]
 
 
 def _compressed_witness(f):
