@@ -31,7 +31,7 @@ from .cobordism import (
     partition_crosscheck,
     st_datum,
 )
-from .homspace import LinMorphism, Subspace, hom_basis, matrix_of
+from .homspace import LinMorphism, Subspace, compose_sum, hom_basis, matrix_of
 from .karoubi import (
     KarMorphism,
     KarObject,
@@ -425,12 +425,10 @@ def _phi_bijective(cls, x, p_entries, m_max, field):
     m <= m_max; the fail lists each m where phi is not bijective."""
 
     def phi(elem):
-        total = LinMorphism.zero(elem.dom.words[0], 0)
-        for j, p_j in enumerate(p_entries):
-            entry = elem.entries[j][0]
-            if not entry.is_zero():
-                total = total + p_j.compose(entry, field)
-        return total
+        # p lies in the ambient class and X in a restricted one, so the
+        # row-by-column product p . elem is a class-free compose_sum
+        column = (row[0] for row in elem.entries)
+        return compose_sum(zip(p_entries, column), elem.dom.words[0], 0, field)
 
     failures = []
     for m in range(m_max + 1):

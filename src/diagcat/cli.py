@@ -9,6 +9,8 @@ Exit codes: 0 all requested checks pass, 1 a check fails (witness printed),
 2 usage or precondition errors.  The default truncation bound of a check
 depends on the check; the DIAGCAT_MAX_POINTS environment variable, read on
 every run, overrides it and an explicit --max-points flag wins over both.
+A bound, like a hom-basis request, exits 2 when a hom basis it would walk
+holds more than MAX_ENUMERATION diagrams.
 """
 
 from __future__ import annotations
@@ -54,6 +56,40 @@ from .scalar import FieldSpec, parse_rational
 # non-crossing matching, for the two matching classes) before it filters
 # by class; Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
 MAX_ENUMERATION = 10**6
+
+
+def _enumeration(cls: DiagramClass, points: int):
+    """How many diagrams a hom basis with m+n = points walks in cls, and
+    that count as text."""
+    if cls is DiagramClass.BLOCKS_SIZE_2:
+        size = matching_count(points)
+        return size, f"({points}-1)!! = {size} perfect matchings"
+    if cls is DiagramClass.NON_CROSSING_SIZE_2:
+        size = non_crossing_count(points)
+        return size, f"Catalan({points // 2}) = {size} non-crossing matchings"
+    size = bell_number(points)
+    return size, f"Bell({points}) = {size} set partitions"
+
+
+def _refuse_enumeration(what: str, cls: DiagramClass, points: int) -> None:
+    size, walk = _enumeration(cls, points)
+    if size > MAX_ENUMERATION:
+        raise ValueError(
+            f"{what} would enumerate {walk}, more than the limit of {MAX_ENUMERATION}"
+        )
+
+
+def _first_refused(cls: DiagramClass) -> int:
+    points = 0
+    while _enumeration(cls, points)[0] <= MAX_ENUMERATION:
+        points += 1
+    return points
+
+
+# A --max-points bound N walks a hom basis for every m+n <= N, so it is
+# refused from the first m+n that hom-basis refuses: 12 for the Bell
+# classes, 16 for blocks-size-2 and 28 for non-crossing-size-2.
+FIRST_REFUSED = {cls: _first_refused(cls) for cls in DiagramClass}
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -311,6 +347,13 @@ def _resolve(args, defaults):
             o.field = parse_field(value)
         else:
             setattr(o, flag.replace("-", "_"), value)
+    if "max-points" in values:
+        bound = values["max-points"]
+        cls = getattr(o, "cls", DiagramClass.ALL)
+        points = FIRST_REFUSED[cls]
+        if bound >= points:
+            source = "--max-points" if args.max_points is not None else "DIAGCAT_MAX_POINTS ="
+            _refuse_enumeration(f"{source} {bound} (at m+n = {points})", cls, points)
     return values, o
 
 
@@ -348,21 +391,7 @@ def run_plain(args) -> int:
     field = parse_field(args.t)
     if args.command == "hom-basis":
         cls = DiagramClass.from_text(args.cls)
-        points = args.m + args.n
-        if cls is DiagramClass.BLOCKS_SIZE_2:
-            size = matching_count(points)
-            walk = f"({points}-1)!! = {size} perfect matchings"
-        elif cls is DiagramClass.NON_CROSSING_SIZE_2:
-            size = non_crossing_count(points)
-            walk = f"Catalan({points // 2}) = {size} non-crossing matchings"
-        else:
-            size = bell_number(points)
-            walk = f"Bell({points}) = {size} set partitions"
-        if size > MAX_ENUMERATION:
-            raise ValueError(
-                f"hom-basis {args.m} {args.n} would enumerate {walk}, "
-                f"more than the limit of {MAX_ENUMERATION}"
-            )
+        _refuse_enumeration(f"hom-basis {args.m} {args.n}", cls, args.m + args.n)
         texts = [d.to_text() for d in hom_basis(cls, args.m, args.n)]
         _emit(
             {

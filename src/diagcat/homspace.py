@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import partition
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldElement, FieldSpec
+from .scalar import FieldElement, FieldSpec, sum_products
 
 
 class LinMorphism:
@@ -89,21 +89,7 @@ class LinMorphism:
 
     def compose(self, other: "LinMorphism", field: FieldSpec) -> "LinMorphism":
         """self after other, bilinear, loops becoming powers of t."""
-        if other.cod != self.dom:
-            raise ValueError(
-                f"shape mismatch: cannot compose ({self.dom},{self.cod}) after "
-                f"({other.dom},{other.cod})"
-            )
-        terms = {}
-        for df, cf in other.terms.items():
-            for dg, cg in self.terms.items():
-                diagram, loops = partition.compose(dg, df)
-                c = cf * cg
-                if loops:
-                    c = c * field.t_power(loops)
-                cur = terms.get(diagram)
-                terms[diagram] = c if cur is None else cur + c
-        return LinMorphism(other.dom, self.cod, terms)
+        return compose_sum(((self, other),), other.dom, self.cod, field)
 
     def tensor(self, other: "LinMorphism", field: FieldSpec) -> "LinMorphism":
         terms = {}
@@ -125,6 +111,38 @@ class LinMorphism:
 
     def __repr__(self):
         return f"LinMorphism({self.dom}, {self.cod}, {self.to_text()!r})"
+
+
+def compose_sum(pairs, dom, cod, field: FieldSpec) -> LinMorphism:
+    """The sum of g after f over the (g, f) pairs of LinMorphisms, every f
+    from [dom] and every g into [cod], loops becoming powers of t.
+
+    The composites of all pairs are collected per diagram as (cf, cg, loops)
+    triples, and sum_products normalises each coefficient of the result
+    once, however many composites land on its diagram.  Any diagram class
+    may meet any other here.
+    """
+    products = {}
+    for g, f in pairs:
+        if f.cod != g.dom:
+            raise ValueError(
+                f"shape mismatch: cannot compose ({g.dom},{g.cod}) after "
+                f"({f.dom},{f.cod})"
+            )
+        if f.dom != dom or g.cod != cod:
+            raise ValueError(f"shape mismatch: a term of the sum is not in ({dom},{cod})")
+        outer = g.terms.items()
+        for df, cf in f.terms.items():
+            for dg, cg in outer:
+                diagram, loops = partition.compose(dg, df)
+                triples = products.get(diagram)
+                if triples is None:
+                    products[diagram] = [(cf, cg, loops)]
+                else:
+                    triples.append((cf, cg, loops))
+    out = object.__new__(LinMorphism)  # sum_products leaves out zero sums
+    out.dom, out.cod, out.terms = dom, cod, sum_products(products, field)
+    return out
 
 
 def _split_top_level(text, sep=" + "):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis
+from .homspace import ExactMatrix, LinMorphism, Subspace, compose_sum, hom_basis
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
 from .scalar import FieldElement, FieldSpec
@@ -53,22 +53,18 @@ def _mat_scale(a, c):
 
 
 def _mat_compose(b, a, field):
-    """Matrix product, entry-wise g after f."""
+    """Matrix product, entry-wise g after f: each entry is one compose_sum
+    over the inner index."""
     if not a or not b:
         return ()
-    inner = len(a)
-    out = []
-    for i in range(len(b)):
-        row = []
-        for j in range(len(a[0])):
-            acc = LinMorphism.zero(a[0][j].dom, b[i][0].cod)
-            for k in range(inner):
-                if b[i][k].is_zero() or a[k][j].is_zero():
-                    continue
-                acc = acc + b[i][k].compose(a[k][j], field)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    columns = tuple(zip(*a))
+    return tuple(
+        tuple(
+            compose_sum(zip(row, col), col[0].dom, row[0].cod, field)
+            for col in columns
+        )
+        for row in b
+    )
 
 
 def _mat_tensor(a, b, field):

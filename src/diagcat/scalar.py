@@ -121,6 +121,10 @@ class Poly:
         a, b = self.nums, other.nums
         if not a or not b:
             return _P_ZERO
+        if a == (self.den,):  # self is 1
+            return other
+        if b == (other.den,):
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, na in enumerate(a):
             if na:
@@ -359,7 +363,8 @@ class FieldElement:
     def is_one(self):
         if self.kind == "q":
             return self.q == 1
-        return self.num.is_one() and self.den.is_one()
+        # a monic denominator of degree 0 is 1
+        return self.num.nums == (1,) and self.num.den == 1 and len(self.den.nums) == 1
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -395,14 +400,15 @@ class FieldElement:
         if self.kind != other.kind:
             raise FieldModeError("field mode mismatch")
         if self.kind == "q":
-            return FieldElement.rational(self.q * other.q)
+            return FieldElement("q", self.q * other.q)
         if not self.num.nums or not other.num.nums:
-            return FieldElement("rf", num=_P_ZERO, den=_P_ONE)
+            return FieldElement("rf", None, _P_ZERO, _P_ONE)
         if self.is_one():
             return other
         if other.is_one():
             return self
-        return FieldElement.ratfunc(self.num * other.num, self.den * other.den)
+        num, den, reduced = _rf_product(self, other, 0)
+        return FieldElement("rf", None, num, den) if reduced else FieldElement.ratfunc(num, den)
 
     def inv(self):
         if self.is_zero():
@@ -425,6 +431,88 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self.to_text()!r})"
+
+
+def _rf_product(a, b, k):
+    """(num, den, reduced) with num/den = a*b*t^k for Q(t) scalars a and b,
+    den monic, and reduced true when num/den is known to be in lowest terms
+    without a gcd: a constant times a reduced fraction, or a product of two
+    polynomials, stays reduced, and so does its product with t^k when t
+    does not divide den."""
+    if a.kind != "rf" or b.kind != "rf":
+        raise FieldModeError("field mode mismatch")
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    # a monic denominator of degree 0 is 1
+    if len(ad.nums) == 1:
+        num, den = an * bn, bd
+        reduced = len(an.nums) == 1 or len(bd.nums) == 1
+    elif len(bd.nums) == 1:
+        num, den = an * bn, ad
+        reduced = len(bn.nums) == 1
+    else:
+        num, den, reduced = an * bn, ad * bd, False
+    if k and num.nums:
+        num = _raw((0,) * k + num.nums, num.den)
+        reduced = reduced and den.nums[0] != 0
+    return num, den, reduced
+
+
+def sum_products(sums, field: "FieldSpec"):
+    """For each key of sums, the sum of a*b*t^k over its list of (a, b, k)
+    triples of nonzero scalars of the field, normalised once; a key whose
+    sum is zero is left out of the returned dict.
+
+    Over Q(t) the products of a key are grouped by denominator and their
+    numerators added, the groups are put over one denominator, and one
+    ratfunc call reduces the result.  A lone product skips that call when
+    the reduced-product rule of _rf_product knows it to be in lowest terms;
+    without a power of t it is a * b, which also passes a factor 1 through.
+    At a rational t the integer numerators and denominators accumulate into
+    one Fraction.  A scalar of the other field raises FieldModeError.
+    """
+    out = {}
+    if field.mode == "specialized":
+        tn, td = field.t_value.numerator, field.t_value.denominator
+        for key, triples in sums.items():
+            n, d = 0, 1
+            for a, b, k in triples:
+                if a.kind != "q" or b.kind != "q":
+                    raise FieldModeError("field mode mismatch")
+                x, y = a.q, b.q
+                p, q = x.numerator * y.numerator, x.denominator * y.denominator
+                if k:
+                    p *= tn**k
+                    q *= td**k
+                if q == d:
+                    n += p
+                else:
+                    n, d = n * q + p * d, d * q
+            if n:
+                out[key] = FieldElement("q", Fraction(n, d))
+        return out
+    for key, triples in sums.items():
+        if len(triples) == 1:
+            a, b, k = triples[0]
+            if not k and a.kind == "rf":
+                out[key] = a * b
+                continue
+            num, den, reduced = _rf_product(a, b, k)
+        else:
+            groups = {}
+            for a, b, k in triples:
+                num, den, _ = _rf_product(a, b, k)
+                cur = groups.get(den)
+                groups[den] = num if cur is None else cur + num
+            (den, num), *rest = groups.items()
+            for d, n in rest:
+                num, den = num * d + n * den, den * d
+            if not num.nums:
+                continue
+            reduced = len(den.nums) == 1
+        out[key] = (
+            FieldElement("rf", None, num, den) if reduced else FieldElement.ratfunc(num, den)
+        )
+    return out
 
 
 def specialize(fe: FieldElement, q) -> FieldElement:

@@ -118,6 +118,52 @@ def test_hom_basis_generates_the_non_crossing_matchings_directly():
     assert refused.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, env, walk",
+    [
+        (("check", "diag", "--max-points", "12"), None,
+         "--max-points 12 (at m+n = 12) would enumerate Bell(12) = 4213597 set partitions"),
+        (("check", "crosscheck-cob", "--max-points", "1000000"), None,
+         "(at m+n = 12) would enumerate Bell(12) = 4213597 set partitions"),
+        (("check", "ex1", "--class", "blocks-size-2", "--max-points", "17"), None,
+         "(at m+n = 16) would enumerate (16-1)!! = 2027025 perfect matchings"),
+        (("check", "uex"), {"DIAGCAT_MAX_POINTS": "12"},
+         "DIAGCAT_MAX_POINTS = 12 (at m+n = 12) would enumerate Bell(12) = 4213597"),
+        (("check", "split", "--class", "non-crossing-size-2"), {"DIAGCAT_MAX_POINTS": "28"},
+         "would enumerate Catalan(14) = 2674440 non-crossing matchings"),
+    ],
+)
+def test_a_max_points_bound_that_cannot_finish_exits_2(args, env, walk):
+    # a bound N walks a hom basis for every m+n <= N, so it is refused at
+    # the first m+n whose predicted basis count is above the hom-basis limit
+    r = run_cli(*args, env_extra=env, timeout=30)
+    assert r.returncode == 2
+    assert walk in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_a_max_points_bound_below_the_limit_reaches_its_check(monkeypatch, capsys):
+    seen = []
+
+    def check_diag(cls, max_points):
+        seen.append((cls, max_points))
+        return CheckReport("diag", {}, "pass", None, 0)
+
+    monkeypatch.setattr(cli, "check_diag", check_diag)
+    assert cli.main(["check", "diag", "--max-points", "11"]) == 0
+    assert cli.main(["check", "diag", "--class", "blocks-size-2", "--max-points", "15"]) == 0
+    monkeypatch.setenv("DIAGCAT_MAX_POINTS", "27")
+    assert cli.main(["check", "diag", "--class", "non-crossing-size-2"]) == 0
+    assert cli.main(["check", "diag", "--max-points", "12"]) == 2
+    assert seen == [
+        (DiagramClass.ALL, 11),
+        (DiagramClass.BLOCKS_SIZE_2, 15),
+        (DiagramClass.NON_CROSSING_SIZE_2, 27),
+    ]
+    assert "Bell(12) = 4213597" in capsys.readouterr().err
+
+
 def test_hom_basis_of_a_matching_class_with_odd_points_is_empty_at_once():
     # Bell(11) set partitions would take seconds; an odd count has no matching
     r = run_cli("hom-basis", "5", "6", "--class", "blocks-size-2", "--json", timeout=10)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it,
 every memo is a bounded lru_cache rather than a module-level container,
-the README names every memo, and every Karoubi hom space and every hom
-space of presented functors is built through its memo."""
+the README names every memo, every Karoubi hom space and every hom
+space of presented functors is built through its memo, and no sum of
+composites is accumulated one composite at a time."""
 
 import ast
 import importlib
@@ -217,3 +218,50 @@ def test_the_guard_sees_a_direct_presented_build():
         "    return hs, FpHomSpace(phi.src, probe)\n"
     )
     assert calls_outside(snippet, "FpHomSpace", "fp_hom_space") == [5]
+
+
+def summed_composites(source: str) -> list:
+    """Line numbers of each + (binary or augmented) that takes a
+    .compose(...) call as an operand."""
+
+    def is_compose(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compose"
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            operands = (node.value,)
+        else:
+            continue
+        if any(is_compose(x) for x in operands):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_sum_of_composites_is_built_term_by_term():
+    """A sum of composites is one homspace.compose_sum, which normalises
+    each coefficient once."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in summed_composites(path.read_text())
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_summed_composite():
+    snippet = (
+        "acc = LinMorphism.zero(1, 0)\n"
+        "acc = acc + p.compose(x, field)\n"
+        "acc += q.compose(y, field)\n"
+        "total = a.compose(b, field) + c\n"
+        "ok = compose_sum(zip(ps, xs), 1, 0, field) + a.tensor(b, field)\n"
+        "fine = a.compose(b, field) - c.compose(d, field)\n"
+    )
+    assert summed_composites(snippet) == [2, 3, 4]
