@@ -57,18 +57,28 @@ from .scalar import FieldSpec, parse_rational
 # by class; Bell(11) = 678570 still runs in seconds, Bell(12) is refused.
 MAX_ENUMERATION = 10**6
 
+# Past this many points a count is not computed (the Bell triangle alone
+# takes points²/2 big-integer additions).  Every count grows with the
+# points, the matching counts over even points, so the count at
+# COUNTED_POINTS, far above the limit, bounds it from below.
+COUNTED_POINTS = 100
+
 
 def _enumeration(cls: DiagramClass, points: int):
-    """How many diagrams a hom basis with m+n = points walks in cls, and
-    that count as text."""
+    """How many diagrams a hom basis with m+n = points walks in cls, or a
+    lower bound past COUNTED_POINTS, and that count as text."""
     if cls is DiagramClass.BLOCKS_SIZE_2:
-        size = matching_count(points)
-        return size, f"({points}-1)!! = {size} perfect matchings"
-    if cls is DiagramClass.NON_CROSSING_SIZE_2:
-        size = non_crossing_count(points)
-        return size, f"Catalan({points // 2}) = {size} non-crossing matchings"
-    size = bell_number(points)
-    return size, f"Bell({points}) = {size} set partitions"
+        count, label, noun = matching_count, f"({points}-1)!!", "perfect matchings"
+    elif cls is DiagramClass.NON_CROSSING_SIZE_2:
+        count, label = non_crossing_count, f"Catalan({points // 2})"
+        noun = "non-crossing matchings"
+    else:
+        count, label, noun = bell_number, f"Bell({points})", "set partitions"
+    if points > COUNTED_POINTS and (points % 2 == 0 or count is bell_number):
+        size = count(COUNTED_POINTS)
+        return size, f"{label} > 10^{len(str(size)) - 1} {noun}"
+    size = count(points)
+    return size, f"{label} = {size} {noun}"
 
 
 def _refuse_enumeration(what: str, cls: DiagramClass, points: int) -> None:

@@ -8,7 +8,9 @@ loop contributing a factor of t.
 Every vector is sparse: a dict from position to nonzero entry, with no
 zero entries stored.  All elimination, exact and without tolerances,
 happens in one place: Subspace, an incremental sparse echelon basis that
-answers membership and coordinates over the generators it accepted.
+answers membership and coordinates over the generators it accepted.  Its
+rows are not rescaled to unit leading entries: each keeps its residue and
+the inverse of its lead, and every update is one fused sub_product.
 Everything else is built on it.  ExactMatrix keeps sparse columns and
 feeds them left to right into a Subspace for rank, kernel, solving and
 bijectivity; matrix_of builds the matrix of a linear map into any space
@@ -23,7 +25,7 @@ from typing import Callable
 
 from . import partition
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldElement, FieldSpec, sum_products
+from .scalar import FieldElement, FieldSpec, sub_product, sum_products
 
 
 class LinMorphism:
@@ -238,38 +240,42 @@ def hom_basis(cls: DiagramClass, m, n) -> HomBasis:
 class Subspace:
     """Incrementally built subspace of a coordinate space, exact arithmetic.
 
-    Rows are kept sparse (index -> coefficient dicts) in echelon form with
-    unit leading entries.  Accepted generators are numbered 0, 1, ... in
-    the order they were accepted, and every row records its expression over
-    them, so membership queries can return coordinates over the accepted
+    Rows are kept sparse (index -> coefficient dicts) in echelon form.  A
+    row is the residue a generator left after reduction, not rescaled: it
+    keeps its leading entry's inverse, computed once, and the entries past
+    its lead.  Accepted generators are numbered 0, 1, ... in the order
+    they were accepted, and every row records its expression over them, so
+    membership queries can return coordinates over the accepted
     generators.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.rows = []  # (lead index, row dict, expression over generators)
+        # (lead index, entries past the lead, inverse of the lead entry,
+        # -expression over generators), each row its residue unscaled
+        self.rows = []
 
     def _reduce(self, vec):
+        """(residue, expr) with vec = residue + sum of expr[g] * generator g.
+
+        Taking c times the normalised row r / lead away from vec is taking
+        away c * inv times the stored residue; each updated entry
+        cur - (c * inv) * v is normalised once, by sub_product.
+        """
         vec = dict(vec)
         expr = {}
-        for lead, row, rexpr in self.rows:
-            c = vec.get(lead)
+        for lead, tail, inv, neg_expr in self.rows:
+            c = vec.pop(lead, None)
             if c is None or c.is_zero():
                 continue
-            for j, v in row.items():
-                cur = vec.get(j)
-                nv = (-c * v) if cur is None else cur - c * v
-                if nv.is_zero():
-                    vec.pop(j, None)
-                else:
-                    vec[j] = nv
-            for g, v in rexpr.items():
-                cur = expr.get(g)
-                nv = c * v if cur is None else cur + c * v
-                if nv.is_zero():
-                    expr.pop(g, None)
-                else:
-                    expr[g] = nv
+            c = c * inv
+            for target, entries in ((vec, tail), (expr, neg_expr)):
+                for j, v in entries.items():
+                    nv = sub_product(target.get(j), c, v)
+                    if nv.is_zero():
+                        target.pop(j, None)
+                    else:
+                        target[j] = nv
         return vec, expr
 
     def _insert(self, vec):
@@ -279,11 +285,11 @@ class Subspace:
         if not residue:
             return expr
         lead = min(residue)
-        inv = residue[lead].inv()
-        row = {j: inv * v for j, v in residue.items()}
-        rexpr = {g: -inv * v for g, v in expr.items()}
-        rexpr[len(self.rows)] = inv
-        self.rows.append((lead, row, rexpr))
+        inv = residue.pop(lead).inv()
+        # the residue is the new generator minus the sum of expr[g] times
+        # generator g; the row keeps minus that expression
+        expr[len(self.rows)] = -self.field.one()
+        self.rows.append((lead, residue, inv, expr))
         self.rows.sort(key=lambda r: r[0])
         return None
 

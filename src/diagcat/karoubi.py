@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import partition
 from .homspace import ExactMatrix, LinMorphism, Subspace, compose_sum, hom_basis
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldElement, FieldSpec
+from .scalar import FieldElement, FieldSpec, sum_products
 
 
 def _entry_shapes_ok(entries, dom_words, cod_words):
@@ -393,16 +394,56 @@ def kar_row(morphisms) -> KarMorphism:
     return KarMorphism(dom, cod, entries, validate=False)
 
 
+def _sandwich(left, right, units, slot_index, field):
+    """The slot vectors of L . unit(d) . R, one per ((i, j), d) of units.
+
+    left and right are the entry matrices of L and R, unit(d) has d in
+    slot (i, j) and zeros elsewhere, and slot_index lays out the slots of
+    the result as KarHom does.  Each vector is composed in two stages, as
+    compose_sum composes: d after each entry of R's row j, with equal
+    inner diagrams of a column merged, then each entry of L's column i
+    after those.  One sum_products call normalises the merged inner
+    coefficients of a unit, and one more the coefficients of its vector,
+    collected by slot position as (a, b, loops) triples; no morphism is
+    built.
+    """
+    offsets, pos = {}, 0
+    for key, basis in slot_index.items():
+        offsets[key] = (pos, basis)
+        pos += len(basis)
+    out = []
+    one = field.one()
+    for (i, j), d in units:
+        inner = {}  # (column, d . y) -> triples of its coefficient
+        for b, y in enumerate(right[j]):
+            for dy, cy in y.terms.items():
+                diagram, loops = partition.compose(d, dy)
+                inner.setdefault((b, diagram), []).append((one, cy, loops))
+        inner = sum_products(inner, field)
+        products = {}
+        for a, row in enumerate(left):
+            outer = row[i].terms.items()
+            for (b, dy), cy in inner.items():
+                offset, basis = offsets[a, b]
+                for dx, cx in outer:
+                    diagram, loops = partition.compose(dx, dy)
+                    pos = offset + basis.index(diagram)
+                    products.setdefault(pos, []).append((cx, cy, loops))
+        out.append(sum_products(products, field))
+    return out
+
+
 class KarHom:
     """Hom(A, B) inside the envelope, with a basis and coordinates over it.
 
     A morphism's slot vector lists its entries, each entry slot (i, j)
     with the diagram basis of Hom([w_j], [w_i]) at its offset; there are
     `slots` positions in all.  The cut units E_B . unit(d) . E_A over all
-    slot diagrams span the space, and those whose slot vectors enlarge
-    the span, in order, are kept as the basis `elements`; `units` holds
-    the bare unit(d) of each.  Build it through kar_hom, which shares one
-    per pair of objects.
+    slot diagrams span the space: _sandwich gives their slot vectors, and
+    those that enlarge the span, in order, are kept as the basis
+    `elements`, the only candidates built as morphisms; `unit_slots`
+    holds the ((i, j), d) of the bare unit(d) of each.  Build it through
+    kar_hom, which shares one per pair of objects.
     """
 
     def __init__(self, dom: KarObject, cod: KarObject):
@@ -416,22 +457,23 @@ class KarHom:
             for i, w_cod in enumerate(cod.words)
             for j, w_dom in enumerate(dom.words)
         }
-        self.slots = sum(len(basis) for basis in self._slot_index.values())
-        cut_dom, cut_cod = KarMorphism.identity(dom), KarMorphism.identity(cod)
-        zero = _mat_zero(dom.words, cod.words)
+        # the slot and diagram at each position of a slot vector
+        self._positions = tuple(
+            (slot, d) for slot, basis in self._slot_index.items() for d in basis
+        )
+        self.slots = len(self._positions)
+        candidates = _sandwich(
+            cod.cut, dom.cut, self._positions, self._slot_index, self.field
+        )
         self.space = Subspace(self.field)
-        elements, units = [], []
-        for (i, j), basis in self._slot_index.items():
-            for d in basis:
-                entries = [list(row) for row in zero]
-                entries[i][j] = LinMorphism.from_diagram(d, self.field)
-                unit = KarMorphism(dom, cod, entries, validate=False)
-                element = kar_compose(cut_cod, kar_compose(unit, cut_dom))
-                if self.space.add(self.slot_vector(element)):
-                    elements.append(element)
-                    units.append(unit)
-        self.elements = tuple(elements)
-        self.units = tuple(units)
+        kept = [
+            (unit, vec)
+            for unit, vec in zip(self._positions, candidates)
+            if self.space.add(vec)
+        ]
+        self.unit_slots = tuple(unit for unit, _ in kept)
+        self._vectors = tuple(vec for _, vec in kept)
+        self.elements = tuple(self._morphism(vec) for vec in self._vectors)
 
     def __len__(self):
         return len(self.elements)
@@ -445,6 +487,21 @@ class KarHom:
             pos += len(basis)
         return vec
 
+    def _morphism(self, vec) -> KarMorphism:
+        """The morphism with the given slot vector."""
+        terms = {slot: {} for slot in self._slot_index}
+        for pos, c in vec.items():
+            slot, d = self._positions[pos]
+            terms[slot][d] = c
+        entries = [
+            [
+                LinMorphism(w_dom, w_cod, terms[i, j])
+                for j, w_dom in enumerate(self.dom.words)
+            ]
+            for i, w_cod in enumerate(self.cod.words)
+        ]
+        return KarMorphism(self.dom, self.cod, entries, validate=False)
+
     def coordinates_of(self, m: KarMorphism):
         """Coefficients over self.elements, or None if outside the span."""
         if m.dom != self.dom or m.cod != self.cod:
@@ -452,23 +509,32 @@ class KarHom:
         return self.space.coordinates_of(self.slot_vector(m))
 
     def from_coordinates(self, coords) -> KarMorphism:
-        out = KarMorphism.zero(self.dom, self.cod)
+        """The combination of self.elements with the given coefficients,
+        each entry of its slot vector normalised once."""
+        sums = {}
         for k, c in coords.items():
-            out = out + self.elements[k].scale(c)
-        return out
+            if not c.is_zero():
+                for pos, v in self._vectors[k].items():
+                    sums.setdefault(pos, []).append((c, v, 0))
+        return self._morphism(sum_products(sums, self.field))
 
 
 class SplitWitness:
-    """g with f.g.f = f, plus the induced idempotents."""
+    """g with f.g.f = f, plus the induced idempotents; fg = f.g is composed
+    when it is read."""
 
-    __slots__ = ("g", "gf", "fg", "kernel_idempotent", "denominators")
+    __slots__ = ("f", "g", "gf", "kernel_idempotent", "denominators")
 
-    def __init__(self, g, gf, fg, kernel_idempotent, denominators):
+    def __init__(self, f, g, gf, kernel_idempotent, denominators):
+        self.f = f
         self.g = g
         self.gf = gf
-        self.fg = fg
         self.kernel_idempotent = kernel_idempotent
         self.denominators = denominators
+
+    @property
+    def fg(self):
+        return kar_compose(self.f, self.g)
 
 
 def _witness_denominators(g: KarMorphism):
@@ -501,7 +567,7 @@ def split_solve(f: KarMorphism):
     # columns are fh's slot vectors, not coordinates over its basis: both
     # maps are injective on fh's span, so the pivot columns and the
     # solution with the free variables at zero are the same.
-    columns = [fh.slot_vector(kar_compose(f, kar_compose(g, f))) for g in gh.units]
+    columns = _sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field)
     coords = ExactMatrix(fh.slots, columns, gh.field).solve(fh.slot_vector(f))
     if coords is None:
         return None
@@ -509,6 +575,5 @@ def split_solve(f: KarMorphism):
     gf = kar_compose(g, f)
     if kar_compose(f, gf) != f:
         raise AssertionError("split solver produced an invalid witness")
-    fg = kar_compose(f, g)
     kernel_idem = KarMorphism.identity(f.dom) - gf
-    return SplitWitness(g, gf, fg, kernel_idem, _witness_denominators(g))
+    return SplitWitness(f, g, gf, kernel_idem, _witness_denominators(g))

@@ -339,7 +339,8 @@ class FieldElement:
         if den.is_one():
             return cls("rf", num=num, den=den)
         top, bottom = num.nums, den.nums
-        g = poly_gcd(num, den)
+        # a constant shares no factor of positive degree
+        g = poly_gcd(num, den) if len(top) > 1 and len(bottom) > 1 else _P_ONE
         if len(g.nums) > 1:
             # g is monic, so g.nums is primitive and, by Gauss's lemma,
             # divides both exactly in Z[t]
@@ -455,6 +456,42 @@ def _rf_product(a, b, k):
         num = _raw((0,) * k + num.nums, num.den)
         reduced = reduced and den.nums[0] != 0
     return num, den, reduced
+
+
+def sub_product(cur, a, b):
+    """cur - a*b for scalars a and b of one field, normalised once; cur
+    None stands for zero.
+
+    Over Q(t) the product's numerator and denominator from _rf_product are
+    put over one denominator with cur's, and one ratfunc call reduces the
+    result; none is needed for -a*b when _rf_product knows the product
+    reduced, or when both terms are polynomials.  At a rational t the
+    integer numerators and denominators make one Fraction.  A scalar of
+    the other field raises FieldModeError.
+    """
+    if a.kind == "q":
+        if b.kind != "q" or (cur is not None and cur.kind != "q"):
+            raise FieldModeError("field mode mismatch")
+        x, y = a.q, b.q
+        n, d = x.numerator * y.numerator, x.denominator * y.denominator
+        if cur is None:
+            return FieldElement("q", Fraction(-n, d))
+        z = cur.q
+        return FieldElement(
+            "q", Fraction(z.numerator * d - n * z.denominator, z.denominator * d)
+        )
+    num, den, reduced = _rf_product(a, b, 0)
+    if cur is None:
+        if reduced and num.nums:
+            return FieldElement("rf", None, -num, den)
+        return FieldElement.ratfunc(-num, den)
+    if cur.kind != "rf":
+        raise FieldModeError("field mode mismatch")
+    if cur.den == den:
+        if len(den.nums) == 1:  # both are polynomials
+            return FieldElement("rf", None, cur.num - num, den)
+        return FieldElement.ratfunc(cur.num - num, den)
+    return FieldElement.ratfunc(cur.num * den - num * cur.den, cur.den * den)
 
 
 def sum_products(sums, field: "FieldSpec"):

@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,6 +163,38 @@ def test_a_max_points_bound_below_the_limit_reaches_its_check(monkeypatch, capsy
         (DiagramClass.NON_CROSSING_SIZE_2, 27),
     ]
     assert "Bell(12) = 4213597" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cls, bound",
+    [
+        ("all", "Bell(4000) > 10^115 set partitions"),
+        ("blocks-size-2", "(4000-1)!! > 10^78 perfect matchings"),
+        ("non-crossing-size-2", "Catalan(2000) > 10^27 non-crossing matchings"),
+    ],
+)
+def test_hom_basis_refuses_a_huge_request_at_once(cls, bound, capsys):
+    # past 100 points the count is bounded below, not computed: the exact
+    # Bell(4000) alone takes seconds of big-integer additions
+    start = time.perf_counter()
+    assert cli.main(["hom-basis", "2000", "2000", "--class", cls]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"hom-basis 2000 2000 would enumerate {bound}" in err
+    assert "Traceback" not in err
+
+
+def test_hom_basis_2000_2000_exits_2_promptly():
+    r = run_cli("hom-basis", "2000", "2000", timeout=10)
+    assert r.returncode == 2
+    assert "Bell(4000) > 10^115" in r.stderr
+    assert r.stdout == ""
+
+
+def test_a_huge_odd_matching_request_is_still_empty(capsys):
+    # odd points have no perfect matching, so no bound stands in for the count
+    assert cli.main(["hom-basis", "1999", "2000", "--class", "blocks-size-2"]) == 0
+    assert capsys.readouterr().out.strip() == "count: 0"
 
 
 def test_hom_basis_of_a_matching_class_with_odd_points_is_empty_at_once():

@@ -223,3 +223,44 @@ def test_a_constant_times_a_reduced_fraction_needs_no_gcd(calls):
     assert got[1].to_text() == "(2t^2+2t)/(t-1) * 1 | 1'"
     for x, y in zip(got, reference):
         assert_same(x, y)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.describe())
+def test_sub_product_equals_a_product_and_a_difference(field):
+    # the fused elimination update cur - a*b, cur None standing for zero,
+    # against the reduced product and the separate difference
+    rng = random.Random(41)
+    zero = field.zero()
+    for _ in range(300):
+        a, b = random_scalar(rng, field), random_scalar(rng, field)
+        if a.is_zero() or b.is_zero():
+            continue
+        cur = None if rng.random() < 0.25 else random_scalar(rng, field)
+        want = (zero if cur is None else cur) - reference_mul(a, b)
+        got = scalar.sub_product(cur, a, b)
+        assert got == want and got.to_text() == want.to_text()
+        # equal to itself reduced again: the canonical form
+        if got.kind == "rf":
+            assert got == FieldElement.ratfunc(got.num, got.den)
+
+
+def test_sub_product_rejects_the_other_field():
+    a, q = GENERIC.t(), FieldSpec.at(2).one()
+    for cur, x, y in ((None, a, q), (q, a, a), (a, q, q), (None, q, a)):
+        with pytest.raises(FieldModeError):
+            scalar.sub_product(cur, x, y)
+
+
+def test_a_constant_or_a_polynomial_update_needs_no_gcd(calls):
+    c = GENERIC.rational(3)
+    p = parse_linmorphism("(t^2+1) * 1", GENERIC).terms[D("1")]
+    q = parse_linmorphism("(2t-1) * 1", GENERIC).terms[D("1")]
+    calls["ratfunc"] = calls["poly_gcd"] = 0
+    # a constant over a polynomial, and the inverse of a polynomial
+    assert FieldElement.ratfunc(Poly([3]), Poly([1, 0, 1])).to_text() == "(3)/(t^2+1)"
+    assert p.inv().to_text() == "(1)/(t^2+1)"
+    assert calls["poly_gcd"] == 0
+    calls["ratfunc"] = 0
+    # polynomials minus a product of polynomials stay polynomials
+    assert scalar.sub_product(p, q, c).to_text() == "(t^2-6t+4)"
+    assert calls == {"ratfunc": 0, "poly_gcd": 0}

@@ -13,7 +13,7 @@ from diagcat.homspace import (
     parse_linmorphism,
 )
 from diagcat.partition import DiagramClass, PartitionDiagram, all_diagrams
-from diagcat.scalar import FieldSpec
+from diagcat.scalar import FieldElement, FieldSpec, Poly, specialize
 
 F = FieldSpec.generic()
 BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -346,3 +346,188 @@ def test_matching_bases_equal_the_filtered_bell_enumeration(cls):
         for m in range(size + 1):
             filtered = sorted(d for d in all_diagrams(m, size - m) if cls.member(d))
             assert HomBasis(cls, m, size - m).diagrams == tuple(filtered)
+
+
+# ---- elimination against a dense Fraction reference ------------------------------
+
+T0S = (Fraction(5, 2), Fraction(-1, 3), Fraction(7))
+
+
+def random_rf(rng):
+    """A Q(t) scalar with poles at 0 and 1 allowed, none at any t0 of T0S."""
+    num = Poly(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3)))
+    if num.is_zero():
+        num = Poly([1])
+    den = rng.choice([Poly([1]), Poly([0, 1]), Poly([-1, 1]), Poly([0, -1, 1]), Poly([2, 0, 1])])
+    return FieldElement.ratfunc(num, den)
+
+
+def random_system(rng, field_scalar):
+    """Sparse columns, with zero columns and columns dependent on earlier
+    ones, and two right-hand sides: one in the span, one random; every
+    vector stores nonzero entries only, as Subspace requires."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    columns = []
+    for _ in range(cols):
+        kind = rng.random()
+        if kind < 0.15:
+            columns.append({})
+        elif kind < 0.4 and columns:
+            combo = {}
+            for col in rng.sample(columns, min(2, len(columns))):
+                c = field_scalar(rng)
+                for i, v in col.items():
+                    combo[i] = combo[i] + c * v if i in combo else c * v
+            columns.append({i: v for i, v in combo.items() if not v.is_zero()})
+        else:
+            columns.append(
+                {i: field_scalar(rng) for i in rng.sample(range(rows), rng.randint(1, rows))}
+            )
+    inside = {}
+    for col in rng.sample(columns, min(2, len(columns))):
+        for i, v in col.items():
+            inside[i] = inside[i] + v if i in inside else v
+    inside = {i: v for i, v in inside.items() if not v.is_zero()}
+    random_b = {i: field_scalar(rng) for i in rng.sample(range(rows), rng.randint(1, rows))}
+    return rows, columns, (inside, random_b)
+
+
+def dense_rref(rows, columns):
+    """Pivot columns and the reduced row echelon form of a dense Fraction
+    matrix given as a list of column lists."""
+    cols = len(columns)
+    grid = [[columns[j][i] for j in range(cols)] for i in range(rows)]
+    pivots, r = [], 0
+    for j in range(cols):
+        p = next((i for i in range(r, rows) if grid[i][j] != 0), None)
+        if p is None:
+            continue
+        grid[r], grid[p] = grid[p], grid[r]
+        lead = grid[r][j]
+        grid[r] = [v / lead for v in grid[r]]
+        for i in range(rows):
+            if i != r and grid[i][j] != 0:
+                f = grid[i][j]
+                grid[i] = [a - f * b for a, b in zip(grid[i], grid[r])]
+        pivots.append(j)
+        r += 1
+    return pivots, grid
+
+
+def reference(rows, columns, b):
+    """(rank, pivots, kernel basis, solution or None) from the dense RREF,
+    vectors as dicts without zeros."""
+    pivots, grid = dense_rref(rows, columns)
+    cols = len(columns)
+    kernel = []
+    for j in range(cols):
+        if j not in pivots:
+            v = {j: Fraction(1)}
+            for k, p in enumerate(pivots):
+                if grid[k][j] != 0:
+                    v[p] = -grid[k][j]
+            kernel.append(v)
+    aug_pivots, aug = dense_rref(rows, columns + [b])
+    if cols in aug_pivots:
+        solution = None
+    else:
+        solution = {p: aug[k][cols] for k, p in enumerate(aug_pivots) if aug[k][cols] != 0}
+    return len(pivots), pivots, kernel, solution
+
+
+def dense(rows, vec, value):
+    return [value(vec[i]) if i in vec else Fraction(0) for i in range(rows)]
+
+
+def results(field, rows, columns, b):
+    """rank, pivot columns, kernel basis and solution from ExactMatrix, and
+    the Subspace's verdicts and coordinates over the accepted columns."""
+    m = ExactMatrix(rows, columns, field)
+    space = Subspace(field)
+    accepted = [j for j, col in enumerate(columns) if space.add(col)]
+    coords = space.coordinates_of(b)
+    assert space.contains(b) == (coords is not None)
+    if coords is not None:
+        coords = {accepted[k]: c for k, c in coords.items()}
+    solution = m.solve(b)
+    assert coords == solution
+    return m.rank(), accepted, m.kernel_basis(), solution
+
+
+def as_fractions(vec, t0=None):
+    """vec's entries as Fractions, evaluated at t0 if given, zeros dropped."""
+    if vec is None:
+        return None
+    values = {k: (c.q if t0 is None else specialize(c, t0).q) for k, c in vec.items()}
+    return {k: q for k, q in values.items() if q}
+
+
+def test_elimination_at_a_rational_t_equals_the_dense_reference():
+    field = FieldSpec.at(Fraction(5, 2))
+    rng = random.Random(29)
+
+    def scalar(rng):
+        numerator = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        return field.rational(Fraction(numerator, rng.randint(1, 3)))
+
+    for _ in range(60):
+        rows, columns, bs = random_system(rng, scalar)
+        fractions = [dense(rows, col, lambda c: c.q) for col in columns]
+        for b in bs:
+            rank, pivots, kernel, solution = results(field, rows, columns, b)
+            ref = reference(rows, fractions, dense(rows, b, lambda c: c.q))
+            assert (rank, pivots) == ref[:2]
+            assert [as_fractions(v) for v in kernel] == ref[2]
+            assert as_fractions(solution) == ref[3]
+
+
+def test_elimination_over_qt_specialises_to_the_dense_reference():
+    field = FieldSpec.generic()
+    rng = random.Random(31)
+    generic_points = 0
+    for _ in range(40):
+        rows, columns, bs = random_system(rng, random_rf)
+        for b in bs:
+            rank, pivots, kernel, solution = results(field, rows, columns, b)
+            for t0 in T0S:
+                at_t0 = [dense(rows, col, lambda c: specialize(c, t0).q) for col in columns]
+                ref = reference(rows, at_t0, dense(rows, b, lambda c: specialize(c, t0).q))
+                # the rank can only drop at a special t0; elsewhere the RREF,
+                # its kernel basis and its solution specialise
+                assert ref[0] <= rank
+                if (ref[0], ref[1]) != (rank, pivots) or (solution is None) != (ref[3] is None):
+                    continue
+                generic_points += 1
+                assert [as_fractions(v, t0) for v in kernel] == ref[2]
+                assert as_fractions(solution, t0) == ref[3]
+    assert generic_points >= 200
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_insert_inverts_each_lead_once_and_never_rescales_a_row(field, monkeypatch):
+    calls = {"inv": 0, "mul": 0}
+    inv, mul = FieldElement.inv, FieldElement.__mul__
+
+    def counted_inv(self):
+        calls["inv"] += 1
+        return inv(self)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "inv", counted_inv)
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    two, three = field.rational(Fraction(2)), field.rational(Fraction(3))
+    t = field.t()
+    sub = Subspace(field)
+    # disjoint supports: nothing to reduce, one inverse per row, no product
+    assert sub.add({0: two, 1: t, 2: three})
+    assert sub.add({3: three, 4: two, 5: t})
+    assert calls == {"inv": 2, "mul": 0}
+    # reducing by one row takes one product, c times that row's inverse
+    assert sub.add({0: three, 6: two})
+    assert calls == {"inv": 3, "mul": 1}
+    # a generator in the span is not inverted
+    assert not sub.add({0: two, 1: t, 2: three})
+    assert calls == {"inv": 3, "mul": 2}

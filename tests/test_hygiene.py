@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in it,
 every memo is a bounded lru_cache rather than a module-level container,
 the README names every memo, every Karoubi hom space and every hom
-space of presented functors is built through its memo, and no sum of
-composites is accumulated one composite at a time."""
+space of presented functors is built through its memo, no sum of
+composites is accumulated one composite at a time, and the Karoubi hom
+space and the split solver compose their columns through one kernel."""
 
 import ast
 import importlib
@@ -265,3 +266,79 @@ def test_the_guard_sees_a_summed_composite():
         "fine = a.compose(b, field) - c.compose(d, field)\n"
     )
     assert summed_composites(snippet) == [2, 3, 4]
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def calls_in_loops(source: str, functions, callee: str) -> list:
+    """Line numbers of calls to callee inside a loop or comprehension of
+    the named functions ("name" at module level, "Class.method" in a
+    class)."""
+    tree = ast.parse(source)
+    scopes = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            scopes[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    scopes[f"{node.name}.{item.name}"] = item
+    found = set()
+    for name in functions:
+        for loop in ast.walk(scopes[name]):
+            if isinstance(loop, LOOPS):
+                for node in ast.walk(loop):
+                    func = getattr(node, "func", None)
+                    if isinstance(node, ast.Call) and callee in (
+                        getattr(func, "id", None),
+                        getattr(func, "attr", None),
+                    ):
+                        found.add(node.lineno)
+    return sorted(found)
+
+
+def test_hom_spaces_and_splits_compose_through_the_kernel():
+    """Each L . U . R of a Karoubi hom space or a split is one column of
+    karoubi._sandwich, never a kar_compose per unit."""
+    source = (Path(diagcat.__file__).parent / "karoubi.py").read_text()
+    assert calls_in_loops(source, ("KarHom.__init__", "split_solve"), "kar_compose") == []
+
+
+def test_the_guard_sees_a_composite_per_unit():
+    snippet = (
+        "class KarHom:\n"
+        "    def __init__(self, dom, cod):\n"
+        "        for u in units:\n"
+        "            kar_compose(cut, kar_compose(u, cut))\n"
+        "def split_solve(f):\n"
+        "    gf = kar_compose(g, f)\n"
+        "    return [karoubi.kar_compose(f, u) for u in gh.units]\n"
+    )
+    assert calls_in_loops(snippet, ("KarHom.__init__", "split_solve"), "kar_compose") == [4, 7]
+
+
+def test_the_kernel_reaches_its_callees_at_call_time(monkeypatch):
+    """perfbench's tracer wraps partition.compose and sum_products at every
+    module attribute that holds them; the kernel must call what those
+    attributes hold when it runs."""
+    from diagcat import karoubi, partition
+    from diagcat.homspace import hom_basis
+    from diagcat.scalar import FieldSpec
+
+    seen = []
+    for module, name in ((partition, "compose"), (karoubi, "sum_products")):
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original, _name=name):
+            seen.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    field = FieldSpec.generic()
+    obj = karoubi.KarObject.word(1, partition.DiagramClass.ALL, field)
+    cut = obj.cut
+    slots = {(0, 0): hom_basis(partition.DiagramClass.ALL, 1, 1)}
+    units = [((0, 0), d) for d in slots[0, 0]]
+    karoubi._sandwich(cut, cut, units, slots, field)
+    assert {"compose", "sum_products"} == set(seen)

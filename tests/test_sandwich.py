@@ -1,0 +1,152 @@
+"""The one composition kernel of Karoubi hom spaces and split_solve:
+karoubi._sandwich gives the slot vectors of L . unit(d) . R, and must
+equal the slot vectors of the composites kar_compose builds."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from diagcat import karoubi
+from diagcat.homspace import LinMorphism, hom_basis
+from diagcat.karoubi import (
+    KarMorphism,
+    KarObject,
+    direct_sum,
+    kar_compose,
+    kar_hom,
+    kar_object,
+    kar_tensor,
+    split_solve,
+)
+from diagcat.moebius import x_e
+from diagcat.partition import DiagramClass
+from diagcat.scalar import FieldSpec, parse_field_element
+
+FIELDS = (FieldSpec.generic(), FieldSpec.at(Fraction(5, 2)))
+FIELD_IDS = ("generic", "t=5/2")
+# coefficients with poles at t = 0 and t = 1 over Q(t), and plain ones
+COEFFICIENTS = ("(1)/(t)", "(1)/(t-1)", "(t+2)/(t^2-t)", "(2t-1)", "-3/2", "1")
+MATCHING = (DiagramClass.BLOCKS_SIZE_2, DiagramClass.NON_CROSSING_SIZE_2)
+
+
+def words_of(cls):
+    """Word lengths whose hom spaces are not all empty in cls."""
+    return (0, 2) if cls in MATCHING else (1, 2)
+
+
+def random_lin(rng, cls, field, m, n, zero=False):
+    diagrams = hom_basis(cls, m, n).diagrams
+    if zero or not diagrams:
+        return LinMorphism.zero(m, n)
+    chosen = rng.sample(diagrams, min(len(diagrams), rng.randint(1, 3)))
+    return LinMorphism(
+        m, n, {d: parse_field_element(rng.choice(COEFFICIENTS), field) for d in chosen}
+    )
+
+
+def random_morphism(rng, dom, cod):
+    """Random entries between the words of dom and cod, entry (0, 0) zero;
+    the cuts are not absorbed, which the kernel does not need."""
+    entries = [
+        [
+            random_lin(rng, dom.cls, dom.field, w_dom, w_cod, zero=(i, j) == (0, 0))
+            for j, w_dom in enumerate(dom.words)
+        ]
+        for i, w_cod in enumerate(cod.words)
+    ]
+    return KarMorphism(dom, cod, entries, validate=False)
+
+
+def plain_sum(rng, cls, field):
+    a, b = (rng.choice(words_of(cls)) for _ in range(2))
+    return direct_sum(KarObject.word(a, cls, field), KarObject.word(b, cls, field))
+
+
+def all_units(dom, cod):
+    return [
+        ((i, j), d)
+        for i, w_cod in enumerate(cod.words)
+        for j, w_dom in enumerate(dom.words)
+        for d in hom_basis(dom.cls, w_dom, w_cod)
+    ]
+
+
+def unit_morphism(dom, cod, unit):
+    (i, j), d = unit
+    entries = [
+        [LinMorphism.zero(w_dom, w_cod) for w_dom in dom.words] for w_cod in cod.words
+    ]
+    entries[i][j] = LinMorphism.from_diagram(d, dom.field)
+    return KarMorphism(dom, cod, entries, validate=False)
+
+
+def assert_kernel_matches_composites(left, right, u_dom, u_cod):
+    """_sandwich(L, R) against the slot vector of L . (U . R) for every unit U
+    of Hom(u_dom, u_cod); returns how many units were compared."""
+    units = all_units(u_dom, u_cod)
+    out = kar_hom(right.dom, left.cod)
+    got = karoubi._sandwich(
+        left.entries, right.entries, units, out._slot_index, left.dom.field
+    )
+    assert len(got) == len(units)
+    for unit, vec in zip(units, got):
+        composite = kar_compose(left, kar_compose(unit_morphism(u_dom, u_cod, unit), right))
+        assert vec == out.slot_vector(composite)
+    return len(units)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("cls", list(DiagramClass), ids=lambda c: c.value)
+def test_sandwich_equals_the_composites_on_direct_sums(cls, field):
+    rng = random.Random(13)
+    compared = 0
+    for _ in range(3):
+        a, b, c, d = (plain_sum(rng, cls, field) for _ in range(4))
+        # L: B -> C and R: D -> A around the units of Hom(A, B)
+        left, right = random_morphism(rng, b, c), random_morphism(rng, d, a)
+        assert left.entries[0][0].is_zero()
+        compared += assert_kernel_matches_composites(left, right, a, b)
+    assert compared > 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_sandwich_equals_the_composites_on_x_tensor_f(field):
+    rng = random.Random(17)
+    x2 = kar_object(2, x_e(2, field), DiagramClass.ALL, field)
+    for m, n in ((1, 1), (2, 1), (1, 0)):
+        lin = random_lin(rng, DiagramClass.ALL, field, m, n)
+        f = KarMorphism.from_lin(lin, DiagramClass.ALL, field)
+        xf = kar_tensor(KarMorphism.identity(x2), f)
+        # split_solve's use: f . U . f over the units of Hom(cod, dom)
+        assert assert_kernel_matches_composites(xf, xf, xf.cod, xf.dom) > 0
+        # KarHom's use: E_cod . U . E_dom over every slot diagram
+        e_dom, e_cod = KarMorphism.identity(xf.dom), KarMorphism.identity(xf.cod)
+        assert assert_kernel_matches_composites(e_cod, e_dom, xf.dom, xf.cod) > 0
+
+
+@pytest.fixture
+def kar_compose_calls(monkeypatch):
+    calls = []
+    original = karoubi.kar_compose
+
+    def counted(g, f):
+        calls.append(1)
+        return original(g, f)
+
+    monkeypatch.setattr(karoubi, "kar_compose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_split_solve_composes_a_fixed_number_of_times(field, kar_compose_calls):
+    sizes = []
+    for m, n in ((1, 0), (1, 1), (2, 1), (2, 2)):
+        d = hom_basis(DiagramClass.ALL, m, n).diagrams[-1]
+        f = KarMorphism.from_lin(LinMorphism.from_diagram(d, field), DiagramClass.ALL, field)
+        kar_compose_calls.clear()
+        assert split_solve(f) is not None
+        # g . f and the re-verification f . (g . f), whatever the hom size
+        assert len(kar_compose_calls) == 2
+        sizes.append(len(kar_hom(f.cod, f.dom)))
+    assert len(set(sizes)) == len(sizes)
