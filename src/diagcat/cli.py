@@ -10,7 +10,8 @@ Exit codes: 0 all requested checks pass, 1 a check fails (witness printed),
 depends on the check; the DIAGCAT_MAX_POINTS environment variable, read on
 every run, overrides it and an explicit --max-points flag wins over both.
 A bound, like a hom-basis request, exits 2 when a hom basis it would walk
-holds more than MAX_ENUMERATION diagrams.
+holds more than MAX_ENUMERATION diagrams, and a moebius request exits 2
+when the set partitions of the blocks it merges are more than that.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .fpfun import (
 )
 from .homspace import hom_basis, parse_linmorphism
 from .karoubi import KarMorphism, KarObject
-from .moebius import moebius_x, moebius_x_prime
+from .moebius import active_blocks, moebius_x, moebius_x_prime
 from .partition import DiagramClass, DiagramParseError, PartitionDiagram
 from .partition import bell_number, matching_count, non_crossing_count
 from .scalar import FieldSpec, parse_rational
@@ -427,8 +428,14 @@ def run_plain(args) -> int:
         result = left.tensor(right, field)
         payload = {"op": "tensor"}
     elif args.command == "moebius":
-        fn = moebius_x if args.kind == "x" else moebius_x_prime
-        result = fn(PartitionDiagram.parse(args.diagram), field)
+        # x(f) and x'(f) walk every set partition of the blocks they merge
+        f = PartitionDiagram.parse(args.diagram)
+        if args.kind == "x":
+            fn, merged = moebius_x, f.blocks
+        else:
+            fn, merged = moebius_x_prime, active_blocks(f)
+        _refuse_enumeration(f"moebius {args.kind}", DiagramClass.ALL, len(merged))
+        result = fn(f, field)
         payload = {"op": "moebius", "kind": args.kind}
     else:  # cobordism-glue
         datum = st_datum(field) if args.datum == "st" else fibonacci_datum(field)

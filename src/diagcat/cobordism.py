@@ -3,8 +3,10 @@
 A morphism [m] -> [n] is a disjoint union of connected oriented surfaces,
 remembered only up to the invariant that survives the relations: which
 boundary circles each component carries and its genus.  A datum (alpha, u)
-fixes the scalars: a closed genus-i component becomes the scalar alpha(i),
-and a handle polynomial u caps the genus, with x^g reduced mod u.
+fixes the scalars: a handle polynomial u caps the genus, with x^g reduced
+mod u, and a closed genus-i component becomes the scalar alpha(i), read
+from the same reduction: the sum of c_k alpha_k over x^i = sum c_k x^k
+mod u, with alpha_k the k-th initial value.
 
 Gluing is union-find over the shared interface circles; the genus of a
 merged component comes from additivity of the Euler characteristic,
@@ -28,7 +30,7 @@ from .scalar import FieldElement, FieldSpec, Poly, poly_divmod
 class FrobeniusDatum:
     """Genus scalars alpha(i) generated by initial values and a monic u."""
 
-    __slots__ = ("field", "alpha_init", "u", "_alpha")
+    __slots__ = ("field", "alpha_init", "u")
 
     def __init__(self, field: FieldSpec, alpha_init, u: Poly):
         if u.degree() < 1:
@@ -42,26 +44,21 @@ class FrobeniusDatum:
         self.field = field
         self.alpha_init = tuple(alpha_init)
         self.u = u
-        self._alpha = list(self.alpha_init)
 
     def degree(self) -> int:
         return self.u.degree()
 
     def alpha(self, i: int) -> FieldElement:
-        """alpha_i, extended by alpha_{j+d} = -sum_{i<d} u_i alpha_{i+j}."""
+        """alpha_i = sum of c_k alpha_k over x^i = sum of c_k x^k mod u, the
+        linear form that the recurrence alpha_{j+d} = -sum_{k<d} u_k
+        alpha_{j+k} extends from the initial values."""
         if i < 0:
             raise ValueError("alpha index must be nonnegative")
-        d = self.degree()
-        u = self.u.coeffs
-        while len(self._alpha) <= i:
-            j = len(self._alpha) - d
-            acc = self.field.zero()
-            for k in range(d):
-                c = u[k]
-                if c:
-                    acc = acc + self.field.rational(c) * self._alpha[j + k]
-            self._alpha.append(-acc)
-        return self._alpha[i]
+        acc = self.field.zero()
+        for c, a in zip(self.genus_expansion(i), self.alpha_init):
+            if c:
+                acc = acc + self.field.rational(c) * a
+        return acc
 
     def genus_expansion(self, g: int):
         """Coefficients c_i with x^g = sum c_i x^i mod u, i < deg u."""

@@ -27,7 +27,7 @@ from .karoubi import (
     split_solve,
 )
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldSpec
+from .scalar import FieldSpec, sum_products
 
 
 class FpObject:
@@ -141,21 +141,6 @@ class FpMorphism:
         self.alpha = alpha
         self.omega = omega
 
-    def __add__(self, other):
-        return FpMorphism(
-            self.src,
-            self.dst,
-            self.alpha + other.alpha,
-            self.omega + other.omega,
-            validate=False,
-        )
-
-    def scale(self, c):
-        return FpMorphism(
-            self.src, self.dst, self.alpha.scale(c), self.omega.scale(c),
-            validate=False,
-        )
-
     def to_text(self) -> str:
         return f"(alpha = {self.alpha.to_text()}, omega = {self.omega.to_text()})"
 
@@ -199,7 +184,8 @@ class FpHomSpace:
     is a sparse vector in the concatenated (alpha, omega) compressed hom
     coordinates.  One Subspace takes a basis of R' first and the
     representatives self.reps after it, so a square's coordinates past the
-    R' generators are its class in R/R' over self.reps.
+    R' generators are its class in R/R' over self.reps.  Each rep keeps
+    its (alpha, omega) vector, and from_coordinates sums those vectors.
 
     R/R' depends only on the two presentations, so fp_hom_space builds one
     per pair of equal presentations and shares it: its reps carry the
@@ -235,14 +221,15 @@ class FpHomSpace:
         for vec in rho_post.kernel_basis():
             self.space.add({a + k: c for k, c in vec.items()})
         self._rprime_dim = self.space.dimension()
-        self.reps = []
-        for vec in constraint.kernel_basis():
-            if self.space.add(vec):
-                va = {k: c for k, c in vec.items() if k < a}
-                vo = {k - a: c for k, c in vec.items() if k >= a}
-                alpha = self.ha.from_coordinates(va)
-                omega = self.ho.from_coordinates(vo)
-                self.reps.append(FpMorphism(src, dst, alpha, omega))
+        self._vectors = [v for v in constraint.kernel_basis() if self.space.add(v)]
+        self.reps = [self._square(vec, validate=True) for vec in self._vectors]
+
+    def _square(self, vec, validate=False) -> FpMorphism:
+        """The square with the given (alpha, omega) vector."""
+        a = len(self.ha)
+        alpha = self.ha.from_coordinates({k: c for k, c in vec.items() if k < a})
+        omega = self.ho.from_coordinates({k - a: c for k, c in vec.items() if k >= a})
+        return FpMorphism(self.src, self.dst, alpha, omega, validate=validate)
 
     def _vector_of(self, alpha, omega):
         """Sparse (alpha, omega) coordinates, or None outside the hom spaces."""
@@ -267,10 +254,14 @@ class FpHomSpace:
         return {k - r: c for k, c in coords.items() if k >= r}
 
     def from_coordinates(self, coords) -> FpMorphism:
-        out = fp_zero_morphism(self.src, self.dst)
+        """The combination of self.reps with the given coefficients, each
+        entry of its (alpha, omega) vector normalised once."""
+        sums = {}
         for k, c in coords.items():
-            out = out + self.reps[k].scale(c)
-        return out
+            if not c.is_zero():
+                for pos, v in self._vectors[k].items():
+                    sums.setdefault(pos, []).append((c, v, 0))
+        return self._square(sum_products(sums, self.field))
 
 
 @lru_cache(maxsize=256)

@@ -8,14 +8,15 @@ loop contributing a factor of t.
 Every vector is sparse: a dict from position to nonzero entry, with no
 zero entries stored.  All elimination, exact and without tolerances,
 happens in one place: Subspace, an incremental sparse echelon basis that
-answers membership and coordinates over the generators it accepted.  Its
-rows are not rescaled to unit leading entries: each keeps its residue and
-the inverse of its lead, and every update is one fused sub_product.
-Everything else is built on it.  ExactMatrix keeps sparse columns and
-feeds them left to right into a Subspace for rank, kernel, solving and
-bijectivity; matrix_of builds the matrix of a linear map into any space
-that gives sparse coordinates: a diagram basis, a Karoubi hom space of
-karoubi, or a quotient hom space of fpfun.
+answers membership and coordinates over the generators it accepted.  It
+drops any explicit zero entry of a vector it is given.  Its rows are not
+rescaled to unit leading entries: each keeps its residue and the inverse
+of its lead, and every update is one fused sub_product.  Everything else
+is built on it.  ExactMatrix keeps sparse columns and feeds them left to
+right into one Subspace on its first query; rank, kernel, solving and
+bijectivity all read that one elimination.  matrix_of builds the matrix
+of a linear map into any space that gives sparse coordinates: a diagram
+basis, a Karoubi hom space of karoubi, or a quotient hom space of fpfun.
 """
 
 from __future__ import annotations
@@ -260,7 +261,10 @@ class Subspace:
 
         Taking c times the normalised row r / lead away from vec is taking
         away c * inv times the stored residue; each updated entry
-        cur - (c * inv) * v is normalised once, by sub_product.
+        cur - (c * inv) * v is normalised once, by sub_product.  An
+        explicit zero entry of vec is skipped at a lead and left out of the
+        residue, so a lead is never zero; filtering what is left rather
+        than the input costs nothing for a vector in the span.
         """
         vec = dict(vec)
         expr = {}
@@ -276,7 +280,7 @@ class Subspace:
                         target.pop(j, None)
                     else:
                         target[j] = nv
-        return vec, expr
+        return {j: c for j, c in vec.items() if not c.is_zero()}, expr
 
     def _insert(self, vec):
         """Add a generator: None if accepted, else its coordinates over the
@@ -315,36 +319,39 @@ class Subspace:
 class ExactMatrix:
     """Matrix over the exact field, kept as sparse columns (row -> entry).
 
-    The columns go left to right into a Subspace: the accepted ones are the
-    pivot columns, and a rejected column's coordinates over the pivot
-    columns give its kernel vector.  The kernel basis (one vector per free
-    column, with 1 there and nothing at the other free columns) and the
-    solution with the free variables at zero are unique, so they are the
-    ones reduced row echelon form gives.
+    The columns go left to right into one Subspace on the first query, and
+    every query reads that elimination: the accepted columns are the pivot
+    columns, and a rejected column's coordinates over the pivot columns
+    give its kernel vector.  The kernel basis (one vector per free column,
+    with 1 there and nothing at the other free columns) and the solution
+    with the free variables at zero are unique, so they are the ones
+    reduced row echelon form gives.
     """
 
-    __slots__ = ("rows", "cols", "columns", "field")
+    __slots__ = ("rows", "cols", "columns", "field", "_elimination")
 
     def __init__(self, rows, columns, field: FieldSpec):
         self.rows = rows
         self.cols = len(columns)
-        self.columns = [
-            {i: c for i, c in col.items() if not c.is_zero()} for col in columns
-        ]
+        self.columns = columns
         self.field = field
+        self._elimination = None
 
     def _eliminate(self):
         """The Subspace of the columns, the pivot columns, and each other
-        column's coordinates over the pivots (column -> coordinates)."""
-        space = Subspace(self.field)
-        pivots, free = [], {}
-        for j, col in enumerate(self.columns):
-            coords = space._insert(col)
-            if coords is None:
-                pivots.append(j)
-            else:
-                free[j] = coords
-        return space, pivots, free
+        column's coordinates over the pivots (column -> coordinates),
+        computed once."""
+        if self._elimination is None:
+            space = Subspace(self.field)
+            pivots, free = [], {}
+            for j, col in enumerate(self.columns):
+                coords = space._insert(col)
+                if coords is None:
+                    pivots.append(j)
+                else:
+                    free[j] = coords
+            self._elimination = space, pivots, free
+        return self._elimination
 
     def rank(self) -> int:
         return len(self._eliminate()[1])

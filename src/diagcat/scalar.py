@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 Rational = Fraction
@@ -67,7 +66,6 @@ class Poly:
         return _raw((0, 1), 1)
 
     @classmethod
-    @lru_cache(maxsize=64)
     def x_power(cls, k):
         return _raw((0,) * k + (1,), 1)
 
@@ -615,14 +613,10 @@ class FieldSpec:
         return self.mode == "generic"
 
     def zero(self):
-        if self.mode == "specialized":
-            return FieldElement.rational(_ZERO)
-        return FieldElement("rf", num=_P_ZERO, den=_P_ONE)
+        return self.rational(_ZERO)
 
     def one(self):
-        if self.mode == "specialized":
-            return FieldElement.rational(_ONE)
-        return FieldElement("rf", num=_P_ONE, den=_P_ONE)
+        return self.rational(_ONE)
 
     def rational(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
@@ -631,9 +625,7 @@ class FieldSpec:
         return FieldElement("rf", num=Poly.const(q), den=_P_ONE)
 
     def t(self):
-        if self.mode == "specialized":
-            return FieldElement.rational(self.t_value)
-        return FieldElement("rf", num=Poly.x(), den=_P_ONE)
+        return self.t_power(1)
 
     def t_power(self, k: int):
         if k == 0:

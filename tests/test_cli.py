@@ -70,6 +70,26 @@ def test_moebius_x_singleton():
     assert r.stdout.strip() == "1 * 1"
 
 
+@pytest.mark.parametrize("kind", ["x", "xprime"])
+def test_moebius_refuses_too_many_merged_blocks_at_once(kind, capsys):
+    # twelve singletons: x merges every block, x' the odd (active) ones
+    singletons = " | ".join(str(p) for p in range(1, 13))
+    start = time.perf_counter()
+    assert cli.main(["moebius", kind, singletons]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"moebius {kind} would enumerate Bell(12) = 4213597 set partitions" in err
+    assert "Traceback" not in err
+
+
+def test_moebius_xprime_counts_only_the_active_blocks():
+    # twelve even blocks and no lower points: no active block, one term
+    pairs = " | ".join(f"{2 * k - 1} {2 * k}" for k in range(1, 13))
+    r = run_cli("moebius", "xprime", pairs, timeout=10)
+    assert r.returncode == 0
+    assert r.stdout.strip() == f"1 * {pairs}"
+
+
 def test_hom_basis_count_line():
     r = run_cli("hom-basis", "2", "1", "--class", "all")
     assert r.returncode == 0

@@ -85,6 +85,32 @@ def test_fibonacci_datum_alpha():
     assert vals == [F.rational(Fraction(v)) for v in want]
 
 
+def recurrence_alphas(datum, count):
+    """alpha_0 .. alpha_{count-1} by alpha_{j+d} = -sum_{k<d} u_k alpha_{j+k}."""
+    field, d, u = datum.field, datum.degree(), datum.u.coeffs
+    out = list(datum.alpha_init)
+    while len(out) < count:
+        j = len(out) - d
+        acc = field.zero()
+        for k in range(d):
+            if u[k]:
+                acc = acc + field.rational(u[k]) * out[j + k]
+        out.append(-acc)
+    return out[:count]
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_alpha_is_the_recurrence(field):
+    t = field.t()
+    cubic = FrobeniusDatum(
+        field,
+        (t, field.rational(Fraction(-2, 3)), t * t + field.one()),
+        Poly((Fraction(3, 4), Fraction(-5, 2), Fraction(1, 3), Fraction(1))),
+    )
+    for datum in (st_datum(field), fibonacci_datum(field), cubic):
+        assert [datum.alpha(i) for i in range(31)] == recurrence_alphas(datum, 31)
+
+
 def test_recurrence_invariant():
     # sum_i u_i alpha(i+j) = 0 for all j, with u_d = 1
     for datum in (ST, FIB):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ from diagcat.fpfun import (
     weak_kernel_exact_at,
     yoneda,
 )
-from diagcat.homspace import LinMorphism
+from diagcat.homspace import LinMorphism, parse_linmorphism
 from diagcat.karoubi import (
     KarHom,
     KarMorphism,
@@ -36,7 +37,7 @@ from diagcat.karoubi import (
 )
 from diagcat.moebius import special_morphisms
 from diagcat.partition import DiagramClass, PartitionDiagram
-from diagcat.scalar import FieldSpec
+from diagcat.scalar import FieldSpec, parse_field_element
 
 F = FieldSpec.generic()
 CLS = DiagramClass.ALL
@@ -333,6 +334,49 @@ def test_quotient_coordinates_of_representatives():
         assert space.coordinates_of(rep) == {k: F.one()}
     first = space.from_coordinates({0: F.one()})
     assert (first.alpha, first.omega) == (space.reps[0].alpha, space.reps[0].omega)
+
+
+def reference_combination(space, coords):
+    """(alpha, omega) of the sum of c times reps[k], one square at a time."""
+    alpha = KarMorphism.zero(space.src.P, space.dst.P)
+    omega = KarMorphism.zero(space.src.Q, space.dst.Q)
+    for k, c in coords.items():
+        alpha = alpha + space.reps[k].alpha.scale(c)
+        omega = omega + space.reps[k].omega.scale(c)
+    return alpha, omega
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_from_coordinates_equals_the_sum_of_scaled_representatives(field):
+    def coker(dom, cod, text):
+        m, n = yoneda(KarObject.word(dom, CLS, field)), yoneda(KarObject.word(cod, CLS, field))
+        rho = KarMorphism.from_lin(parse_linmorphism(text, field, dom, cod), CLS, field)
+        return fp_cokernel(FpMorphism(m, n, rho, KarMorphism.zero(m.Q, n.Q)))
+
+    # representatives whose (alpha, omega) vectors share positions
+    eta, pair, split = coker(0, 1, "1'"), coker(0, 2, "1' 2'"), coker(1, 2, "1 1' 2'")
+    y2 = yoneda(KarObject.word(2, CLS, field))
+    spaces = [
+        fpfun.fp_hom_space(eta, y2),
+        fpfun.fp_hom_space(pair, y2),
+        fpfun.fp_hom_space(split, pair),
+    ]
+    scalars = ["1", "-3/2", "t", "(t+1)/(t-2)", "(t^2-1/3)/(t+1/2)", "(2t)/(t^2+1)"]
+    rng = random.Random(7)
+    checked = 0
+    for space in spaces:
+        assert len(space) > 0
+        for _ in range(6):
+            size = rng.randint(1, len(space))
+            coords = {
+                k: parse_field_element(rng.choice(scalars), field)
+                for k in rng.sample(range(len(space)), size)
+            }
+            got = space.from_coordinates(coords)
+            assert (got.alpha, got.omega) == reference_combination(space, coords)
+            assert space.coordinates_of(got) == coords
+            checked += 1
+    assert checked == 18
 
 
 def test_rprime_squares_have_empty_coordinates():

@@ -299,9 +299,39 @@ def test_matrix_degenerate_shapes():
 def test_matrix_drops_explicit_zeros():
     # a zero kept in a column would become a pivot lead and be inverted
     m = ExactMatrix(1, [{0: F.zero()}], F)
-    assert m.columns == [{}]
     assert m.rank() == 0
     assert m.kernel_basis() == [{0: F.one()}]
+    sub = Subspace(F)
+    assert sub.add({0: F.zero(), 1: F.one()})
+    assert [(lead, tail) for lead, tail, _, _ in sub.rows] == [(1, {})]
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_subspace_drops_explicit_zero_entries(field):
+    sub = Subspace(field)
+    assert sub.add({0: field.zero(), 1: field.one()})
+    assert sub.dimension() == 1
+    assert sub.contains({0: field.zero()})
+    assert sub.coordinates_of({0: field.zero(), 1: field.t()}) == {0: field.t()}
+
+
+def test_matrix_eliminates_once_for_every_query(monkeypatch):
+    calls = []
+    insert = Subspace._insert
+
+    def counted_insert(self, vec):
+        calls.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(Subspace, "_insert", counted_insert)
+    one, t = F.one(), F.t()
+    m = matrix([[one, t, one + t], [t, one, one + t], [one, one, F.rational(2)]])
+    assert m.rank() == 2
+    assert m.kernel_basis() == [{0: -one, 1: -one, 2: one}]
+    assert m.solve({0: one, 1: t, 2: one}) == {0: one}
+    assert m.solve({0: one}) is None
+    assert not m.is_bijective()
+    assert len(calls) == m.cols == 3
 
 
 def test_matrix_of_composition_operator():

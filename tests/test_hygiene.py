@@ -2,8 +2,9 @@
 every memo is a bounded lru_cache rather than a module-level container,
 the README names every memo, every Karoubi hom space and every hom
 space of presented functors is built through its memo, no sum of
-composites is accumulated one composite at a time, and the Karoubi hom
-space and the split solver compose their columns through one kernel."""
+composites is accumulated one composite at a time, the Karoubi hom
+space and the split solver compose their columns through one kernel,
+and every elimination outside the hom spaces reads an ExactMatrix."""
 
 import ast
 import importlib
@@ -163,30 +164,37 @@ def test_the_guard_sees_an_unbounded_memo():
     assert unbounded_caches(namespace) == ["f", "K.g"]
 
 
-def calls_outside(source: str, callee: str, builder: str) -> list:
-    """Line numbers of calls to callee anywhere but inside the function builder."""
+def calls_outside(source: str, callee: str, scopes) -> list:
+    """Line numbers of calls to callee (by name or as an attribute) anywhere
+    but inside the named scopes: "name" for a module-level function or a
+    whole class, "Class.method" for one method."""
     tree = ast.parse(source)
-    inside = {
-        id(node)
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name == builder
-        for node in ast.walk(func)
-    }
-    return [
+    inside = set()
+    for node in tree.body:
+        named = [(getattr(node, "name", None), node)]
+        if isinstance(node, ast.ClassDef):
+            named += [
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+        for name, scope in named:
+            if name in scopes:
+                inside.update(id(n) for n in ast.walk(scope))
+    return sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == callee
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         and id(node) not in inside
-    ]
+    )
 
 
 def test_every_hom_space_goes_through_the_memo():
     found = [
         f"{path.stem}:{line}"
         for path in MODULES
-        for line in calls_outside(path.read_text(), "KarHom", "kar_hom")
+        for line in calls_outside(path.read_text(), "KarHom", ("kar_hom",))
     ]
     assert found == []
 
@@ -198,14 +206,14 @@ def test_the_guard_sees_a_direct_build():
         "def solve(f):\n"
         "    return KarHom(f.cod, f.dom), kar_hom(f.dom, f.cod)\n"
     )
-    assert calls_outside(snippet, "KarHom", "kar_hom") == [4]
+    assert calls_outside(snippet, "KarHom", ("kar_hom",)) == [4]
 
 
 def test_every_presented_hom_space_goes_through_the_memo():
     found = [
         f"{path.stem}:{line}"
         for path in MODULES
-        for line in calls_outside(path.read_text(), "FpHomSpace", "fp_hom_space")
+        for line in calls_outside(path.read_text(), "FpHomSpace", ("fp_hom_space",))
     ]
     assert found == []
 
@@ -218,7 +226,44 @@ def test_the_guard_sees_a_direct_presented_build():
         "    hs = fp_hom_space(phi.dst, probe)\n"
         "    return hs, FpHomSpace(phi.src, probe)\n"
     )
-    assert calls_outside(snippet, "FpHomSpace", "fp_hom_space") == [5]
+    assert calls_outside(snippet, "FpHomSpace", ("fp_hom_space",)) == [5]
+
+
+SUBSPACE_BUILDERS = {
+    "homspace": ("ExactMatrix",),
+    "karoubi": ("KarHom.__init__",),
+    "fpfun": ("FpHomSpace.__init__",),
+}
+
+
+def test_only_matrices_and_hom_spaces_build_a_subspace():
+    """Every other elimination reads an ExactMatrix, which eliminates its
+    columns once, whatever it is asked."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in calls_outside(
+            path.read_text(), "Subspace", SUBSPACE_BUILDERS.get(path.stem, ())
+        )
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_subspace_built_elsewhere():
+    snippet = (
+        "class ExactMatrix:\n"
+        "    def _eliminate(self):\n"
+        "        return Subspace(self.field)\n"
+        "class KarHom:\n"
+        "    def __init__(self, dom, cod):\n"
+        "        self.space = Subspace(dom.field)\n"
+        "    def span(self):\n"
+        "        return homspace.Subspace(self.field)\n"
+        "def check_uex(u, field):\n"
+        "    image = Subspace(field)\n"
+    )
+    allowed = ("ExactMatrix", "KarHom.__init__")
+    assert calls_outside(snippet, "Subspace", allowed) == [8, 10]
 
 
 def summed_composites(source: str) -> list:
