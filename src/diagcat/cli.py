@@ -1,9 +1,11 @@
 """Command-line surface: parsing, check orchestration, JSON reporting.
 
-Each `check` and `fp` name is one row of CHECKS or FP_OPS: the options it
-reads with their defaults, and the call it makes.  The name's sub-parser
-accepts only those options.  A failing check's witness gets a `replay`
-command line that gives every option the check read, resolved.
+Each command is one row of COMMANDS, and each `check` and `fp` name one
+row of CHECKS or FP_OPS: the arguments and options it reads with their
+defaults, and the call it makes.  One loop builds every row into its
+sub-parser, which accepts only those options.  A failing check's witness
+gets a `replay` command line that gives every option the check read,
+resolved.
 
 Exit codes: 0 all requested checks pass, 1 a check fails (witness printed),
 2 usage or precondition errors.  The default truncation bound of a check
@@ -136,7 +138,8 @@ def env_bound(default: int):
     return resolve
 
 
-# Each option a check or fp name may read: flag -> (argparse type, help).
+# Each option a command or a check or fp name may read: flag -> (argparse
+# type or its choices, help).
 OPTIONS = {
     "class": (str, "diagram class tag (all, even-blocks, even-many-odd-blocks, "
               "blocks-size-2, non-crossing-size-2)"),
@@ -154,6 +157,20 @@ OPTIONS = {
     "cod": (count, "codomain word of the morphism"),
     "s-word": (count, "source word of the splitting epi"),
     "lin": (str, "morphism text [dom] -> [cod]"),
+    "datum": (("st", "fibonacci"), "Frobenius datum of the gluing"),
+}
+
+# Each positional argument a command may read: name -> (argparse type or its
+# choices, help).
+ARGUMENTS = {
+    "outer": (str, "the morphism applied second"),
+    "inner": (str, "the morphism applied first"),
+    "left": (str, "the left tensor factor"),
+    "right": (str, "the right tensor factor"),
+    "kind": (("x", "xprime"), "x(f) or x'(f)"),
+    "diagram": (str, "the partition diagram f"),
+    "m": (count, "source word"),
+    "n": (count, "target word"),
 }
 
 
@@ -206,6 +223,75 @@ CHECKS = {
     "crosscheck-cob": (
         {"max-points": env_bound(5)},
         lambda o: check_crosscheck_cob(o.max_points),
+    ),
+}
+
+
+def _result(payload: dict, result):
+    """A command's payload with its result, and the result as its one line."""
+    payload["result"] = result.to_text()
+    return payload, [payload["result"]]
+
+
+def _compose(o):
+    """compose two morphisms, outer first"""
+    outer = parse_linmorphism(o.outer, o.field)
+    inner = parse_linmorphism(o.inner, o.field)
+    return _result({"op": "compose"}, outer.compose(inner, o.field))
+
+
+def _tensor(o):
+    """tensor two morphisms, left then right"""
+    left = parse_linmorphism(o.left, o.field)
+    right = parse_linmorphism(o.right, o.field)
+    return _result({"op": "tensor"}, left.tensor(right, o.field))
+
+
+def _moebius(o):
+    """Moebius idempotent combinations"""
+    # x(f) and x'(f) walk every set partition of the blocks they merge
+    f = PartitionDiagram.parse(o.diagram)
+    if o.kind == "x":
+        fn, merged = moebius_x, f.blocks
+    else:
+        fn, merged = moebius_x_prime, active_blocks(f)
+    _refuse_enumeration(f"moebius {o.kind}", DiagramClass.ALL, len(merged))
+    return _result({"op": "moebius", "kind": o.kind}, fn(f, o.field))
+
+
+def _hom_basis(o):
+    """list the diagram basis of Hom([m],[n])"""
+    _refuse_enumeration(f"hom-basis {o.m} {o.n}", o.cls, o.m + o.n)
+    texts = [d.to_text() for d in hom_basis(o.cls, o.m, o.n)]
+    payload = {
+        "op": "hom-basis",
+        "class": o.cls.value,
+        "m": o.m,
+        "n": o.n,
+        "count": len(texts),
+        "diagrams": texts,
+    }
+    return payload, texts + [f"count: {len(texts)}"]
+
+
+def _cobordism_glue(o):
+    """glue two cobordisms, outer first"""
+    datum = st_datum(o.field) if o.datum == "st" else fibonacci_datum(o.field)
+    result = glue(Cobordism.parse(o.outer), Cobordism.parse(o.inner), datum)
+    return _result({"op": "cobordism-glue", "datum": o.datum}, result)
+
+
+# command -> (the arguments and options it reads, with the options'
+# defaults, the call it makes).  The arguments are the names in ARGUMENTS,
+# always required; the call's docstring is the command's help.
+COMMANDS = {
+    "compose": ({"outer": None, "inner": None, "t": "generic"}, _compose),
+    "tensor": ({"left": None, "right": None, "t": "generic"}, _tensor),
+    "moebius": ({"kind": None, "diagram": None, "t": "generic"}, _moebius),
+    "hom-basis": ({"m": None, "n": None, "class": "all"}, _hom_basis),
+    "cobordism-glue": (
+        {"outer": None, "inner": None, "t": "generic", "datum": "st"},
+        _cobordism_glue,
     ),
 }
 
@@ -273,9 +359,13 @@ FP_OPS = {
 }
 
 
-def _add_common(sub):
-    sub.add_argument("--t", default="generic", help=OPTIONS["t"][1])
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
+# (command, its table, its help): a plain command is a row of COMMANDS, and
+# each check or fp name a row of its command's table.
+TABLES = (
+    (None, COMMANDS, None),
+    ("check", CHECKS, "run a named verification"),
+    ("fp", FP_OPS, "finitely presented functor operations"),
+)
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,67 +375,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification for partition and cobordism diagram categories.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("compose", help="compose two morphisms, outer first")
-    _add_common(p)
-    p.add_argument("outer")
-    p.add_argument("inner")
-
-    p = subs.add_parser("tensor", help="tensor two morphisms, left then right")
-    _add_common(p)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = subs.add_parser("moebius", help="Moebius idempotent combinations")
-    _add_common(p)
-    p.add_argument("kind", choices=["x", "xprime"])
-    p.add_argument("diagram")
-
-    p = subs.add_parser("hom-basis", help="list the diagram basis of Hom([m],[n])")
-    _add_common(p)
-    p.add_argument("--class", dest="cls", default="all", help=OPTIONS["class"][1])
-    p.add_argument("m", type=count)
-    p.add_argument("n", type=count)
-
-    p = subs.add_parser("cobordism-glue", help="glue two cobordisms, outer first")
-    _add_common(p)
-    p.add_argument("--datum", default="st", choices=["st", "fibonacci"])
-    p.add_argument("outer")
-    p.add_argument("inner")
-
-    for command, table, text in (
-        ("check", CHECKS, "run a named verification"),
-        ("fp", FP_OPS, "finitely presented functor operations"),
-    ):
-        names = subs.add_parser(command, help=text).add_subparsers(
-            dest="name", required=True
-        )
-        for name, (defaults, _call) in table.items():
-            p = names.add_parser(name)
+    for command, table, text in TABLES:
+        names = subs
+        if command:
+            names = subs.add_parser(command, help=text).add_subparsers(
+                dest="name", required=True
+            )
+        for name, (defaults, call) in table.items():
+            # a call without a docstring keeps its name out of the help listing
+            p = names.add_parser(name, **({"help": call.__doc__} if call.__doc__ else {}))
             for flag, default in defaults.items():
-                kind, help_text = OPTIONS[flag]
-                p.add_argument(
-                    f"--{flag}", type=kind, help=help_text, required=default is None,
-                    default=None if callable(default) else default,
-                )
+                positional = flag in ARGUMENTS
+                kind, help_text = (ARGUMENTS if positional else OPTIONS)[flag]
+                spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                if not positional:
+                    flag = f"--{flag}"
+                    spec["required"] = default is None
+                    spec["default"] = None if callable(default) else default
+                p.add_argument(flag, help=help_text, **spec)
             p.add_argument("--json", action="store_true", help="emit a JSON report")
-            p.set_defaults(parser=p)
-
+            p.set_defaults(parser=p, defaults=defaults, call=call)
     return parser
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _resolve(args, defaults):
-    """The options a name reads, defaults filled in, as a command line gives
-    them; and the namespace its call reads, where --class is `cls` and --t
-    is `field`."""
+    """The arguments and options a command or name reads, defaults filled
+    in, as a command line gives them; and the namespace its call reads,
+    where --class is `cls` and --t is `field`."""
     values, o = {}, SimpleNamespace()
     for flag, default in defaults.items():
         value = getattr(args, flag.replace("-", "_"))
@@ -377,9 +433,8 @@ def _replay(name, values) -> str:
 
 
 def run_check(args) -> int:
-    defaults, call = CHECKS[args.name]
-    values, o = _resolve(args, defaults)
-    report = call(o)
+    values, o = _resolve(args, args.defaults)
+    report = args.call(o)
     if report.status == "fail":
         report.witness["replay"] = _replay(args.name, values)
     if args.json:
@@ -391,78 +446,20 @@ def run_check(args) -> int:
     return 0 if report.passed() else 1
 
 
-def run_fp(args) -> int:
-    defaults, call = FP_OPS[args.name]
-    payload, lines = call(_resolve(args, defaults)[1])
-    _emit(payload, args.json, lines)
-    return 0
-
-
-def run_plain(args) -> int:
-    field = parse_field(args.t)
-    if args.command == "hom-basis":
-        cls = DiagramClass.from_text(args.cls)
-        _refuse_enumeration(f"hom-basis {args.m} {args.n}", cls, args.m + args.n)
-        texts = [d.to_text() for d in hom_basis(cls, args.m, args.n)]
-        _emit(
-            {
-                "op": "hom-basis",
-                "class": cls.value,
-                "m": args.m,
-                "n": args.n,
-                "count": len(texts),
-                "diagrams": texts,
-            },
-            args.json,
-            texts + [f"count: {len(texts)}"],
-        )
-        return 0
-    if args.command == "compose":
-        outer = parse_linmorphism(args.outer, field)
-        inner = parse_linmorphism(args.inner, field)
-        result = outer.compose(inner, field)
-        payload = {"op": "compose"}
-    elif args.command == "tensor":
-        left = parse_linmorphism(args.left, field)
-        right = parse_linmorphism(args.right, field)
-        result = left.tensor(right, field)
-        payload = {"op": "tensor"}
-    elif args.command == "moebius":
-        # x(f) and x'(f) walk every set partition of the blocks they merge
-        f = PartitionDiagram.parse(args.diagram)
-        if args.kind == "x":
-            fn, merged = moebius_x, f.blocks
-        else:
-            fn, merged = moebius_x_prime, active_blocks(f)
-        _refuse_enumeration(f"moebius {args.kind}", DiagramClass.ALL, len(merged))
-        result = fn(f, field)
-        payload = {"op": "moebius", "kind": args.kind}
-    else:  # cobordism-glue
-        datum = st_datum(field) if args.datum == "st" else fibonacci_datum(field)
-        outer = Cobordism.parse(args.outer)
-        inner = Cobordism.parse(args.inner)
-        result = glue(outer, inner, datum)
-        payload = {"op": "cobordism-glue", "datum": args.datum}
-    payload["result"] = result.to_text()
-    _emit(payload, args.json, [payload["result"]])
-    return 0
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
     if extras:
-        # a check or fp name reports an option it does not read under its own usage
-        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(extras)}")
+        # a command or name reports an option it does not read under its own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         if args.command == "check":
             return run_check(args)
-        if args.command == "fp":
-            return run_fp(args)
-        return run_plain(args)
+        payload, lines = args.call(_resolve(args, args.defaults)[1])
     except (DiagramParseError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

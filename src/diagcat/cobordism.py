@@ -8,7 +8,8 @@ mod u, and a closed genus-i component becomes the scalar alpha(i), read
 from the same reduction: the sum of c_k alpha_k over x^i = sum c_k x^k
 mod u, with alpha_k the k-th initial value.
 
-Gluing is union-find over the shared interface circles; the genus of a
+Gluing merges components over the shared interface circles with the
+parent-list walk that partition.compose runs over blocks; the genus of a
 merged component comes from additivity of the Euler characteristic,
 g = 1 - (r + sum_i (2 - 2 g_i - b_i)) / 2, where r counts the surviving
 boundary circles.  The formula is exercised against the torus and
@@ -20,10 +21,11 @@ Cobordisms; cob_compose is its composition.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .homspace import LinMorphism
-from .partition import PartitionDiagram, _UnionFind, DiagramParseError
+from .partition import PartitionDiagram, DiagramParseError
 from .scalar import FieldElement, FieldSpec, Poly, poly_divmod
 
 
@@ -241,40 +243,47 @@ def glue_raw(g: Cobordism, f: Cobordism) -> Cobordism:
             f"shape mismatch: cannot glue ({g.m},{g.n}) after ({f.m},{f.n})"
         )
     m, k, n = f.m, f.n, g.n
-    # node ids: f components then g components
-    uf = _UnionFind(len(f.components) + len(g.components))
-    f_owner = {}
-    for idx, (circles, _) in enumerate(f.components):
-        for p in circles:
-            if p > m:
-                f_owner[p - m] = idx
-    for idx, (circles, _) in enumerate(g.components):
-        for p in circles:
-            if p <= k:
-                uf.union(f_owner[p], len(f.components) + idx)
-    groups = {}
-    for idx, comp in enumerate(f.components):
-        groups.setdefault(uf.find(idx), []).append(("f", comp))
-    for idx, comp in enumerate(g.components):
-        groups.setdefault(uf.find(len(f.components) + idx), []).append(("g", comp))
+    # The components start as f's, each with its upper circles and its Euler
+    # characteristic.  Each component of g starts one more, into which it
+    # merges, through its upper (middle) circles, the components that hold
+    # those circles as lower circles: the parent-list walk of
+    # partition.compose.
+    owner = [0] * k
+    parent = list(range(len(f.components)))
+    free, chi = [], []
+    for i, (circles, genus) in enumerate(f.components):
+        cut = bisect_right(circles, m)
+        for p in circles[cut:]:
+            owner[p - m - 1] = i
+        free.append(list(circles[:cut]))
+        chi.append(2 - 2 * genus - len(circles))
+    shift = m - k
+    for circles, genus in g.components:
+        cut = bisect_right(circles, k)
+        root = len(parent)
+        parent.append(root)
+        free.append([p + shift for p in circles[cut:]])
+        chi.append(2 - 2 * genus - len(circles))
+        for p in circles[:cut]:
+            r = owner[p - 1]
+            while parent[r] != r:
+                r = parent[r]
+            if r != root:
+                parent[r] = root
+                free[root] += free[r]
+                chi[root] += chi[r]
+                free[r] = None
     out = []
-    for members in groups.values():
-        chi = 0
-        free = []
-        for side, (circles, genus) in members:
-            chi += 2 - 2 * genus - len(circles)
-            for p in circles:
-                if side == "f" and p <= m:
-                    free.append(p)
-                elif side == "g" and p > k:
-                    free.append(m + (p - k))
-        r = len(free)
-        if (r + chi) % 2:
+    for circles, euler in zip(free, chi):
+        if circles is None:
+            continue
+        r = len(circles)
+        if (r + euler) % 2:
             raise AssertionError("odd Euler characteristic sum in gluing")
-        genus = 1 - (r + chi) // 2
+        genus = 1 - (r + euler) // 2
         if genus < 0:
             raise AssertionError("negative genus in gluing")
-        out.append((tuple(sorted(free)), genus))
+        out.append((circles, genus))
     return Cobordism(m, n, out)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .homspace import ExactMatrix, LinMorphism, Subspace, hom_basis, matrix_of
+from .homspace import ExactMatrix, LinMorphism, Subspace, combine, hom_basis, matrix_of
 from .karoubi import (
     KarMorphism,
     KarObject,
@@ -27,7 +27,7 @@ from .karoubi import (
     split_solve,
 )
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldSpec, sum_products
+from .scalar import FieldSpec
 
 
 class FpObject:
@@ -256,12 +256,7 @@ class FpHomSpace:
     def from_coordinates(self, coords) -> FpMorphism:
         """The combination of self.reps with the given coefficients, each
         entry of its (alpha, omega) vector normalised once."""
-        sums = {}
-        for k, c in coords.items():
-            if not c.is_zero():
-                for pos, v in self._vectors[k].items():
-                    sums.setdefault(pos, []).append((c, v, 0))
-        return self._square(sum_products(sums, self.field))
+        return self._square(combine(self._vectors, coords, self.field))
 
 
 @lru_cache(maxsize=256)

@@ -16,7 +16,8 @@ is built on it.  ExactMatrix keeps sparse columns and feeds them left to
 right into one Subspace on its first query; rank, kernel, solving and
 bijectivity all read that one elimination.  matrix_of builds the matrix
 of a linear map into any space that gives sparse coordinates: a diagram
-basis, a Karoubi hom space of karoubi, or a quotient hom space of fpfun.
+basis, a Karoubi hom space of karoubi, or a quotient hom space of fpfun,
+and combine sums those hom spaces' kept vectors over given coordinates.
 """
 
 from __future__ import annotations
@@ -314,6 +315,17 @@ class Subspace:
         if residue:
             return None
         return expr
+
+
+def combine(vectors, coords, field: FieldSpec):
+    """The sparse vector sum of coords[k] * vectors[k], each entry
+    normalised once by one sum_products call."""
+    sums = {}
+    for k, c in coords.items():
+        if not c.is_zero():
+            for pos, v in vectors[k].items():
+                sums.setdefault(pos, []).append((c, v, 0))
+    return sum_products(sums, field)
 
 
 class ExactMatrix:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import partition
-from .homspace import ExactMatrix, LinMorphism, Subspace, compose_sum, hom_basis
+from .homspace import ExactMatrix, LinMorphism, Subspace, combine, compose_sum, hom_basis
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
 from .scalar import FieldElement, FieldSpec, sum_products
@@ -511,12 +511,7 @@ class KarHom:
     def from_coordinates(self, coords) -> KarMorphism:
         """The combination of self.elements with the given coefficients,
         each entry of its slot vector normalised once."""
-        sums = {}
-        for k, c in coords.items():
-            if not c.is_zero():
-                for pos, v in self._vectors[k].items():
-                    sums.setdefault(pos, []).append((c, v, 0))
-        return self._morphism(sum_products(sums, self.field))
+        return self._morphism(combine(self._vectors, coords, self.field))
 
 
 class SplitWitness:

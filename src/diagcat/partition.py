@@ -32,24 +32,6 @@ class DiagramParseError(ValueError):
         self.position = position
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def set_partitions(items):
     """Yield all set partitions of the given sequence, as tuples of tuples."""
     items = list(items)

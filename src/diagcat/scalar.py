@@ -62,10 +62,6 @@ class Poly:
         return _raw((c.numerator,), c.denominator) if c else _P_ZERO
 
     @classmethod
-    def x(cls):
-        return _raw((0, 1), 1)
-
-    @classmethod
     def x_power(cls, k):
         return _raw((0,) * k + (1,), 1)
 
@@ -80,11 +76,6 @@ class Poly:
 
     def is_monic(self):
         return bool(self.nums) and self.nums[-1] == self.den
-
-    def monic(self):
-        if self.is_zero() or self.is_monic():
-            return self
-        return _poly(list(self.nums), self.nums[-1])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -129,10 +120,6 @@ class Poly:
                 for j, nb in enumerate(b):
                     out[i + j] += na * nb
         return _poly(out, self.den * other.den)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return _poly([n * c.numerator for n in self.nums], self.den * c.denominator)
 
     def evaluate(self, q):
         q = Fraction(q)
@@ -506,7 +493,7 @@ def sum_products(sums, field: "FieldSpec"):
     one Fraction.  A scalar of the other field raises FieldModeError.
     """
     out = {}
-    if field.mode == "specialized":
+    if field.t_value is not None:
         tn, td = field.t_value.numerator, field.t_value.denominator
         for key, triples in sums.items():
             n, d = 0, 1
@@ -577,40 +564,32 @@ def parse_field_element(text, field: "FieldSpec") -> FieldElement:
     else:
         num = parse_poly(s, "t")
     fe = FieldElement.ratfunc(num, den)
-    if field.mode == "specialized":
+    if field.t_value is not None:
         return specialize(fe, field.t_value)
     return fe
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Chooses the working field: generic Q(t), or Q with t specialized.
+    """Chooses the working field by its t value: None for generic Q(t), or
+    Q with t specialized to a rational.
 
-    In generic mode every scalar is a rational function; in specialized
-    mode every scalar is a plain rational and t is a fixed value.
+    Over Q(t) every scalar is a rational function; at a value of t every
+    scalar is a plain rational.
     """
 
-    mode: str
     t_value: Fraction | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("generic", "specialized"):
-            raise ValueError(f"unknown field mode {self.mode!r}")
-        if self.mode == "specialized" and self.t_value is None:
-            raise ValueError("specialized mode needs a t value")
-        if self.mode == "generic" and self.t_value is not None:
-            raise ValueError("generic mode fixes no t value")
 
     @classmethod
     def generic(cls):
-        return cls("generic")
+        return cls()
 
     @classmethod
     def at(cls, q):
-        return cls("specialized", Fraction(q))
+        return cls(Fraction(q))
 
     def is_generic(self):
-        return self.mode == "generic"
+        return self.t_value is None
 
     def zero(self):
         return self.rational(_ZERO)
@@ -620,7 +599,7 @@ class FieldSpec:
 
     def rational(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
-        if self.mode == "specialized":
+        if self.t_value is not None:
             return FieldElement.rational(q)
         return FieldElement("rf", num=Poly.const(q), den=_P_ONE)
 
@@ -630,16 +609,13 @@ class FieldSpec:
     def t_power(self, k: int):
         if k == 0:
             return self.one()
-        if self.mode == "specialized":
+        if self.t_value is not None:
             return FieldElement.rational(self.t_value**k)
         return FieldElement("rf", num=Poly.x_power(k), den=_P_ONE)
 
-    def t_is_zero(self):
-        return self.mode == "specialized" and self.t_value == 0
-
     def require_nonzero_t(self, what):
-        if self.t_is_zero():
+        if self.t_value == 0:
             raise ZeroDivisionError(f"{what} requires t != 0")
 
     def describe(self):
-        return "generic" if self.mode == "generic" else f"t={self.t_value}"
+        return "generic" if self.t_value is None else f"t={self.t_value}"

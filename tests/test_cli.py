@@ -273,6 +273,14 @@ def test_check_uex_custom_u():
     assert "pass-up-to-bound" in r.stdout
 
 
+def test_check_uex_names_a_u_term_outside_the_class():
+    r = run_cli("check", "uex", "--class", "even-blocks", "--u", "1 | 2")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "u term 1 | 2 is not in class even-blocks" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_check_report_schema():
     r = run_cli("check", "lemma-absorption", "--j-max", "2", "--m-max", "2", "--json")
     payload = json.loads(r.stdout)
@@ -392,8 +400,21 @@ def test_json_byte_stability():
 
 
 def test_options_only_where_read():
-    r = run_cli("compose", "--max-points", "3", "1", "1'")
-    assert r.returncode == 2
+    # every command reports an option it does not read under its own usage;
+    # hom-basis works over no field, so its --t is refused like any other
+    for args in [
+        ("hom-basis", "1", "1", "--t", "5"),
+        ("compose", "--max-points", "3", "1", "1'"),
+        ("tensor", "1", "1'", "--datum", "st"),
+        ("moebius", "x", "1", "--class", "all"),
+        ("cobordism-glue", "--word", "1", "g=0: 1", "g=0: 1'"),
+    ]:
+        r = run_cli(*args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith(f"usage: diagcat {args[0]} ")
+        assert "unrecognized arguments" in r.stderr
 
 
 @pytest.mark.parametrize(
@@ -479,7 +500,8 @@ def test_cached_parser_reads_the_bound_on_each_call(monkeypatch, capsys):
 
 
 # Value pools of the seeded command-line grammar test: valid and invalid
-# values of every option, at sizes that keep each invocation short.
+# values of every option and argument, at sizes that keep each invocation
+# short.  compose's and cobordism-glue's outer and inner share one pool.
 GRAMMAR_CLASSES = [c.value for c in DiagramClass] + ["none", "ALL", ""]
 GRAMMAR_TS = ["generic", "5/2", "0", "-1", "3", "x", "1/0", ""]
 GRAMMAR_LINS = [
@@ -506,37 +528,33 @@ GRAMMAR_VALUES = {
     "cod": ["0", "1"] + GRAMMAR_INVALID_COUNTS,
     "s-word": ["0", "1"] + GRAMMAR_INVALID_COUNTS,
     "lin": GRAMMAR_LINS,
+    "datum": ["st", "fibonacci", "other"],
+    # the arguments of the commands
+    "outer": GRAMMAR_LINS + GRAMMAR_COBORDISMS,
+    "inner": GRAMMAR_LINS + GRAMMAR_COBORDISMS,
+    "left": GRAMMAR_LINS,
+    "right": GRAMMAR_LINS,
+    "kind": ["x", "xprime", "y"],
+    "diagram": GRAMMAR_DIAGRAMS,
+    "m": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
+    "n": ["0", "1", "2"] + GRAMMAR_INVALID_COUNTS,
 }
 
 
 def grammar_argv(rng, target):
-    """One random command line for a plain command or a check/fp name."""
+    """One random command line for a command or a check/fp name, read off
+    its table row: every argument, and each option with probability 0.7."""
     pick = rng.choice
-    if target[0] in ("check", "fp"):
-        table = cli.CHECKS if target[0] == "check" else cli.FP_OPS
-        argv = list(target)
-        for flag in table[target[1]][0]:
-            if rng.random() < 0.7:
-                argv += [f"--{flag}", pick(GRAMMAR_VALUES[flag])]
-        if rng.random() < 0.1:  # an option the name does not read
-            flag = pick(sorted(GRAMMAR_VALUES))
+    table = {"check": cli.CHECKS, "fp": cli.FP_OPS}.get(target[0], cli.COMMANDS)
+    argv = list(target)
+    for flag in table[target[-1]][0]:
+        if flag in cli.ARGUMENTS:
+            argv.append(pick(GRAMMAR_VALUES[flag]))
+        elif rng.random() < 0.7:
             argv += [f"--{flag}", pick(GRAMMAR_VALUES[flag])]
-    elif target[0] == "hom-basis":
-        argv = [
-            "hom-basis", "--class", pick(GRAMMAR_CLASSES),
-            pick(GRAMMAR_VALUES["word"]), pick(GRAMMAR_VALUES["word"]),
-        ]
-    elif target[0] == "moebius":
-        argv = ["moebius", pick(["x", "xprime", "y"]), pick(GRAMMAR_DIAGRAMS)]
-    elif target[0] == "cobordism-glue":
-        argv = [
-            "cobordism-glue", "--datum", pick(["st", "fibonacci", "other"]),
-            pick(GRAMMAR_COBORDISMS), pick(GRAMMAR_COBORDISMS),
-        ]
-    else:  # compose, tensor
-        argv = [target[0], pick(GRAMMAR_LINS), pick(GRAMMAR_LINS)]
-    if target[0] not in ("check", "fp") and rng.random() < 0.7:
-        argv += ["--t", pick(GRAMMAR_TS)]
+    if rng.random() < 0.1:  # an option the command or name does not read
+        flag = pick(sorted(cli.OPTIONS))
+        argv += [f"--{flag}", pick(GRAMMAR_VALUES[flag])]
     if rng.random() < 0.5:
         argv.append("--json")
     return argv
@@ -546,7 +564,7 @@ def test_random_command_lines_exit_0_1_or_2(monkeypatch, capsys):
     # Seeded invocations of every command and every check and fp name, in
     # process: each returns 0, 1 or 2, or argparse exits 2; nothing raises.
     monkeypatch.setenv("DIAGCAT_MAX_POINTS", "3")
-    targets = [("compose",), ("tensor",), ("moebius",), ("hom-basis",), ("cobordism-glue",)]
+    targets = [(name,) for name in cli.COMMANDS]
     targets += [("check", name) for name in cli.CHECKS]
     targets += [("fp", name) for name in cli.FP_OPS]
     rng = random.Random(11)

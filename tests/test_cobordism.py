@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -293,3 +294,67 @@ def test_glue_associativity_bounded():
 def test_compose_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         glue_raw(generator("mu"), generator("eta"))
+
+
+def reference_glue_raw(g: Cobordism, f: Cobordism) -> Cobordism:
+    """g after f by union-find over component nodes (f's, then g's), the
+    Euler characteristic summed over each merged group."""
+    m, k = f.m, f.n
+    parent = list(range(len(f.components) + len(g.components)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    f_owner = {
+        p - m: i for i, (circles, _) in enumerate(f.components) for p in circles if p > m
+    }
+    for i, (circles, _) in enumerate(g.components):
+        for p in circles:
+            if p <= k:
+                parent[find(len(f.components) + i)] = find(f_owner[p])
+    groups = {}
+    for i, comp in enumerate(f.components):
+        groups.setdefault(find(i), []).append(("f", comp))
+    for i, comp in enumerate(g.components):
+        groups.setdefault(find(len(f.components) + i), []).append(("g", comp))
+    out = []
+    for members in groups.values():
+        chi, free = 0, []
+        for side, (circles, genus) in members:
+            chi += 2 - 2 * genus - len(circles)
+            if side == "f":
+                free += [p for p in circles if p <= m]
+            else:
+                free += [m + p - k for p in circles if p > k]
+        assert (len(free) + chi) % 2 == 0
+        out.append((free, 1 - (len(free) + chi) // 2))
+    return Cobordism(m, g.n, out)
+
+
+def random_cobordism(rng, m, n):
+    """Components over random groups of the m + n circles, with up to two
+    closed components, every genus at most 3."""
+    circles = list(range(1, m + n + 1))
+    rng.shuffle(circles)
+    comps = []
+    while circles:
+        size = rng.randint(1, len(circles))
+        comps.append((circles[:size], rng.randint(0, 3)))
+        circles = circles[size:]
+    comps += [((), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+    return Cobordism(m, n, comps)
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_glue_matches_the_union_find_reference(field):
+    rng = random.Random(15)
+    data = (st_datum(field), fibonacci_datum(field))
+    for _ in range(300):
+        m, k, n = rng.randint(0, 3), rng.randint(0, 4), rng.randint(0, 3)
+        f, g = random_cobordism(rng, m, k), random_cobordism(rng, k, n)
+        expected = reference_glue_raw(g, f)
+        assert glue_raw(g, f) == expected
+        for datum in data:
+            assert glue(g, f, datum) == reduce_normal_form(expected, datum)

@@ -62,7 +62,7 @@ def random_scalar(rng, field):
         elif kind == 3:
             num, den = random_poly(rng), random_poly(rng)
         else:
-            num, den = random_poly(rng), random_poly(rng) * Poly.x()
+            num, den = random_poly(rng), random_poly(rng) * Poly.x_power(1)
         if not num.is_zero() and not den.is_zero():
             return FieldElement.ratfunc(num, den)
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
-every memo is a bounded lru_cache rather than a module-level container,
-the README names every memo, every Karoubi hom space and every hom
+no module imports another module's underscore name, every memo is a
+bounded lru_cache rather than a module-level container, the README names
+every memo, every Karoubi hom space and every hom
 space of presented functors is built through its memo, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
@@ -42,6 +43,32 @@ def test_no_unused_imports(path):
 
 def test_the_guard_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os"]
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name imported from another module."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_a_private_import():
+    snippet = (
+        "from __future__ import annotations\n"
+        "from .partition import PartitionDiagram, _UnionFind\n"
+        "from .homspace import hom_basis as _basis\n"
+        "from . import _private\n"
+    )
+    assert private_imports(snippet) == [(2, "_UnionFind"), (4, "_private")]
 
 
 def empty_module_containers(source: str) -> list:
