@@ -446,11 +446,26 @@ def run_check(args) -> int:
     return 0 if report.passed() else 1
 
 
+def _unread(argv, defaults):
+    """Each option of argv that its command or name does not read, with
+    the value it was given."""
+    words = []
+    for k, word in enumerate(argv):
+        flag = word[2:].partition("=")[0]
+        if word.startswith("--") and flag in OPTIONS and flag not in defaults:
+            words += argv[k : k + (1 if "=" in word else 2)]
+    return words
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, extras = build_parser().parse_known_args(argv)
     if extras:
-        # a command or name reports an option it does not read under its own usage
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        # a command or name reports an option it does not read under its own
+        # usage, with its value: argparse, not knowing that the option takes
+        # one, may have read the value as an argument
+        unread = _unread(argv, args.defaults) or extras
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         if args.command == "check":
             return run_check(args)

@@ -11,13 +11,15 @@ happens in one place: Subspace, an incremental sparse echelon basis that
 answers membership and coordinates over the generators it accepted.  It
 drops any explicit zero entry of a vector it is given.  Its rows are not
 rescaled to unit leading entries: each keeps its residue and the inverse
-of its lead, and every update is one fused sub_product.  Everything else
-is built on it.  ExactMatrix keeps sparse columns and feeds them left to
-right into one Subspace on its first query; rank, kernel, solving and
-bijectivity all read that one elimination.  matrix_of builds the matrix
-of a linear map into any space that gives sparse coordinates: a diagram
-basis, a Karoubi hom space of karoubi, or a quotient hom space of fpfun,
-and combine sums those hom spaces' kept vectors over given coordinates.
+of its lead, and every update is one fused sub_product.  A reduction keeps
+only its multipliers, and coordinates come from them by back-substitution.
+Everything else is built on it.  ExactMatrix keeps sparse columns and
+feeds them left to right into one Subspace on its first query; rank,
+kernel, solving and bijectivity all read that one elimination.  matrix_of
+builds the matrix of a linear map into any space that gives sparse
+coordinates: a diagram basis, a Karoubi hom space of karoubi, or a
+quotient hom space of fpfun, and combine sums those hom spaces' kept
+vectors over given coordinates.
 """
 
 from __future__ import annotations
@@ -244,21 +246,26 @@ class Subspace:
 
     Rows are kept sparse (index -> coefficient dicts) in echelon form.  A
     row is the residue a generator left after reduction, not rescaled: it
-    keeps its leading entry's inverse, computed once, and the entries past
-    its lead.  Accepted generators are numbered 0, 1, ... in the order
-    they were accepted, and every row records its expression over them, so
-    membership queries can return coordinates over the accepted
-    generators.
+    keeps its leading entry's inverse, computed once, the entries past its
+    lead and the number of its generator.  Accepted generators are numbered
+    0, 1, ... in the order they were accepted.  A reduction records only
+    its multipliers, the c of each c times a row it takes away, and each
+    generator keeps those of its own reduction (the L of an LU
+    factorisation), so coordinates over the generators, when asked for,
+    come from them by back-substitution.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
         # (lead index, entries past the lead, inverse of the lead entry,
-        # -expression over generators), each row its residue unscaled
+        # generator number), each row its residue unscaled
         self.rows = []
+        # per generator, the multipliers of its reduction (generator -> c)
+        self.multipliers = []
 
     def _reduce(self, vec):
-        """(residue, expr) with vec = residue + sum of expr[g] * generator g.
+        """(residue, multipliers) with vec = residue + the sum of
+        multipliers[k] times generator k's row.
 
         Taking c times the normalised row r / lead away from vec is taking
         away c * inv times the stored residue; each updated entry
@@ -268,34 +275,42 @@ class Subspace:
         than the input costs nothing for a vector in the span.
         """
         vec = dict(vec)
-        expr = {}
-        for lead, tail, inv, neg_expr in self.rows:
+        multipliers = {}
+        for lead, tail, inv, k in self.rows:
             c = vec.pop(lead, None)
             if c is None or c.is_zero():
                 continue
-            c = c * inv
-            for target, entries in ((vec, tail), (expr, neg_expr)):
-                for j, v in entries.items():
-                    nv = sub_product(target.get(j), c, v)
-                    if nv.is_zero():
-                        target.pop(j, None)
-                    else:
-                        target[j] = nv
-        return {j: c for j, c in vec.items() if not c.is_zero()}, expr
+            c = multipliers[k] = c * inv
+            _take_away(vec, c, tail)
+        return {j: c for j, c in vec.items() if not c.is_zero()}, multipliers
+
+    def _back_substitute(self, multipliers):
+        """Coordinates over the generators, in ascending order, of the sum
+        of multipliers[k] times generator k's row.  Generator k is its row
+        plus its own multipliers times earlier rows, so, newest first, x_k
+        is the pending multiplier of row k, and x_k * mu is taken away from
+        the pending multiplier of each row i that k has a multiplier mu for.
+        """
+        pending = dict(multipliers)
+        coords = []
+        for k in range(max(pending, default=-1), -1, -1):
+            x = pending.pop(k, None)
+            if x is not None:
+                coords.append((k, x))
+                _take_away(pending, x, self.multipliers[k])
+        return dict(reversed(coords))
 
     def _insert(self, vec):
-        """Add a generator: None if accepted, else its coordinates over the
-        accepted generators (the span is then unchanged)."""
-        residue, expr = self._reduce(vec)
+        """Add a generator: None if accepted, else its multipliers (the
+        span is then unchanged)."""
+        residue, multipliers = self._reduce(vec)
         if not residue:
-            return expr
+            return multipliers
         lead = min(residue)
         inv = residue.pop(lead).inv()
-        # the residue is the new generator minus the sum of expr[g] times
-        # generator g; the row keeps minus that expression
-        expr[len(self.rows)] = -self.field.one()
-        self.rows.append((lead, residue, inv, expr))
+        self.rows.append((lead, residue, inv, len(self.multipliers)))
         self.rows.sort(key=lambda r: r[0])
+        self.multipliers.append(multipliers)
         return None
 
     def add(self, vec) -> bool:
@@ -311,10 +326,21 @@ class Subspace:
 
     def coordinates_of(self, vec):
         """Coordinates over the accepted generators, or None if outside."""
-        residue, expr = self._reduce(vec)
+        residue, multipliers = self._reduce(vec)
         if residue:
             return None
-        return expr
+        return self._back_substitute(multipliers)
+
+
+def _take_away(target, c, entries):
+    """target - c * entries in place: each updated entry normalised once,
+    by sub_product, and dropped when it is zero."""
+    for j, v in entries.items():
+        nv = sub_product(target.get(j), c, v)
+        if nv.is_zero():
+            target.pop(j, None)
+        else:
+            target[j] = nv
 
 
 def combine(vectors, coords, field: FieldSpec):
@@ -333,11 +359,11 @@ class ExactMatrix:
 
     The columns go left to right into one Subspace on the first query, and
     every query reads that elimination: the accepted columns are the pivot
-    columns, and a rejected column's coordinates over the pivot columns
-    give its kernel vector.  The kernel basis (one vector per free column,
-    with 1 there and nothing at the other free columns) and the solution
-    with the free variables at zero are unique, so they are the ones
-    reduced row echelon form gives.
+    columns, and a rejected column keeps its multipliers, which only the
+    kernel basis expands into that column's kernel vector.  The kernel
+    basis (one vector per free column, with 1 there and nothing at the
+    other free columns) and the solution with the free variables at zero
+    are unique, so they are the ones reduced row echelon form gives.
     """
 
     __slots__ = ("rows", "cols", "columns", "field", "_elimination")
@@ -351,17 +377,16 @@ class ExactMatrix:
 
     def _eliminate(self):
         """The Subspace of the columns, the pivot columns, and each other
-        column's coordinates over the pivots (column -> coordinates),
-        computed once."""
+        column's multipliers (column -> multipliers), computed once."""
         if self._elimination is None:
             space = Subspace(self.field)
             pivots, free = [], {}
             for j, col in enumerate(self.columns):
-                coords = space._insert(col)
-                if coords is None:
+                multipliers = space._insert(col)
+                if multipliers is None:
                     pivots.append(j)
                 else:
-                    free[j] = coords
+                    free[j] = multipliers
             self._elimination = space, pivots, free
         return self._elimination
 
@@ -370,9 +395,10 @@ class ExactMatrix:
 
     def kernel_basis(self):
         """Basis vectors (sparse, one per free column) of the right kernel."""
-        _, pivots, free = self._eliminate()
+        space, pivots, free = self._eliminate()
         out = []
-        for j, coords in free.items():
+        for j, multipliers in free.items():
+            coords = space._back_substitute(multipliers)
             vec = {pivots[k]: -c for k, c in coords.items()}
             vec[j] = self.field.one()
             out.append(vec)

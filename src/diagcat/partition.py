@@ -4,16 +4,18 @@ A diagram in P_{m,n} is a set partition of the m+n boundary points.  Upper
 points are 1..m, lower points are stored internally as m+1..m+n and printed
 primed ("1'", "2'", ...).  Diagrams are immutable and canonical: blocks are
 sorted tuples ordered by their minimum, so equal diagrams are structurally
-equal and hashable.
+equal and hashable.  Every diagram is built through one bounded lru_cache,
+_canonical, which hands out one shared instance per diagram, so a memo
+hit or a dict lookup keyed by a diagram mostly compares it by identity.
 
 Composition glues the lower boundary of the inner diagram to the upper
 boundary of the outer one; merged blocks that end up with middle points only
 are removed and counted as loops (each contributes one factor of t at the
 linear level).
 
-`compose` and `tensor` are each memoised in a bounded lru_cache: they are
-pure functions of two immutable, hashable diagrams, and every criterion
-runs them over and over on the same few pairs.
+`compose` and `tensor` are each memoised in a bounded lru_cache too: they
+are pure functions of two immutable, hashable diagrams, and every
+criterion runs them over and over on the same few pairs.
 """
 
 from __future__ import annotations
@@ -89,26 +91,18 @@ class PartitionDiagram:
 
     __slots__ = ("m", "n", "blocks", "_hash")
 
-    def __init__(self, m, n, blocks):
+    def __new__(cls, m, n, blocks):
         points = sorted(p for b in blocks for p in b)
         if points != list(range(1, m + n + 1)):
             raise ValueError(
                 f"blocks must partition 1..{m + n} exactly once, got {blocks!r}"
             )
-        self._fill(m, n, blocks)
+        return cls._from_valid(m, n, blocks)
 
     @classmethod
     def _from_valid(cls, m, n, blocks):
-        """Build from blocks already known to partition 1..m+n exactly once."""
-        d = object.__new__(cls)
-        d._fill(m, n, blocks)
-        return d
-
-    def _fill(self, m, n, blocks):
-        self.m = m
-        self.n = n
-        self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        self._hash = hash((m, n, self.blocks))
+        """The diagram of blocks already known to partition 1..m+n exactly once."""
+        return _canonical(m, n, tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
     @classmethod
     def identity(cls, m):
@@ -131,9 +125,14 @@ class PartitionDiagram:
         return sum(1 for p in block if p > self.m)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PartitionDiagram):
             return NotImplemented
-        return (self.m, self.n, self.blocks) == (other.m, other.n, other.blocks)
+        # an instance that outlives its evicted _canonical entry is a second
+        # live instance of its diagram, so equal fields still mean equal
+        fields = (self.m, self.n, self.blocks)
+        return self._hash == other._hash and fields == (other.m, other.n, other.blocks)
 
     def __hash__(self):
         return self._hash
@@ -209,6 +208,15 @@ class PartitionDiagram:
 
     def __repr__(self):
         return f"PartitionDiagram({self.m}, {self.n}, {self.to_text()!r})"
+
+
+@lru_cache(maxsize=16384)
+def _canonical(m, n, blocks) -> PartitionDiagram:
+    """The one shared PartitionDiagram with canonical blocks."""
+    d = object.__new__(PartitionDiagram)
+    d.m, d.n, d.blocks = m, n, blocks
+    d._hash = hash((m, n, blocks))
+    return d
 
 
 class ComposeResult(NamedTuple):

@@ -57,11 +57,6 @@ class Poly:
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     @classmethod
-    def const(cls, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return _raw((c.numerator,), c.denominator) if c else _P_ZERO
-
-    @classmethod
     def x_power(cls, k):
         return _raw((0,) * k + (1,), 1)
 
@@ -320,7 +315,7 @@ class FieldElement:
         if den.is_zero():
             raise ZeroDivisionError("zero divisor")
         if num.is_zero():
-            return cls("rf", num=_P_ZERO, den=_P_ONE)
+            return _RF_ZERO
         if den.is_one():
             return cls("rf", num=num, den=den)
         top, bottom = num.nums, den.nums
@@ -388,7 +383,7 @@ class FieldElement:
         if self.kind == "q":
             return FieldElement("q", self.q * other.q)
         if not self.num.nums or not other.num.nums:
-            return FieldElement("rf", None, _P_ZERO, _P_ONE)
+            return _RF_ZERO
         if self.is_one():
             return other
         if other.is_one():
@@ -417,6 +412,13 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self.to_text()!r})"
+
+
+# The zero and one of each field, shared: scalars are never mutated.
+_Q_ZERO = FieldElement("q", _ZERO)
+_Q_ONE = FieldElement("q", _ONE)
+_RF_ZERO = FieldElement("rf", None, _P_ZERO, _P_ONE)
+_RF_ONE = FieldElement("rf", None, _P_ONE, _P_ONE)
 
 
 def _rf_product(a, b, k):
@@ -592,16 +594,19 @@ class FieldSpec:
         return self.t_value is None
 
     def zero(self):
-        return self.rational(_ZERO)
+        return _RF_ZERO if self.t_value is None else _Q_ZERO
 
     def one(self):
-        return self.rational(_ONE)
+        return _RF_ONE if self.t_value is None else _Q_ONE
 
     def rational(self, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
         if self.t_value is not None:
-            return FieldElement.rational(q)
-        return FieldElement("rf", num=Poly.const(q), den=_P_ONE)
+            return FieldElement("q", q)
+        n = q.numerator
+        if not n:
+            return _RF_ZERO
+        return FieldElement("rf", None, _raw((n,), q.denominator), _P_ONE)
 
     def t(self):
         return self.t_power(1)

@@ -418,6 +418,23 @@ def test_options_only_where_read():
 
 
 @pytest.mark.parametrize(
+    "args, named",
+    [
+        (("hom-basis", "--t", "5", "1", "1"), "--t 5"),
+        (("compose", "--max-points", "3", "1 1'", "1 1'"), "--max-points 3"),
+    ],
+)
+def test_an_unread_option_before_the_arguments_is_named_with_its_value(args, named):
+    # argparse, not knowing that an unread option takes a value, reads the
+    # value as the first argument; the error still names the option's value
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"usage: diagcat {args[0]} ")
+    assert r.stderr.endswith(f"diagcat {args[0]}: error: unrecognized arguments: {named}\n")
+
+
+@pytest.mark.parametrize(
     "args, env",
     [
         (("check", "diag", "--max-points", "-1"), None),

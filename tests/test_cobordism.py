@@ -64,7 +64,7 @@ def test_datum_validation():
     with pytest.raises(ValueError, match="monic"):
         FrobeniusDatum(F, (F.one(),), Poly((Fraction(1), Fraction(2))))
     with pytest.raises(ValueError, match="degree"):
-        FrobeniusDatum(F, (F.one(),), Poly.const(Fraction(3)))
+        FrobeniusDatum(F, (F.one(),), Poly([Fraction(3)]))
     with pytest.raises(ValueError, match="initial alpha"):
         FrobeniusDatum(F, (F.one(), F.one()), Poly((Fraction(-1), Fraction(1))))
 

@@ -54,11 +54,11 @@ def random_scalar(rng, field):
     while True:
         kind = rng.randrange(5)
         if kind == 0:
-            num, den = Poly.const(rng.choice((-2, -1, 1, 3))), Poly.const(1)
+            num, den = Poly([rng.choice((-2, -1, 1, 3))]), Poly([1])
         elif kind == 1:
-            num, den = random_poly(rng), Poly.const(1)
+            num, den = random_poly(rng), Poly([1])
         elif kind == 2:
-            num, den = Poly.const(rng.choice((-1, 1, 2))), Poly.x_power(rng.randint(1, 2))
+            num, den = Poly([rng.choice((-1, 1, 2))]), Poly.x_power(rng.randint(1, 2))
         elif kind == 3:
             num, den = random_poly(rng), random_poly(rng)
         else:

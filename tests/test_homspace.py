@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from diagcat import homspace
 from diagcat.homspace import (
     ExactMatrix,
     HomBasis,
@@ -13,7 +14,7 @@ from diagcat.homspace import (
     parse_linmorphism,
 )
 from diagcat.partition import DiagramClass, PartitionDiagram, all_diagrams
-from diagcat.scalar import FieldElement, FieldSpec, Poly, specialize
+from diagcat.scalar import FieldElement, FieldSpec, Poly, specialize, sub_product
 
 F = FieldSpec.generic()
 BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -392,6 +393,16 @@ def random_rf(rng):
     return FieldElement.ratfunc(num, den)
 
 
+def combination(rng, field_scalar, columns, size):
+    """A random combination of up to size of the columns, zeros dropped."""
+    combo = {}
+    for col in rng.sample(columns, min(size, len(columns))):
+        c = field_scalar(rng)
+        for i, v in col.items():
+            combo[i] = combo[i] + c * v if i in combo else c * v
+    return {i: v for i, v in combo.items() if not v.is_zero()}
+
+
 def random_system(rng, field_scalar):
     """Sparse columns, with zero columns and columns dependent on earlier
     ones, and two right-hand sides: one in the span, one random; every
@@ -403,12 +414,7 @@ def random_system(rng, field_scalar):
         if kind < 0.15:
             columns.append({})
         elif kind < 0.4 and columns:
-            combo = {}
-            for col in rng.sample(columns, min(2, len(columns))):
-                c = field_scalar(rng)
-                for i, v in col.items():
-                    combo[i] = combo[i] + c * v if i in combo else c * v
-            columns.append({i: v for i, v in combo.items() if not v.is_zero()})
+            columns.append(combination(rng, field_scalar, columns, 2))
         else:
             columns.append(
                 {i: field_scalar(rng) for i in rng.sample(range(rows), rng.randint(1, rows))}
@@ -418,6 +424,24 @@ def random_system(rng, field_scalar):
         for i, v in col.items():
             inside[i] = inside[i] + v if i in inside else v
     inside = {i: v for i, v in inside.items() if not v.is_zero()}
+    random_b = {i: field_scalar(rng) for i in rng.sample(range(rows), rng.randint(1, rows))}
+    return rows, columns, (inside, random_b)
+
+
+def dependent_system(rng, field_scalar):
+    """Like random_system, but a few random columns are followed by many
+    that combine up to three columns before them, dependent ones among
+    them, so that each reduction leaves many multipliers; the right-hand
+    side in the span combines up to five columns."""
+    rows = rng.randint(2, 6)
+    columns = [
+        {i: field_scalar(rng) for i in rng.sample(range(rows), rng.randint(1, rows))}
+        for _ in range(rng.randint(2, rows))
+    ]
+    for _ in range(rng.randint(5, 10)):
+        columns.append(combination(rng, field_scalar, columns, 3))
+    rng.shuffle(columns)
+    inside = combination(rng, field_scalar, columns, 5)
     random_b = {i: field_scalar(rng) for i in rng.sample(range(rows), rng.randint(1, rows))}
     return rows, columns, (inside, random_b)
 
@@ -478,10 +502,18 @@ def results(field, rows, columns, b):
     coords = space.coordinates_of(b)
     assert space.contains(b) == (coords is not None)
     if coords is not None:
+        assert list(coords) == sorted(coords)
         coords = {accepted[k]: c for k, c in coords.items()}
     solution = m.solve(b)
     assert coords == solution
-    return m.rank(), accepted, m.kernel_basis(), solution
+    kernel = m.kernel_basis()
+    # a dependent column's coordinates over the pivot columns are its
+    # kernel vector's negated entries
+    free = [j for j in range(len(columns)) if j not in accepted]
+    for j, vec in zip(free, kernel):
+        at = {accepted[k]: -c for k, c in space.coordinates_of(columns[j]).items()}
+        assert {**at, j: field.one()} == vec
+    return m.rank(), accepted, kernel, solution
 
 
 def as_fractions(vec, t0=None):
@@ -492,16 +524,19 @@ def as_fractions(vec, t0=None):
     return {k: q for k, q in values.items() if q}
 
 
-def test_elimination_at_a_rational_t_equals_the_dense_reference():
-    field = FieldSpec.at(Fraction(5, 2))
-    rng = random.Random(29)
+T_RATIONAL = FieldSpec.at(Fraction(5, 2))
 
-    def scalar(rng):
-        numerator = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
-        return field.rational(Fraction(numerator, rng.randint(1, 3)))
 
-    for _ in range(60):
-        rows, columns, bs = random_system(rng, scalar)
+def rational_scalar(rng):
+    numerator = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    return T_RATIONAL.rational(Fraction(numerator, rng.randint(1, 3)))
+
+
+def assert_rational_t_equals_the_dense_reference(system, seed, rounds):
+    field = T_RATIONAL
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        rows, columns, bs = system(rng, rational_scalar)
         fractions = [dense(rows, col, lambda c: c.q) for col in columns]
         for b in bs:
             rank, pivots, kernel, solution = results(field, rows, columns, b)
@@ -511,12 +546,22 @@ def test_elimination_at_a_rational_t_equals_the_dense_reference():
             assert as_fractions(solution) == ref[3]
 
 
-def test_elimination_over_qt_specialises_to_the_dense_reference():
+def test_elimination_at_a_rational_t_equals_the_dense_reference():
+    assert_rational_t_equals_the_dense_reference(random_system, 29, 60)
+
+
+def test_many_dependent_columns_at_a_rational_t_equal_the_dense_reference():
+    assert_rational_t_equals_the_dense_reference(dependent_system, 37, 40)
+
+
+def qt_points_matching_the_dense_reference(system, seed, rounds):
+    """Elimination over Q(t) specialised at each t0 of T0S against the
+    dense reference at t0; the number of generic points compared."""
     field = FieldSpec.generic()
-    rng = random.Random(31)
+    rng = random.Random(seed)
     generic_points = 0
-    for _ in range(40):
-        rows, columns, bs = random_system(rng, random_rf)
+    for _ in range(rounds):
+        rows, columns, bs = system(rng, random_rf)
         for b in bs:
             rank, pivots, kernel, solution = results(field, rows, columns, b)
             for t0 in T0S:
@@ -530,7 +575,61 @@ def test_elimination_over_qt_specialises_to_the_dense_reference():
                 generic_points += 1
                 assert [as_fractions(v, t0) for v in kernel] == ref[2]
                 assert as_fractions(solution, t0) == ref[3]
-    assert generic_points >= 200
+    return generic_points
+
+
+def test_elimination_over_qt_specialises_to_the_dense_reference():
+    assert qt_points_matching_the_dense_reference(random_system, 31, 40) >= 200
+
+
+def test_many_dependent_columns_over_qt_specialise_to_the_dense_reference():
+    assert qt_points_matching_the_dense_reference(dependent_system, 43, 6) >= 30
+
+
+@pytest.mark.parametrize("field", [F, T_RATIONAL], ids=["generic", "t=5/2"])
+def test_rank_and_add_do_no_arithmetic_on_multipliers(field, monkeypatch):
+    """Every sub_product of rank() and Subspace.add updates a row entry;
+    only coordinates back-substitute the multipliers."""
+    calls = {"row": 0, "multiplier": 0}
+    substituting = []
+    back_substitute = Subspace._back_substitute
+
+    def counted(cur, a, b):
+        calls["multiplier" if substituting else "row"] += 1
+        return sub_product(cur, a, b)
+
+    def counted_back_substitute(self, multipliers):
+        substituting.append(True)
+        try:
+            return back_substitute(self, multipliers)
+        finally:
+            substituting.pop()
+
+    monkeypatch.setattr(homspace, "sub_product", counted)
+    monkeypatch.setattr(Subspace, "_back_substitute", counted_back_substitute)
+    scalar = random_rf if field is F else rational_scalar
+    rows, columns, _ = dependent_system(random.Random(41), scalar)
+    m = ExactMatrix(rows, columns, field)
+    rank = m.rank()
+    updates = calls["row"]
+    # one update per entry past the lead of each row a reduction used, and
+    # a reduction used the rows it has multipliers for
+    elimination, _, free = m._eliminate()
+    tails = {k: len(tail) for _, tail, _, k in elimination.rows}
+    used = elimination.multipliers + list(free.values())
+    assert updates == sum(tails[k] for multipliers in used for k in multipliers) > 0
+    space = Subspace(field)
+    assert sum(space.add(col) for col in columns) == rank < len(columns)
+    assert calls == {"row": 2 * updates, "multiplier": 0}
+    # the second column is reduced by the first, so expressing the third
+    # over the columns takes one back-substitution step
+    one = field.one()
+    c0, c1 = {0: one, 1: one}, {0: one, 2: one}
+    m = ExactMatrix(3, [c0, c1, {0: field.rational(2), 1: one, 2: one}], field)
+    assert m.rank() == 2
+    assert calls["multiplier"] == 0
+    assert m.kernel_basis() == [{0: -one, 1: -one, 2: one}]
+    assert calls["multiplier"] == 1
 
 
 @pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])

@@ -2,7 +2,8 @@
 no module imports another module's underscore name, every memo is a
 bounded lru_cache rather than a module-level container, the README names
 every memo, every Karoubi hom space and every hom
-space of presented functors is built through its memo, no sum of
+space of presented functors is built through its memo, every partition
+diagram is built through the canonical memo, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
 and every elimination outside the hom spaces reads an ExactMatrix."""
@@ -254,6 +255,55 @@ def test_the_guard_sees_a_direct_presented_build():
         "    return hs, FpHomSpace(phi.src, probe)\n"
     )
     assert calls_outside(snippet, "FpHomSpace", ("fp_hom_space",)) == [5]
+
+
+def direct_diagram_builds(source: str, scopes=()) -> list:
+    """Line numbers of each __new__ call given PartitionDiagram (by name or
+    as an attribute), outside the named module-level functions."""
+    tree = ast.parse(source)
+    inside = {
+        id(n)
+        for node in tree.body
+        if getattr(node, "name", None) in scopes
+        for n in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__new__"
+        and any(
+            "PartitionDiagram" in (getattr(arg, "id", None), getattr(arg, "attr", None))
+            for arg in node.args
+        )
+        and id(node) not in inside
+    )
+
+
+def test_every_diagram_goes_through_the_canonical_memo():
+    """partition._canonical hands out one instance per diagram; only it
+    builds one."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in direct_diagram_builds(
+            path.read_text(), ("_canonical",) if path.stem == "partition" else ()
+        )
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_direct_diagram_build():
+    snippet = (
+        "def _canonical(m, n, blocks):\n"
+        "    d = object.__new__(PartitionDiagram)\n"
+        "def tensor(f, g):\n"
+        "    return object.__new__(partition.PartitionDiagram)\n"
+        "out = object.__new__(LinMorphism)\n"
+        "d = PartitionDiagram(1, 1, [(1, 2)])\n"
+        "e = object.__new__(PartitionDiagram)\n"
+    )
+    assert direct_diagram_builds(snippet, ("_canonical",)) == [4, 7]
 
 
 SUBSPACE_BUILDERS = {

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from diagcat.homspace import parse_linmorphism
+from diagcat import partition
+from diagcat.homspace import HomBasis, parse_linmorphism
 from diagcat.partition import (
     ComposeResult,
     DiagramClass,
@@ -34,6 +35,37 @@ def test_canonical_form_and_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a.blocks == ((1, 3), (2, 4))
+
+
+def test_equal_diagrams_are_one_instance():
+    d = PartitionDiagram(2, 2, [(1, 3), (2, 4)])
+    assert PartitionDiagram(2, 2, [(4, 2), (3, 1)]) is d
+    assert D("2 2' | 1' 1") is d
+    assert PartitionDiagram.identity(2) is d
+    # the memos may hold an instance from before a _canonical.cache_clear,
+    # so the computations are run past them
+    assert compose.__wrapped__(d, d).diagram is d
+    one = PartitionDiagram.identity(1)
+    assert tensor.__wrapped__(one, one) is d
+    basis = HomBasis(DiagramClass.ALL, 2, 2)
+    assert basis.diagrams[basis.index(d)] is d
+
+
+def test_a_diagram_that_outlives_its_canonical_entry_equals_the_new_one():
+    old, ident = D("1 2 | 1'"), PartitionDiagram.identity(2)
+    keyed = {old: "kept"}
+    first = compose(old, ident)
+    partition._canonical.cache_clear()
+    new = D("1 2 | 1'")
+    assert new is not old
+    assert new == old and old == new
+    assert not new != old
+    assert hash(new) == hash(old)
+    assert keyed[new] == "kept"
+    before = compose.cache_info()
+    assert compose(new, PartitionDiagram.identity(2)) == first
+    assert compose.cache_info().hits == before.hits + 1
+    assert new != D("1 | 2 | 1'")
 
 
 def test_validation_rejects_bad_covers():

@@ -144,6 +144,18 @@ def test_fieldspec_modes():
         FieldSpec.at(0).require_nonzero_t("thing")
 
 
+@pytest.mark.parametrize("field", [FieldSpec.generic(), FieldSpec.at(Fraction(5, 2))])
+def test_zero_and_one_are_shared_and_rational_keeps_its_value(field):
+    assert field.zero() is field.zero() is FieldSpec(field.t_value).zero()
+    assert field.one() is field.one()
+    assert field.zero().is_zero() and field.one().is_one()
+    assert field.rational(0) == field.zero() and field.rational(Fraction(1)) == field.one()
+    for q in (Fraction(-3, 4), Fraction(7), 2):
+        value = field.rational(q)
+        assert value.to_text() == str(Fraction(q))
+        assert specialize(value, 1).q == q
+
+
 def test_text_forms():
     assert FieldElement.rational(Fraction(-1, 2)).to_text() == "-1/2"
     fe = FieldElement.ratfunc(Poly((-1, 0, 1)), Poly.x_power(1))
