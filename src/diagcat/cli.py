@@ -446,13 +446,22 @@ def run_check(args) -> int:
     return 0 if report.passed() else 1
 
 
+def _option(flag):
+    """The OPTIONS name that flag names in full or, as argparse's
+    allow_abbrev reads it, as a prefix of that one name alone; else None."""
+    if flag in OPTIONS:
+        return flag
+    names = [name for name in OPTIONS if name.startswith(flag)]
+    return names[0] if len(names) == 1 else None
+
+
 def _unread(argv, defaults):
     """Each option of argv that its command or name does not read, with
     the value it was given."""
     words = []
     for k, word in enumerate(argv):
-        flag = word[2:].partition("=")[0]
-        if word.startswith("--") and flag in OPTIONS and flag not in defaults:
+        flag = _option(word[2:].partition("=")[0])
+        if word.startswith("--") and flag is not None and flag not in defaults:
             words += argv[k : k + (1 if "=" in word else 2)]
     return words
 

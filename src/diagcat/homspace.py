@@ -13,9 +13,10 @@ drops any explicit zero entry of a vector it is given.  Its rows are not
 rescaled to unit leading entries: each keeps its residue and the inverse
 of its lead, and every update is one fused sub_product.  A reduction keeps
 only its multipliers, and coordinates come from them by back-substitution.
-Everything else is built on it.  ExactMatrix keeps sparse columns and
-feeds them left to right into one Subspace on its first query; rank,
-kernel, solving and bijectivity all read that one elimination.  matrix_of
+Everything else is built on it.  ExactMatrix takes a sized iterable of
+sparse columns and feeds them left to right into one Subspace, as far as
+a query needs, resumed by later queries; rank, kernel, solving and
+bijectivity all read that one elimination.  matrix_of
 builds the matrix of a linear map into any space that gives sparse
 coordinates: a diagram basis, a Karoubi hom space of karoubi, or a
 quotient hom space of fpfun, and combine sums those hom spaces' kept
@@ -354,64 +355,99 @@ def combine(vectors, coords, field: FieldSpec):
     return sum_products(sums, field)
 
 
+class LazyColumns:
+    """A sized iterable of count columns that iterating `columns` makes one
+    at a time, for an ExactMatrix that draws only as many as it needs."""
+
+    __slots__ = ("count", "columns")
+
+    def __init__(self, count, columns):
+        self.count = count
+        self.columns = columns
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return iter(self.columns)
+
+
 class ExactMatrix:
     """Matrix over the exact field, kept as sparse columns (row -> entry).
 
-    The columns go left to right into one Subspace on the first query, and
-    every query reads that elimination: the accepted columns are the pivot
-    columns, and a rejected column keeps its multipliers, which only the
-    kernel basis expands into that column's kernel vector.  The kernel
-    basis (one vector per free column, with 1 there and nothing at the
-    other free columns) and the solution with the free variables at zero
-    are unique, so they are the ones reduced row echelon form gives.
+    columns is any sized iterable of columns.  They go left to right into
+    one Subspace, as far as a query needs, and later queries resume from
+    there: the accepted columns are the pivot columns, and a rejected
+    column keeps its multipliers, which only the kernel basis expands into
+    that column's kernel vector.  The pivot columns of a prefix are the
+    leading pivot columns of the whole matrix, so the kernel basis (one
+    vector per free column, with 1 there and nothing at the other free
+    columns) and the solution with the free variables at zero are unique
+    and the ones reduced row echelon form gives, however far the columns
+    were drawn.
     """
 
-    __slots__ = ("rows", "cols", "columns", "field", "_elimination")
+    __slots__ = (
+        "rows", "cols", "columns", "field", "_space", "_pending", "_pivots", "_free"
+    )
 
     def __init__(self, rows, columns, field: FieldSpec):
         self.rows = rows
         self.cols = len(columns)
         self.columns = columns
         self.field = field
-        self._elimination = None
+        self._space = Subspace(field)
+        self._pending = iter(columns)
+        # the pivot columns in order, and each other column's multipliers
+        self._pivots, self._free = [], {}
 
-    def _eliminate(self):
-        """The Subspace of the columns, the pivot columns, and each other
-        column's multipliers (column -> multipliers), computed once."""
-        if self._elimination is None:
-            space = Subspace(self.field)
-            pivots, free = [], {}
-            for j, col in enumerate(self.columns):
-                multipliers = space._insert(col)
-                if multipliers is None:
-                    pivots.append(j)
-                else:
-                    free[j] = multipliers
-            self._elimination = space, pivots, free
-        return self._elimination
+    def _draw(self) -> bool:
+        """Feed the next column into the elimination; False if none is left."""
+        col = next(self._pending, None)
+        if col is None:
+            return False
+        j = len(self._pivots) + len(self._free)
+        multipliers = self._space._insert(col)
+        if multipliers is None:
+            self._pivots.append(j)
+        else:
+            self._free[j] = multipliers
+        return True
+
+    def _draw_all(self):
+        while self._draw():
+            pass
 
     def rank(self) -> int:
-        return len(self._eliminate()[1])
+        self._draw_all()
+        return len(self._pivots)
 
     def kernel_basis(self):
         """Basis vectors (sparse, one per free column) of the right kernel."""
-        space, pivots, free = self._eliminate()
+        self._draw_all()
         out = []
-        for j, multipliers in free.items():
-            coords = space._back_substitute(multipliers)
-            vec = {pivots[k]: -c for k, c in coords.items()}
+        for j, multipliers in self._free.items():
+            coords = self._space._back_substitute(multipliers)
+            vec = {self._pivots[k]: -c for k, c in coords.items()}
             vec[j] = self.field.one()
             out.append(vec)
         return out
 
     def solve(self, b):
         """A particular sparse solution of A x = b (free variables zero),
-        or None."""
-        space, pivots, _ = self._eliminate()
-        coords = space.coordinates_of(b)
-        if coords is None:
-            return None
-        return {pivots[k]: c for k, c in coords.items()}
+        or None.  Columns are drawn only while b's residue over the rows
+        found so far is not zero.  The residue is zero at every earlier
+        lead, and so is a new row, so reducing the residue again takes
+        away only the new row and leaves it reduced."""
+        space = self._space
+        residue, multipliers = space._reduce(b)
+        while residue:
+            if not self._draw():
+                return None
+            residue, more = space._reduce(residue)
+            multipliers.update(more)
+        coords = space._back_substitute(multipliers)
+        return {self._pivots[k]: c for k, c in coords.items()}
 
     def is_bijective(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

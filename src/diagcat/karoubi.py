@@ -17,7 +17,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import partition
-from .homspace import ExactMatrix, LinMorphism, Subspace, combine, compose_sum, hom_basis
+from .homspace import (
+    ExactMatrix,
+    LazyColumns,
+    LinMorphism,
+    Subspace,
+    combine,
+    compose_sum,
+    hom_basis,
+)
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
 from .scalar import FieldElement, FieldSpec, sum_products
@@ -395,7 +403,9 @@ def kar_row(morphisms) -> KarMorphism:
 
 
 def _sandwich(left, right, units, slot_index, field):
-    """The slot vectors of L . unit(d) . R, one per ((i, j), d) of units.
+    """The slot vectors of L . unit(d) . R, one per ((i, j), d) of units,
+    in order, each made only when it is drawn: split_solve's ExactMatrix
+    draws them left to right, as far as its solve needs.
 
     left and right are the entry matrices of L and R, unit(d) has d in
     slot (i, j) and zeros elsewhere, and slot_index lays out the slots of
@@ -411,7 +421,6 @@ def _sandwich(left, right, units, slot_index, field):
     for key, basis in slot_index.items():
         offsets[key] = (pos, basis)
         pos += len(basis)
-    out = []
     one = field.one()
     for (i, j), d in units:
         inner = {}  # (column, d . y) -> triples of its coefficient
@@ -429,8 +438,7 @@ def _sandwich(left, right, units, slot_index, field):
                     diagram, loops = partition.compose(dx, dy)
                     pos = offset + basis.index(diagram)
                     products.setdefault(pos, []).append((cx, cy, loops))
-        out.append(sum_products(products, field))
-    return out
+        yield sum_products(products, field)
 
 
 class KarHom:
@@ -561,9 +569,11 @@ def split_solve(f: KarMorphism):
     # unit U of each element of gh, with far fewer terms to compose.  The
     # columns are fh's slot vectors, not coordinates over its basis: both
     # maps are injective on fh's span, so the pivot columns and the
-    # solution with the free variables at zero are the same.
+    # solution with the free variables at zero are the same.  solve draws
+    # the columns only until f's slot vector lies in their span.
     columns = _sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field)
-    coords = ExactMatrix(fh.slots, columns, gh.field).solve(fh.slot_vector(f))
+    matrix = ExactMatrix(fh.slots, LazyColumns(len(gh.unit_slots), columns), gh.field)
+    coords = matrix.solve(fh.slot_vector(f))
     if coords is None:
         return None
     g = gh.from_coordinates(coords)

@@ -435,6 +435,26 @@ def test_an_unread_option_before_the_arguments_is_named_with_its_value(args, nam
 
 
 @pytest.mark.parametrize(
+    "args, named",
+    [
+        (("compose", "--max", "3", "1 1'", "1 1'"), "--max 3"),
+        (("compose", "1 1'", "1 1'", "--max", "3"), "--max 3"),
+        (("compose", "--max=3", "1 1'", "1 1'"), "--max=3"),
+        (("hom-basis", "--cl", "all", "--s-w", "2", "1", "1"), "--s-w 2"),
+        # --m abbreviates both --max-points and --m-max: argparse's words stay
+        (("compose", "--m", "3", "1 1'", "1 1'"), "--m 1 1'"),
+    ],
+)
+def test_an_abbreviated_unread_option_is_named_with_its_value(args, named):
+    # argparse reads a unique prefix of an option as the option, and so
+    # does the error that names an option the command does not read
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.endswith(f"diagcat {args[0]}: error: unrecognized arguments: {named}\n")
+
+
+@pytest.mark.parametrize(
     "args, env",
     [
         (("check", "diag", "--max-points", "-1"), None),

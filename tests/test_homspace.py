@@ -7,6 +7,7 @@ from diagcat import homspace
 from diagcat.homspace import (
     ExactMatrix,
     HomBasis,
+    LazyColumns,
     LinMorphism,
     Subspace,
     hom_basis,
@@ -586,6 +587,66 @@ def test_many_dependent_columns_over_qt_specialise_to_the_dense_reference():
     assert qt_points_matching_the_dense_reference(dependent_system, 43, 6) >= 30
 
 
+def counted_columns(columns, drawn):
+    """columns as a sized iterable that appends to drawn each column it
+    hands out."""
+
+    def each():
+        for col in columns:
+            drawn.append(col)
+            yield col
+
+    return LazyColumns(len(columns), each())
+
+
+@pytest.mark.parametrize("field", [F, T_RATIONAL], ids=["generic", "t=5/2"])
+def test_queries_in_any_order_equal_the_dense_reference(field):
+    """solve draws columns only until b lies in their span; a solve on a
+    fresh matrix, after rank(), or among several in a row, and rank() and
+    kernel_basis() after a solve that stopped early, all give the dense
+    reference's answers (over Q(t) at each generic point of T0S)."""
+    scalar, points = (random_rf, T0S) if field is F else (rational_scalar, (None,))
+    rng = random.Random(53)
+    stopped_early = inconsistent = compared = 0
+    rounds = 6 if field is F else 40
+    for _ in range(rounds):
+        rows, columns, (inside, random_b) = dependent_system(rng, scalar)
+        # an early combination, the random b (inconsistent where the rank
+        # falls short), and one of up to five columns
+        bs = [combination(rng, scalar, columns[:2], 2), random_b, inside]
+        drawn = []
+        m = ExactMatrix(rows, counted_columns(columns, drawn), field)
+        first = m.solve(bs[0])
+        # the shortest prefix whose span holds b: up to its last pivot used
+        assert len(drawn) == max(first, default=-1) + 1
+        stopped_early += len(drawn) < len(columns)
+        rank, kernel, pivots = m.rank(), m.kernel_basis(), m._pivots
+        assert len(drawn) == m.cols == len(columns)
+        fresh = [ExactMatrix(rows, columns, field).solve(b) for b in bs]
+        assert first == fresh[0]
+        in_a_row = ExactMatrix(rows, columns, field)
+        assert [in_a_row.solve(b) for b in bs] == fresh
+        after_rank = ExactMatrix(rows, columns, field)
+        assert after_rank.rank() == rank
+        assert [after_rank.solve(b) for b in bs] == fresh
+        inconsistent += fresh.count(None)
+        for t0 in points:
+            def value(c):
+                return c.q if t0 is None else specialize(c, t0).q
+
+            at = [dense(rows, col, value) for col in columns]
+            for b, x in zip(bs, fresh):
+                ref = reference(rows, at, dense(rows, b, value))
+                # the rank can only drop at a special t0 of Q(t)
+                if (ref[0], ref[1]) != (rank, pivots) or (x is None) != (ref[3] is None):
+                    assert t0 is not None and ref[0] <= rank
+                    continue
+                compared += 1
+                assert [as_fractions(v, t0) for v in kernel] == ref[2]
+                assert as_fractions(x, t0) == ref[3]
+    assert stopped_early > 0 and inconsistent > 0 and compared >= 2 * rounds
+
+
 @pytest.mark.parametrize("field", [F, T_RATIONAL], ids=["generic", "t=5/2"])
 def test_rank_and_add_do_no_arithmetic_on_multipliers(field, monkeypatch):
     """Every sub_product of rank() and Subspace.add updates a row entry;
@@ -614,7 +675,7 @@ def test_rank_and_add_do_no_arithmetic_on_multipliers(field, monkeypatch):
     updates = calls["row"]
     # one update per entry past the lead of each row a reduction used, and
     # a reduction used the rows it has multipliers for
-    elimination, _, free = m._eliminate()
+    elimination, free = m._space, m._free
     tails = {k: len(tail) for _, tail, _, k in elimination.rows}
     used = elimination.multipliers + list(free.values())
     assert updates == sum(tails[k] for multipliers in used for k in multipliers) > 0

@@ -6,7 +6,8 @@ space of presented functors is built through its memo, every partition
 diagram is built through the canonical memo, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
-and every elimination outside the hom spaces reads an ExactMatrix."""
+every elimination outside the hom spaces reads an ExactMatrix, and an
+ExactMatrix feeds its columns to its Subspace from one method alone."""
 
 import ast
 import importlib
@@ -314,8 +315,8 @@ SUBSPACE_BUILDERS = {
 
 
 def test_only_matrices_and_hom_spaces_build_a_subspace():
-    """Every other elimination reads an ExactMatrix, which eliminates its
-    columns once, whatever it is asked."""
+    """Every other elimination reads an ExactMatrix, which eliminates each
+    column once, left to right as far as its queries need."""
     found = [
         f"{path.stem}:{line}"
         for path in MODULES
@@ -329,8 +330,8 @@ def test_only_matrices_and_hom_spaces_build_a_subspace():
 def test_the_guard_sees_a_subspace_built_elsewhere():
     snippet = (
         "class ExactMatrix:\n"
-        "    def _eliminate(self):\n"
-        "        return Subspace(self.field)\n"
+        "    def __init__(self, rows, columns, field):\n"
+        "        self._space = Subspace(field)\n"
         "class KarHom:\n"
         "    def __init__(self, dom, cod):\n"
         "        self.space = Subspace(dom.field)\n"
@@ -341,6 +342,45 @@ def test_the_guard_sees_a_subspace_built_elsewhere():
     )
     allowed = ("ExactMatrix", "KarHom.__init__")
     assert calls_outside(snippet, "Subspace", allowed) == [8, 10]
+
+
+def method_calls(source: str, cls: str, callee: str) -> list:
+    """(method, line) of each call to callee (by name or as an attribute)
+    inside the methods of class cls."""
+    tree = ast.parse(source)
+    return sorted(
+        (item.name, node.lineno)
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == cls
+        for item in top.body
+        if isinstance(item, ast.FunctionDef)
+        for node in ast.walk(item)
+        if isinstance(node, ast.Call)
+        and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_a_matrix_eliminates_in_one_place():
+    """ExactMatrix inserts a column into its Subspace only in the step that
+    draws it, so solve cannot grow an elimination loop of its own."""
+    source = (Path(diagcat.__file__).parent / "homspace.py").read_text()
+    calls = method_calls(source, "ExactMatrix", "_insert")
+    assert [method for method, _ in calls] == ["_draw"]
+
+
+def test_the_guard_sees_a_second_elimination():
+    snippet = (
+        "class ExactMatrix:\n"
+        "    def _draw(self):\n"
+        "        return self._space._insert(next(self._pending))\n"
+        "    def solve(self, b):\n"
+        "        for col in self._pending:\n"
+        "            self._space._insert(col)\n"
+        "class Subspace:\n"
+        "    def add(self, vec):\n"
+        "        return self._insert(vec) is None\n"
+    )
+    assert method_calls(snippet, "ExactMatrix", "_insert") == [("_draw", 3), ("solve", 6)]
 
 
 def summed_composites(source: str) -> list:
@@ -462,5 +502,5 @@ def test_the_kernel_reaches_its_callees_at_call_time(monkeypatch):
     cut = obj.cut
     slots = {(0, 0): hom_basis(partition.DiagramClass.ALL, 1, 1)}
     units = [((0, 0), d) for d in slots[0, 0]]
-    karoubi._sandwich(cut, cut, units, slots, field)
+    list(karoubi._sandwich(cut, cut, units, slots, field))
     assert {"compose", "sum_products"} == set(seen)

@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from diagcat import karoubi
 from diagcat.fpfun import weak_kernel
-from diagcat.homspace import LinMorphism, Subspace, hom_basis, matrix_of, parse_linmorphism
+from diagcat.homspace import (
+    ExactMatrix,
+    LinMorphism,
+    Subspace,
+    hom_basis,
+    matrix_of,
+    parse_linmorphism,
+)
 from diagcat.karoubi import (
     KarHom,
     KarMorphism,
@@ -449,8 +457,50 @@ def test_split_refuses_a_morphism_that_does_not_absorb_its_cuts():
     e1 = special_morphisms("e_1_sprime", 1, F)
     x1 = kar_object(1, e1, ALL, F)
     bare = KarMorphism(x1, x1, ((lin("1 * 1 1'"),),), validate=False)
-    with pytest.raises(ValueError, match="hom space"):
+    with pytest.raises(ValueError, match="morphism escapes its own hom space"):
         split_solve(bare)
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+def test_split_refuses_a_wrong_solution(t, monkeypatch):
+    # f.g.f = f is checked again, however far the solve drew its columns
+    field = F if t is None else FieldSpec.at(t)
+    inputs = _split_inputs(field, random.Random(7))
+    solve = ExactMatrix.solve
+
+    def doubled(self, b):
+        x = solve(self, b)
+        return {k: c + c for k, c in x.items()}
+
+    monkeypatch.setattr(ExactMatrix, "solve", doubled)
+    for f in inputs:
+        with pytest.raises(AssertionError, match="split solver produced an invalid witness"):
+            split_solve(f)
+
+
+@pytest.mark.parametrize("text", ["1 | 1'", "1 2' | 2 | 1'"])
+def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
+    """The solution of a basis diagram uses an early pivot, so split_solve
+    draws fewer f.U.f vectors than Hom(cod, dom) has units, while every
+    hom space still draws all of its candidates."""
+    sandwich = karoubi._sandwich
+    calls = []
+
+    def counted(left, right, units, slot_index, field):
+        drawn = []
+        calls.append((len(units), drawn))
+        for vec in sandwich(left, right, units, slot_index, field):
+            drawn.append(vec)
+            yield vec
+
+    monkeypatch.setattr(karoubi, "_sandwich", counted)
+    kar_hom.cache_clear()
+    f = KarMorphism.from_lin(lin(f"1 * {text}"), ALL, F)
+    assert split_solve(f) is not None
+    *builds, (units, drawn) = calls
+    assert builds and all(len(vectors) == count for count, vectors in builds)
+    assert units == len(kar_hom(f.cod, f.dom).unit_slots)
+    assert 0 < len(drawn) < units
 
 
 def test_generic_semisimplicity_sweep():

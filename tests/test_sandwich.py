@@ -86,9 +86,9 @@ def assert_kernel_matches_composites(left, right, u_dom, u_cod):
     of Hom(u_dom, u_cod); returns how many units were compared."""
     units = all_units(u_dom, u_cod)
     out = kar_hom(right.dom, left.cod)
-    got = karoubi._sandwich(
+    got = list(karoubi._sandwich(
         left.entries, right.entries, units, out._slot_index, left.dom.field
-    )
+    ))
     assert len(got) == len(units)
     for unit, vec in zip(units, got):
         composite = kar_compose(left, kar_compose(unit_morphism(u_dom, u_cod, unit), right))
