@@ -16,7 +16,9 @@ only its multipliers, and coordinates come from them by back-substitution.
 Everything else is built on it.  ExactMatrix takes a sized iterable of
 sparse columns and feeds them left to right into one Subspace, as far as
 a query needs, resumed by later queries; rank, kernel, solving and
-bijectivity all read that one elimination.  matrix_of
+bijectivity all read that one elimination.  A column its producer knows
+to be c times an earlier column k comes as a ScaledColumn(k, c), which is
+never reduced and which only the kernel basis expands.  matrix_of
 builds the matrix of a linear map into any space that gives sparse
 coordinates: a diagram basis, a Karoubi hom space of karoubi, or a
 quotient hom space of fpfun, and combine sums those hom spaces' kept
@@ -372,15 +374,29 @@ class LazyColumns:
         return iter(self.columns)
 
 
+class ScaledColumn:
+    """In place of a column: c (nonzero) times the earlier column k, from
+    a producer that knows the column to be that multiple."""
+
+    __slots__ = ("k", "c")
+
+    def __init__(self, k, c):
+        self.k = k
+        self.c = c
+
+
 class ExactMatrix:
     """Matrix over the exact field, kept as sparse columns (row -> entry).
 
-    columns is any sized iterable of columns.  They go left to right into
-    one Subspace, as far as a query needs, and later queries resume from
-    there: the accepted columns are the pivot columns, and a rejected
-    column keeps its multipliers, which only the kernel basis expands into
-    that column's kernel vector.  The pivot columns of a prefix are the
-    leading pivot columns of the whole matrix, so the kernel basis (one
+    columns is any sized iterable of columns, each a sparse column or a
+    ScaledColumn.  They go left to right into one Subspace, as far as a
+    query needs, and later queries resume from there: the accepted columns
+    are the pivot columns, and a rejected column keeps its multipliers,
+    which only the kernel basis expands into that column's kernel vector.
+    A ScaledColumn is never a pivot: it is kept as it is, never reduced,
+    and the kernel basis expands it as c times column k.  The pivot
+    columns of a prefix are the leading pivot columns of the whole
+    matrix, so the kernel basis (one
     vector per free column, with 1 there and nothing at the other free
     columns) and the solution with the free variables at zero are unique
     and the ones reduced row echelon form gives, however far the columns
@@ -399,6 +415,7 @@ class ExactMatrix:
         self._space = Subspace(field)
         self._pending = iter(columns)
         # the pivot columns in order, and each other column's multipliers
+        # or ScaledColumn
         self._pivots, self._free = [], {}
 
     def _draw(self) -> bool:
@@ -407,6 +424,9 @@ class ExactMatrix:
         if col is None:
             return False
         j = len(self._pivots) + len(self._free)
+        if isinstance(col, ScaledColumn):
+            self._free[j] = col
+            return True
         multipliers = self._space._insert(col)
         if multipliers is None:
             self._pivots.append(j)
@@ -426,26 +446,37 @@ class ExactMatrix:
         """Basis vectors (sparse, one per free column) of the right kernel."""
         self._draw_all()
         out = []
-        for j, multipliers in self._free.items():
-            coords = self._space._back_substitute(multipliers)
-            vec = {self._pivots[k]: -c for k, c in coords.items()}
+        for j in self._free:
+            vec = {self._pivots[k]: -c for k, c in self._coordinates(j).items()}
             vec[j] = self.field.one()
             out.append(vec)
         return out
+
+    def _coordinates(self, j):
+        """Column j over the pivot columns, numbered as generators."""
+        free = self._free.get(j)
+        if free is None:
+            return {self._pivots.index(j): self.field.one()}
+        if isinstance(free, ScaledColumn):
+            return {k: free.c * x for k, x in self._coordinates(free.k).items()}
+        return self._space._back_substitute(free)
 
     def solve(self, b):
         """A particular sparse solution of A x = b (free variables zero),
         or None.  Columns are drawn only while b's residue over the rows
         found so far is not zero.  The residue is zero at every earlier
         lead, and so is a new row, so reducing the residue again takes
-        away only the new row and leaves it reduced."""
+        away only the new row and leaves it reduced; a drawn column that
+        adds no row leaves the residue as it is."""
         space = self._space
         residue, multipliers = space._reduce(b)
         while residue:
+            found = len(space.rows)
             if not self._draw():
                 return None
-            residue, more = space._reduce(residue)
-            multipliers.update(more)
+            if len(space.rows) > found:
+                residue, more = space._reduce(residue)
+                multipliers.update(more)
         coords = space._back_substitute(multipliers)
         return {self._pivots[k]: c for k, c in coords.items()}
 

@@ -21,6 +21,7 @@ from .homspace import (
     ExactMatrix,
     LazyColumns,
     LinMorphism,
+    ScaledColumn,
     Subspace,
     combine,
     compose_sum,
@@ -28,7 +29,7 @@ from .homspace import (
 )
 from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldElement, FieldSpec, sum_products
+from .scalar import FieldElement, FieldSpec, poly_text, sum_products
 
 
 def _entry_shapes_ok(entries, dom_words, cod_words):
@@ -347,7 +348,8 @@ class KarMorphism:
         )
 
     def __sub__(self, other):
-        return self + other.scale(-self.dom.field.one())
+        negated = tuple(tuple(-x for x in row) for row in other.entries)
+        return self + KarMorphism(other.dom, other.cod, negated, validate=False)
 
     def scale(self, c: FieldElement):
         return KarMorphism(
@@ -402,7 +404,7 @@ def kar_row(morphisms) -> KarMorphism:
     return KarMorphism(dom, cod, entries, validate=False)
 
 
-def _sandwich(left, right, units, slot_index, field):
+def _sandwich(left, right, units, slot_index, field, skip_repeats=False):
     """The slot vectors of L . unit(d) . R, one per ((i, j), d) of units,
     in order, each made only when it is drawn: split_solve's ExactMatrix
     draws them left to right, as far as its solve needs.
@@ -410,34 +412,76 @@ def _sandwich(left, right, units, slot_index, field):
     left and right are the entry matrices of L and R, unit(d) has d in
     slot (i, j) and zeros elsewhere, and slot_index lays out the slots of
     the result as KarHom does.  Each vector is composed in two stages, as
-    compose_sum composes: d after each entry of R's row j, with equal
-    inner diagrams of a column merged, then each entry of L's column i
-    after those.  One sum_products call normalises the merged inner
-    coefficients of a unit, and one more the coefficients of its vector,
-    collected by slot position as (a, b, loops) triples; no morphism is
-    built.
+    compose_sum composes: d after each term y of R's row j, then each term
+    x of L's column i after each distinct inner diagram d . y.  An inner
+    diagram that several y give has their coefficients merged and
+    normalised first, by one sum_products call per unit; one that a single
+    y gives takes the product cx . cy, formed at most once per call and
+    slot over Q(t) (at a rational t sum_products multiplies the pair as
+    integers).  The coefficients of a vector are collected by slot position
+    as (a, b, loops) triples and normalised by one more sum_products call;
+    no morphism is built.
+
+    With skip_repeats (split_solve's f . U . f), a unit whose composites
+    d . y, over the terms y of R's row j, are those of an earlier unit of
+    the same slot with every loop count shifted by one number s gives
+    t^s times that unit's vector; it is yielded as a ScaledColumn of that
+    unit and composed no further, so it never reaches L.  A shift s other
+    than 0 counts only where t is invertible: over Q(t), or at t != 0.
     """
     offsets, pos = {}, 0
     for key, basis in slot_index.items():
         offsets[key] = (pos, basis)
         pos += len(basis)
     one = field.one()
-    for (i, j), d in units:
-        inner = {}  # (column, d . y) -> triples of its coefficient
-        for b, y in enumerate(right[j]):
-            for dy, cy in y.terms.items():
-                diagram, loops = partition.compose(d, dy)
-                inner.setdefault((b, diagram), []).append((one, cy, loops))
-        inner = sum_products(inner, field)
+    generic, shifts = field.t_value is None, skip_repeats and field.t_value != 0
+    by_slot, firsts = {}, {}  # per slot, its terms and products; per key, a unit
+    for k, ((i, j), d) in enumerate(units):
+        if (i, j) not in by_slot:
+            xs = [(a, dx, cx) for a, row in enumerate(left) for dx, cx in row[i].terms.items()]
+            ys = [(b, dy, cy) for b, y in enumerate(right[j]) for dy, cy in y.terms.items()]
+            by_slot[i, j] = xs, ys, [[None] * len(ys) for _ in xs]
+        xs, ys, table = by_slot[i, j]
+        composites = [partition.compose(d, dy) for _, dy, _ in ys]
+        shift = composites[0][1] if shifts and composites else 0
+        if skip_repeats:
+            relative = [(dy, loops - shift) for dy, loops in composites] if shift else composites
+            first = firsts.setdefault((i, j, tuple(relative)), (k, shift))
+            if first[0] != k:
+                s = shift - first[1]
+                c = field.t_power(s) if s >= 0 else field.t_power(-s).inv()
+                yield ScaledColumn(first[0], c)
+                continue
+        inner = {}  # (column, d . y) -> (number of y, its coefficient, loops)
+        for n, ((b, _, cy), (dy, loops)) in enumerate(zip(ys, composites)):
+            inner.setdefault((b, dy), []).append((n, cy, loops))
+        merged = {}  # the sum over its y of each inner diagram that several y give
+        if len(inner) < len(ys):
+            merged = sum_products(
+                {key: [(one, cy, loops) for _, cy, loops in group]
+                 for key, group in inner.items() if len(group) > 1},
+                field,
+            )
         products = {}
-        for a, row in enumerate(left):
-            outer = row[i].terms.items()
-            for (b, dy), cy in inner.items():
+        for (a, dx, cx), row in zip(xs, table):
+            for (b, dy), group in inner.items():
+                if len(group) > 1:
+                    u, v, inner_loops = cx, merged.get((b, dy)), 0
+                    if v is None:
+                        continue
+                else:
+                    n, v, inner_loops = group[0]
+                    if generic:
+                        u = row[n]
+                        if u is None:
+                            u = row[n] = cx * v
+                        v = one
+                    else:
+                        u = cx
                 offset, basis = offsets[a, b]
-                for dx, cx in outer:
-                    diagram, loops = partition.compose(dx, dy)
-                    pos = offset + basis.index(diagram)
-                    products.setdefault(pos, []).append((cx, cy, loops))
+                diagram, loops = partition.compose(dx, dy)
+                pos = offset + basis.index(diagram)
+                products.setdefault(pos, []).append((u, v, loops + inner_loops))
         yield sum_products(products, field)
 
 
@@ -523,8 +567,8 @@ class KarHom:
 
 
 class SplitWitness:
-    """g with f.g.f = f, plus the induced idempotents; fg = f.g is composed
-    when it is read."""
+    """g with f.g.f = f, plus the induced idempotents g.f, f.g and the
+    kernel idempotent id - g.f; fg = f.g is composed when it is read."""
 
     __slots__ = ("f", "g", "gf", "kernel_idempotent", "denominators")
 
@@ -541,8 +585,6 @@ class SplitWitness:
 
 
 def _witness_denominators(g: KarMorphism):
-    from .scalar import poly_text
-
     out = set()
     for row in g.entries:
         for lin in row:
@@ -559,7 +601,12 @@ def kar_hom(dom: KarObject, cod: KarObject) -> KarHom:
 
 
 def split_solve(f: KarMorphism):
-    """Find g with f.g.f = f, or None when the exact system is inconsistent."""
+    """Find g with f.g.f = f, or None when the exact system is inconsistent.
+
+    f.g.f = f is verified again on the witness, so g.f and f.g are
+    idempotents and id - g.f is the kernel idempotent (f.(id - g.f) = 0);
+    g.f.g = g is not asked for and does not always hold.
+    """
     gh = kar_hom(f.cod, f.dom)
     fh = kar_hom(f.dom, f.cod)
     if fh.coordinates_of(f) is None:
@@ -570,8 +617,12 @@ def split_solve(f: KarMorphism):
     # columns are fh's slot vectors, not coordinates over its basis: both
     # maps are injective on fh's span, so the pivot columns and the
     # solution with the free variables at zero are the same.  solve draws
-    # the columns only until f's slot vector lies in their span.
-    columns = _sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field)
+    # the columns only until f's slot vector lies in their span, and a unit
+    # whose f.U.f repeats an earlier one's up to a power of t comes as a
+    # ScaledColumn, which is never a pivot and is not composed.
+    columns = _sandwich(
+        f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field, skip_repeats=True
+    )
     matrix = ExactMatrix(fh.slots, LazyColumns(len(gh.unit_slots), columns), gh.field)
     coords = matrix.solve(fh.slot_vector(f))
     if coords is None:

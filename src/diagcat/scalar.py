@@ -426,12 +426,15 @@ def _rf_product(a, b, k):
     den monic, and reduced true when num/den is known to be in lowest terms
     without a gcd: a constant times a reduced fraction, or a product of two
     polynomials, stays reduced, and so does its product with t^k when t
-    does not divide den."""
+    does not divide den.  a times the field's shared one is a itself, a
+    product formed earlier, with no Poly product."""
     if a.kind != "rf" or b.kind != "rf":
         raise FieldModeError("field mode mismatch")
     an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if b is _RF_ONE:
+        num, den, reduced = an, ad, True
     # a monic denominator of degree 0 is 1
-    if len(ad.nums) == 1:
+    elif len(ad.nums) == 1:
         num, den = an * bn, bd
         reduced = len(an.nums) == 1 or len(bd.nums) == 1
     elif len(bd.nums) == 1:

@@ -9,6 +9,7 @@ from diagcat.homspace import (
     HomBasis,
     LazyColumns,
     LinMorphism,
+    ScaledColumn,
     Subspace,
     hom_basis,
     matrix_of,
@@ -721,3 +722,39 @@ def test_insert_inverts_each_lead_once_and_never_rescales_a_row(field, monkeypat
     # a generator in the span is not inverted
     assert not sub.add({0: two, 1: t, 2: three})
     assert calls == {"inv": 3, "mul": 2}
+
+
+@pytest.mark.parametrize("field", [F, T_RATIONAL], ids=["generic", "t=5/2"])
+def test_scaled_columns_answer_as_the_columns_they_stand_for(field):
+    """A ScaledColumn(k, c) in place of c times column k, pointing at a
+    pivot, a dependent column or another ScaledColumn, gives the same
+    column count, rank, kernel basis and solutions as the explicit
+    column, and is never a pivot."""
+    scalar = random_rf if field is F else rational_scalar
+    rng = random.Random(61)
+    scaled = 0
+    for _ in range(12):
+        rows, columns, bs = dependent_system(rng, scalar)
+        explicit, stand_ins = list(columns), list(columns)
+        for _ in range(rng.randint(1, 4)):
+            at, c = rng.randrange(len(explicit) + 1), scalar(rng)
+            k = rng.randrange(at) if at else None
+            if k is None or c.is_zero():
+                continue
+            col = {i: c * v for i, v in explicit[k].items()}
+            # later columns keep pointing at the columns they pointed at
+            stand_ins = [
+                ScaledColumn(x.k + (x.k >= at), x.c) if isinstance(x, ScaledColumn) else x
+                for x in stand_ins
+            ]
+            explicit.insert(at, col)
+            stand_ins.insert(at, ScaledColumn(k, c))
+            scaled += 1
+        full, short = ExactMatrix(rows, explicit, field), ExactMatrix(rows, stand_ins, field)
+        assert short.cols == full.cols == len(explicit)
+        for b in bs:
+            assert short.solve(b) == full.solve(b)
+        assert short.rank() == full.rank()
+        assert short.kernel_basis() == full.kernel_basis()
+        assert not any(isinstance(stand_ins[j], ScaledColumn) for j in short._pivots)
+    assert scaled > 10

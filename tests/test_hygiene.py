@@ -12,6 +12,7 @@ ExactMatrix feeds its columns to its Subspace from one method alone."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -480,27 +481,82 @@ def test_the_guard_sees_a_composite_per_unit():
     assert calls_in_loops(snippet, ("KarHom.__init__", "split_solve"), "kar_compose") == [4, 7]
 
 
-def test_the_kernel_reaches_its_callees_at_call_time(monkeypatch):
-    """perfbench's tracer wraps partition.compose and sum_products at every
-    module attribute that holds them; the kernel must call what those
-    attributes hold when it runs."""
+def kernel_callees(monkeypatch, run):
+    """The names among partition.compose and karoubi.sum_products that
+    the kernel, karoubi._sandwich as it is when this is called, reached
+    through those module attributes while run ran.  perfbench's tracer wraps a function at every module attribute
+    that holds it, so the kernel must call what the attributes hold when
+    it runs, not what they held when it was defined."""
     from diagcat import karoubi, partition
-    from diagcat.homspace import hom_basis
-    from diagcat.scalar import FieldSpec
 
-    seen = []
+    kernel = karoubi._sandwich.__code__
+    seen = set()
     for module, name in ((partition, "compose"), (karoubi, "sum_products")):
         original = getattr(module, name)
 
         def wrapper(*args, _original=original, _name=name):
-            seen.append(_name)
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not kernel:
+                frame = frame.f_back
+            if frame is not None:
+                seen.add(_name)
             return _original(*args)
 
         monkeypatch.setattr(module, name, wrapper)
+    run()
+    return seen
+
+
+def split_of_x_tensor_f():
+    """A split_solve over Q(t) whose kernel draws several columns, with its
+    hom spaces built beforehand so that only the split's kernel runs."""
+    from diagcat import karoubi, moebius, partition
+    from diagcat.homspace import parse_linmorphism
+    from diagcat.scalar import FieldSpec
+
+    field, everything = FieldSpec.generic(), partition.DiagramClass.ALL
+    x2 = karoubi.kar_object(2, moebius.x_e(2, field), everything, field)
+    g = parse_linmorphism("(1)/(t-1) * 1 | 2 | 1' + (t+2) * 1 2 | 1'", field)
+    f = karoubi.kar_tensor(
+        karoubi.KarMorphism.identity(x2), karoubi.KarMorphism.from_lin(g, everything, field)
+    )
+    karoubi.kar_hom(f.cod, f.dom)
+    karoubi.kar_hom(f.dom, f.cod)
+    return lambda: karoubi.split_solve(f)
+
+
+def test_the_kernel_reaches_its_callees_at_call_time(monkeypatch):
+    from diagcat import karoubi, partition
+    from diagcat.homspace import hom_basis
+    from diagcat.scalar import FieldSpec
+
     field = FieldSpec.generic()
     obj = karoubi.KarObject.word(1, partition.DiagramClass.ALL, field)
     cut = obj.cut
     slots = {(0, 0): hom_basis(partition.DiagramClass.ALL, 1, 1)}
     units = [((0, 0), d) for d in slots[0, 0]]
-    list(karoubi._sandwich(cut, cut, units, slots, field))
-    assert {"compose", "sum_products"} == set(seen)
+
+    def hom_space_style():
+        list(karoubi._sandwich(cut, cut, units, slots, field))
+
+    assert kernel_callees(monkeypatch, hom_space_style) == {"compose", "sum_products"}
+    split = split_of_x_tensor_f()
+    assert kernel_callees(monkeypatch, split) == {"compose", "sum_products"}
+
+
+def test_the_guard_sees_a_kernel_that_bypasses_the_attributes(monkeypatch):
+    from diagcat import karoubi, partition
+
+    split = split_of_x_tensor_f()
+    compose, sum_products = partition.compose, karoubi.sum_products
+
+    def bound_early(left, right, units, slot_index, field, skip_repeats=False):
+        # a kernel that reaches callees bound before any wrapper was set
+        for (i, j), d in units:
+            for y in right[j]:
+                for dy in y.terms:
+                    compose(d, dy)
+            yield sum_products({}, field)
+
+    monkeypatch.setattr(karoubi, "_sandwich", bound_early)
+    assert kernel_callees(monkeypatch, split) == set()

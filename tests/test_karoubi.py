@@ -6,9 +6,11 @@ import pytest
 
 from diagcat import karoubi
 from diagcat.fpfun import weak_kernel
+from diagcat import partition
 from diagcat.homspace import (
     ExactMatrix,
     LinMorphism,
+    ScaledColumn,
     Subspace,
     hom_basis,
     matrix_of,
@@ -31,7 +33,7 @@ from diagcat.karoubi import (
 )
 from diagcat.moebius import special_morphisms, x_e
 from diagcat.partition import DiagramClass, PartitionDiagram, all_diagrams
-from diagcat.scalar import FieldSpec
+from diagcat.scalar import FieldSpec, Poly
 
 F = FieldSpec.generic()
 ALL = DiagramClass.ALL
@@ -482,14 +484,14 @@ def test_split_refuses_a_wrong_solution(t, monkeypatch):
 def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
     """The solution of a basis diagram uses an early pivot, so split_solve
     draws fewer f.U.f vectors than Hom(cod, dom) has units, while every
-    hom space still draws all of its candidates."""
+    hom space still draws all of its candidates, none of them skipped."""
     sandwich = karoubi._sandwich
     calls = []
 
-    def counted(left, right, units, slot_index, field):
+    def counted(left, right, units, slot_index, field, skip_repeats=False):
         drawn = []
-        calls.append((len(units), drawn))
-        for vec in sandwich(left, right, units, slot_index, field):
+        calls.append((len(units), skip_repeats, drawn))
+        for vec in sandwich(left, right, units, slot_index, field, skip_repeats):
             drawn.append(vec)
             yield vec
 
@@ -497,8 +499,11 @@ def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
     kar_hom.cache_clear()
     f = KarMorphism.from_lin(lin(f"1 * {text}"), ALL, F)
     assert split_solve(f) is not None
-    *builds, (units, drawn) = calls
-    assert builds and all(len(vectors) == count for count, vectors in builds)
+    *builds, (units, skips, drawn) = calls
+    assert builds and all(len(vectors) == count for count, _, vectors in builds)
+    assert not any(skip for _, skip, _ in builds)
+    assert all(isinstance(vec, dict) for _, _, vectors in builds for vec in vectors)
+    assert skips
     assert units == len(kar_hom(f.cod, f.dom).unit_slots)
     assert 0 < len(drawn) < units
 
@@ -545,3 +550,165 @@ def test_absorption_invariant_random_constructions():
     for a, b in itertools.product(h.elements, repeat=2):
         s = a + b.scale(field.rational(Fraction(3, 2)))
         assert kar_compose(KarMorphism.identity(x1), s) == s
+
+
+# f of a split_combo (2, 2) over Q(t) whose witness has g.f.g != g
+PINNED = "(5t+1) * 1 | 2 | 1' | 2' + -1 * 1 | 2 1' | 2' + 1 * 1 2' | 2 | 1'"
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+def test_split_witness_properties(t):
+    """What split_solve verifies, f.g.f = f, and what follows from it: g.f
+    and f.g are idempotents and id - g.f is killed by f.  g.f.g = g is not
+    among them: it fails for the pinned f."""
+    field = F if t is None else FieldSpec.at(t)
+    inputs = _split_inputs(field, random.Random(7))
+    if t is None:
+        pinned = KarMorphism.from_lin(lin(PINNED), ALL, F)
+        w = split_solve(pinned)
+        assert kar_compose(w.g, kar_compose(pinned, w.g)) != w.g
+        inputs.append(pinned)
+    for f in inputs:
+        w = split_solve(f)
+        gf, fg = w.gf, w.fg
+        assert kar_compose(f, kar_compose(w.g, f)) == f
+        assert gf == kar_compose(w.g, f) and kar_compose(gf, gf) == gf
+        assert kar_compose(fg, fg) == fg
+        assert w.kernel_idempotent == KarMorphism.identity(f.dom) - gf
+        assert kar_compose(f, w.kernel_idempotent).is_zero()
+
+
+def _repeat_inputs(field, rng):
+    """Morphisms whose splits meet repeated units, built at any t."""
+
+    def combination(hom):
+        f = KarMorphism.zero(hom.dom, hom.cod)
+        for elem in rng.sample(hom.elements, min(3, len(hom.elements))):
+            c = Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))
+            f = f + elem.scale(field.rational(c))
+        return f
+
+    def basis(text):
+        return KarMorphism.from_lin(parse_linmorphism(f"1 * {text}", field), ALL, field)
+
+    one = KarObject.word(1, ALL, field)
+    x2 = kar_object(2, x_e(2, field), ALL, field)
+    return [
+        basis("1 | 1'"),
+        basis("1 | 2 | 1' | 2'"),
+        basis("1 2' | 2 | 1'"),
+        combination(kar_hom(x2, x2)),
+        kar_tensor(KarMorphism.identity(x2), combination(kar_hom(one, one))),
+    ]
+
+
+def _full_witness(f):
+    """g solved over the f.U.f slot vector of every unit, none skipped."""
+    gh, fh = kar_hom(f.cod, f.dom), kar_hom(f.dom, f.cod)
+    columns = list(karoubi._sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field))
+    coords = ExactMatrix(fh.slots, columns, gh.field).solve(fh.slot_vector(f))
+    return None if coords is None else gh.from_coordinates(coords)
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2), Fraction(0)], ids=["generic", "t=5/2", "t=0"])
+def test_skipping_repeated_units_keeps_the_witness(t, monkeypatch):
+    field = F if t is None else FieldSpec.at(t)
+    inputs = _repeat_inputs(field, random.Random(3))
+    if t != 0:  # e_1' and the kernel of two copies of eps need t != 0
+        inputs += _split_inputs(field, random.Random(8))
+    if t is None:
+        inputs.append(KarMorphism.from_lin(lin(PINNED), ALL, F))
+    sandwich = karoubi._sandwich
+    skipped = []
+
+    def counted(*args, **kwargs):
+        for vec in sandwich(*args, **kwargs):
+            skipped.append(isinstance(vec, ScaledColumn))
+            yield vec
+
+    monkeypatch.setattr(karoubi, "_sandwich", counted)
+    for f in inputs:
+        w = split_solve(f)
+        for expected in (_full_witness(f), _compressed_witness(f)):
+            assert (w is None) == (expected is None)
+            if w is not None:
+                assert w.g == expected and w.g.to_text() == expected.to_text()
+    assert any(skipped)
+
+
+def test_a_loop_shifted_repeat_is_skipped_only_where_t_is_invertible():
+    """For f = 1 | 1' the two units of Hom([1], [1]) give f after them with
+    one loop apart: the second is t^(+-1) times the first over Q(t) and at
+    t = 5/2, and is composed in full at t = 0.  For f = 1 | 2 | 1' | 2' the
+    identity and the swap give the very same composites, skipped at t = 0
+    too."""
+
+    def columns(text, field):
+        f = KarMorphism.from_lin(parse_linmorphism(f"1 * {text}", field), ALL, field)
+        units = [((0, 0), d) for d in hom_basis(ALL, f.cod.words[0], f.dom.words[0])]
+        slots = kar_hom(f.dom, f.cod)._slot_index
+        every = list(karoubi._sandwich(f.entries, f.entries, units, slots, field))
+        skipping = list(karoubi._sandwich(f.entries, f.entries, units, slots, field, True))
+        for vec, full in zip(skipping, every):
+            if isinstance(vec, ScaledColumn):
+                assert full == {pos: vec.c * v for pos, v in every[vec.k].items()}
+            else:
+                assert vec == full
+        return [(vec.k, vec.c) for vec in skipping if isinstance(vec, ScaledColumn)]
+
+    for field in (F, FieldSpec.at(Fraction(5, 2))):
+        (k, c), = columns("1 | 1'", field)
+        assert k == 0 and c in (field.t(), field.t().inv())
+    at_zero = FieldSpec.at(0)
+    assert columns("1 | 1'", at_zero) == []
+    exact = columns("1 | 2 | 1' | 2'", at_zero)
+    assert exact and all(c == at_zero.one() for _, c in exact)
+
+
+def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(monkeypatch):
+    """Over Q(t), for X (x) g with X = [2]@x_2.e_2: a skipped unit d meets
+    partition.compose only as d after the terms of f, never f's terms after
+    those, and each pair of terms of f has its coefficients multiplied at
+    most once per split, however many units are drawn."""
+    x2 = kar_object(2, x_e(2, F), ALL, F)
+    g = KarMorphism.from_lin(lin("(1)/(t-1) * 1 | 2 | 1' + (t+2) * 1 2 | 1'"), ALL, F)
+    f = kar_tensor(KarMorphism.identity(x2), g)
+    gh = kar_hom(f.cod, f.dom)
+    kar_hom(f.dom, f.cod)
+    numerators = {id(c.num) for row in f.entries for x in row for c in x.terms.values()}
+    log = []
+    compose, sandwich, multiply = partition.compose, karoubi._sandwich, Poly.__mul__
+
+    def composed(a, b):
+        log.append(("compose", a))
+        return compose(a, b)
+
+    def multiplied(a, b):
+        if id(a) in numerators and id(b) in numerators:
+            log.append(("product", (id(a), id(b))))
+        return multiply(a, b)
+
+    def drawn(*args, **kwargs):
+        for vec in sandwich(*args, **kwargs):
+            log.append(("column", vec))
+            yield vec
+
+    monkeypatch.setattr(partition, "compose", composed)
+    monkeypatch.setattr(Poly, "__mul__", multiplied)
+    monkeypatch.setattr(karoubi, "_sandwich", drawn)
+    assert split_solve(f) is not None
+    # what each drawn column composed and multiplied, in order
+    ends = [n for n, (kind, _) in enumerate(log) if kind == "column"]
+    segments = [log[start + 1:end] for start, end in zip([-1] + ends, ends)]
+    columns = [log[end][1] for end in ends]
+    skipped = [n for n, vec in enumerate(columns) if isinstance(vec, ScaledColumn)]
+    assert skipped and len(columns) - len(skipped) > 1
+    for n in skipped:
+        _, d = gh.unit_slots[n]
+        composed_after = [a for kind, a in segments[n] if kind == "compose"]
+        assert composed_after and all(a is d for a in composed_after)
+    # one slot: at most one product per pair of terms x of L's column and
+    # y of R's row, however many columns are computed
+    products = [pair for segment in segments for kind, pair in segment if kind == "product"]
+    terms = len(f.entries[0][0].terms)
+    assert 0 < len(products) <= terms * terms
