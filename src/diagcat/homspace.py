@@ -376,7 +376,8 @@ class LazyColumns:
 
 class ScaledColumn:
     """In place of a column: c (nonzero) times the earlier column k, from
-    a producer that knows the column to be that multiple."""
+    a producer that knows the column to be that multiple.  Column k is
+    one given as a vector, not another ScaledColumn."""
 
     __slots__ = ("k", "c")
 
@@ -425,6 +426,8 @@ class ExactMatrix:
             return False
         j = len(self._pivots) + len(self._free)
         if isinstance(col, ScaledColumn):
+            if isinstance(self._free.get(col.k), ScaledColumn):
+                raise ValueError("a ScaledColumn must name a column given as a vector")
             self._free[j] = col
             return True
         multipliers = self._space._insert(col)
@@ -453,13 +456,14 @@ class ExactMatrix:
         return out
 
     def _coordinates(self, j):
-        """Column j over the pivot columns, numbered as generators."""
-        free = self._free.get(j)
-        if free is None:
-            return {self._pivots.index(j): self.field.one()}
-        if isinstance(free, ScaledColumn):
-            return {k: free.c * x for k, x in self._coordinates(free.k).items()}
-        return self._space._back_substitute(free)
+        """Free column j over the pivot columns, numbered as generators."""
+        free = self._free[j]
+        if not isinstance(free, ScaledColumn):
+            return self._space._back_substitute(free)
+        base = self._free.get(free.k)
+        if base is None:  # c times a pivot column
+            return {self._pivots.index(free.k): free.c}
+        return {k: free.c * x for k, x in self._space._back_substitute(base).items()}
 
     def solve(self, b):
         """A particular sparse solution of A x = b (free variables zero),

@@ -404,7 +404,7 @@ def kar_row(morphisms) -> KarMorphism:
     return KarMorphism(dom, cod, entries, validate=False)
 
 
-def _sandwich(left, right, units, slot_index, field, skip_repeats=False):
+def _sandwich(left, right, units, slot_index, field):
     """The slot vectors of L . unit(d) . R, one per ((i, j), d) of units,
     in order, each made only when it is drawn: split_solve's ExactMatrix
     draws them left to right, as far as its solve needs.
@@ -415,43 +415,45 @@ def _sandwich(left, right, units, slot_index, field, skip_repeats=False):
     compose_sum composes: d after each term y of R's row j, then each term
     x of L's column i after each distinct inner diagram d . y.  An inner
     diagram that several y give has their coefficients merged and
-    normalised first, by one sum_products call per unit; one that a single
-    y gives takes the product cx . cy, formed at most once per call and
-    slot over Q(t) (at a rational t sum_products multiplies the pair as
-    integers).  The coefficients of a vector are collected by slot position
-    as (a, b, loops) triples and normalised by one more sum_products call;
-    no morphism is built.
+    normalised first, by one sum_products call per unit.  Over Q(t) one
+    that a single y gives takes the product cx . cy, a Poly product formed
+    at most once per call and slot; at a rational t the pair goes to
+    sum_products as it is, which multiplies it as integers anyway, so a
+    formed product would save nothing there and add a Fraction product per
+    pair.  The coefficients of a vector are collected by slot position as
+    (a, b, loops) triples and normalised by one more sum_products call; no
+    morphism is built.
 
-    With skip_repeats (split_solve's f . U . f), a unit whose composites
-    d . y, over the terms y of R's row j, are those of an earlier unit of
-    the same slot with every loop count shifted by one number s gives
-    t^s times that unit's vector; it is yielded as a ScaledColumn of that
-    unit and composed no further, so it never reaches L.  A shift s other
-    than 0 counts only where t is invertible: over Q(t), or at t != 0.
+    A unit whose composites d . y, over the terms y of R's row j, are those
+    of an earlier unit of the same slot with every loop count shifted by
+    one number s gives t^s times that unit's vector; it is yielded as a
+    ScaledColumn of that unit and composed no further, so it never reaches
+    L.  A shift s other than 0 counts only where t is invertible: over
+    Q(t), or at t != 0.
     """
     offsets, pos = {}, 0
     for key, basis in slot_index.items():
         offsets[key] = (pos, basis)
         pos += len(basis)
     one = field.one()
-    generic, shifts = field.t_value is None, skip_repeats and field.t_value != 0
+    generic, shifts = field.t_value is None, field.t_value != 0
     by_slot, firsts = {}, {}  # per slot, its terms and products; per key, a unit
     for k, ((i, j), d) in enumerate(units):
         if (i, j) not in by_slot:
             xs = [(a, dx, cx) for a, row in enumerate(left) for dx, cx in row[i].terms.items()]
             ys = [(b, dy, cy) for b, y in enumerate(right[j]) for dy, cy in y.terms.items()]
-            by_slot[i, j] = xs, ys, [[None] * len(ys) for _ in xs]
+            formed = [[None] * len(ys) if generic else None for _ in xs]
+            by_slot[i, j] = xs, ys, formed
         xs, ys, table = by_slot[i, j]
         composites = [partition.compose(d, dy) for _, dy, _ in ys]
         shift = composites[0][1] if shifts and composites else 0
-        if skip_repeats:
-            relative = [(dy, loops - shift) for dy, loops in composites] if shift else composites
-            first = firsts.setdefault((i, j, tuple(relative)), (k, shift))
-            if first[0] != k:
-                s = shift - first[1]
-                c = field.t_power(s) if s >= 0 else field.t_power(-s).inv()
-                yield ScaledColumn(first[0], c)
-                continue
+        relative = [(dy, loops - shift) for dy, loops in composites] if shift else composites
+        first = firsts.setdefault((i, j, tuple(relative)), (k, shift))
+        if first[0] != k:
+            s = shift - first[1]
+            c = field.t_power(s) if s >= 0 else field.t_power(-s).inv()
+            yield ScaledColumn(first[0], c)
+            continue
         inner = {}  # (column, d . y) -> (number of y, its coefficient, loops)
         for n, ((b, _, cy), (dy, loops)) in enumerate(zip(ys, composites)):
             inner.setdefault((b, dy), []).append((n, cy, loops))
@@ -471,13 +473,12 @@ def _sandwich(left, right, units, slot_index, field, skip_repeats=False):
                         continue
                 else:
                     n, v, inner_loops = group[0]
-                    if generic:
+                    u = cx
+                    if row is not None:
                         u = row[n]
                         if u is None:
                             u = row[n] = cx * v
                         v = one
-                    else:
-                        u = cx
                 offset, basis = offsets[a, b]
                 diagram, loops = partition.compose(dx, dy)
                 pos = offset + basis.index(diagram)
@@ -518,10 +519,11 @@ class KarHom:
             cod.cut, dom.cut, self._positions, self._slot_index, self.field
         )
         self.space = Subspace(self.field)
+        # a ScaledColumn is a multiple of an earlier vector, so never kept
         kept = [
             (unit, vec)
             for unit, vec in zip(self._positions, candidates)
-            if self.space.add(vec)
+            if not isinstance(vec, ScaledColumn) and self.space.add(vec)
         ]
         self.unit_slots = tuple(unit for unit, _ in kept)
         self._vectors = tuple(vec for _, vec in kept)
@@ -620,9 +622,7 @@ def split_solve(f: KarMorphism):
     # the columns only until f's slot vector lies in their span, and a unit
     # whose f.U.f repeats an earlier one's up to a power of t comes as a
     # ScaledColumn, which is never a pivot and is not composed.
-    columns = _sandwich(
-        f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field, skip_repeats=True
-    )
+    columns = _sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field)
     matrix = ExactMatrix(fh.slots, LazyColumns(len(gh.unit_slots), columns), gh.field)
     coords = matrix.solve(fh.slot_vector(f))
     if coords is None:

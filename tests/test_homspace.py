@@ -727,9 +727,9 @@ def test_insert_inverts_each_lead_once_and_never_rescales_a_row(field, monkeypat
 @pytest.mark.parametrize("field", [F, T_RATIONAL], ids=["generic", "t=5/2"])
 def test_scaled_columns_answer_as_the_columns_they_stand_for(field):
     """A ScaledColumn(k, c) in place of c times column k, pointing at a
-    pivot, a dependent column or another ScaledColumn, gives the same
-    column count, rank, kernel basis and solutions as the explicit
-    column, and is never a pivot."""
+    pivot or a dependent column, gives the same column count, rank,
+    kernel basis and solutions as the explicit column, and is never a
+    pivot."""
     scalar = random_rf if field is F else rational_scalar
     rng = random.Random(61)
     scaled = 0
@@ -738,9 +738,10 @@ def test_scaled_columns_answer_as_the_columns_they_stand_for(field):
         explicit, stand_ins = list(columns), list(columns)
         for _ in range(rng.randint(1, 4)):
             at, c = rng.randrange(len(explicit) + 1), scalar(rng)
-            k = rng.randrange(at) if at else None
-            if k is None or c.is_zero():
+            given = [n for n in range(at) if not isinstance(stand_ins[n], ScaledColumn)]
+            if not given or c.is_zero():
                 continue
+            k = rng.choice(given)
             col = {i: c * v for i, v in explicit[k].items()}
             # later columns keep pointing at the columns they pointed at
             stand_ins = [
@@ -758,3 +759,11 @@ def test_scaled_columns_answer_as_the_columns_they_stand_for(field):
         assert short.kernel_basis() == full.kernel_basis()
         assert not any(isinstance(stand_ins[j], ScaledColumn) for j in short._pivots)
     assert scaled > 10
+
+
+def test_a_scaled_column_names_a_column_given_as_a_vector():
+    one = F.one()
+    chain = [{0: one}, ScaledColumn(0, one), ScaledColumn(1, one)]
+    matrix = ExactMatrix(1, chain, F)
+    with pytest.raises(ValueError):
+        matrix.rank()

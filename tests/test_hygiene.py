@@ -550,7 +550,7 @@ def test_the_guard_sees_a_kernel_that_bypasses_the_attributes(monkeypatch):
     split = split_of_x_tensor_f()
     compose, sum_products = partition.compose, karoubi.sum_products
 
-    def bound_early(left, right, units, slot_index, field, skip_repeats=False):
+    def bound_early(left, right, units, slot_index, field):
         # a kernel that reaches callees bound before any wrapper was set
         for (i, j), d in units:
             for y in right[j]:

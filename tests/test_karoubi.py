@@ -484,14 +484,15 @@ def test_split_refuses_a_wrong_solution(t, monkeypatch):
 def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
     """The solution of a basis diagram uses an early pivot, so split_solve
     draws fewer f.U.f vectors than Hom(cod, dom) has units, while every
-    hom space still draws all of its candidates, none of them skipped."""
+    hom space still draws all of its candidates, none of them skipped: a
+    cut with an identity term gives no two units the same composites."""
     sandwich = karoubi._sandwich
     calls = []
 
-    def counted(left, right, units, slot_index, field, skip_repeats=False):
+    def counted(left, right, units, slot_index, field):
         drawn = []
-        calls.append((len(units), skip_repeats, drawn))
-        for vec in sandwich(left, right, units, slot_index, field, skip_repeats):
+        calls.append((len(units), drawn))
+        for vec in sandwich(left, right, units, slot_index, field):
             drawn.append(vec)
             yield vec
 
@@ -499,11 +500,9 @@ def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
     kar_hom.cache_clear()
     f = KarMorphism.from_lin(lin(f"1 * {text}"), ALL, F)
     assert split_solve(f) is not None
-    *builds, (units, skips, drawn) = calls
-    assert builds and all(len(vectors) == count for count, _, vectors in builds)
-    assert not any(skip for _, skip, _ in builds)
-    assert all(isinstance(vec, dict) for _, _, vectors in builds for vec in vectors)
-    assert skips
+    *builds, (units, drawn) = calls
+    assert builds and all(len(vectors) == count for count, vectors in builds)
+    assert all(isinstance(vec, dict) for _, vectors in builds for vec in vectors)
     assert units == len(kar_hom(f.cod, f.dom).unit_slots)
     assert 0 < len(drawn) < units
 
@@ -603,9 +602,10 @@ def _repeat_inputs(field, rng):
 
 
 def _full_witness(f):
-    """g solved over the f.U.f slot vector of every unit, none skipped."""
+    """g solved over the f.U.f slot vector of every unit, each composed in
+    full as morphisms, none skipped."""
     gh, fh = kar_hom(f.cod, f.dom), kar_hom(f.dom, f.cod)
-    columns = list(karoubi._sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field))
+    columns = [fh.slot_vector(kar_compose(f, kar_compose(u, f))) for u in bare_units(gh)]
     coords = ExactMatrix(fh.slots, columns, gh.field).solve(fh.slot_vector(f))
     return None if coords is None else gh.from_coordinates(coords)
 
@@ -646,9 +646,15 @@ def test_a_loop_shifted_repeat_is_skipped_only_where_t_is_invertible():
     def columns(text, field):
         f = KarMorphism.from_lin(parse_linmorphism(f"1 * {text}", field), ALL, field)
         units = [((0, 0), d) for d in hom_basis(ALL, f.cod.words[0], f.dom.words[0])]
-        slots = kar_hom(f.dom, f.cod)._slot_index
-        every = list(karoubi._sandwich(f.entries, f.entries, units, slots, field))
-        skipping = list(karoubi._sandwich(f.entries, f.entries, units, slots, field, True))
+        fh = kar_hom(f.dom, f.cod)
+        # each f.U.f composed in full, as morphisms
+        every = [
+            fh.slot_vector(kar_compose(f, kar_compose(
+                KarMorphism.from_lin(LinMorphism.from_diagram(d, field), ALL, field), f
+            )))
+            for _, d in units
+        ]
+        skipping = list(karoubi._sandwich(f.entries, f.entries, units, fh._slot_index, field))
         for vec, full in zip(skipping, every):
             if isinstance(vec, ScaledColumn):
                 assert full == {pos: vec.c * v for pos, v in every[vec.k].items()}
