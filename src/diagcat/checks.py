@@ -597,20 +597,21 @@ def check_crosscheck_cob(max_points: int = 5) -> CheckReport:
 
     def run():
         checked = 0
+        field = FieldSpec.generic()
+        st = st_datum(field)
         for m in range(max_points + 1):
             for k in range(max_points + 1 - m):
                 for n in range(max_points + 1 - m - k):
                     for g in all_diagrams(m, k):
                         for f in all_diagrams(k, n):
-                            if not partition_crosscheck(f, g):
+                            if not partition_crosscheck(f, g, st):
                                 raise CheckFailed({
                                     "f": f.to_text(),
                                     "g": g.to_text(),
                                     "problem": "cobordism route disagrees",
                                 })
                             checked += 1
-        field = FieldSpec.generic()
-        for datum in (st_datum(field), fibonacci_datum(field)):
+        for datum in (st, fibonacci_datum(field)):
             for i in range(5):
                 cur = LinMorphism.from_diagram(generator("eta"), field)
                 phi = LinMorphism.from_diagram(generator("phi"), field)

@@ -309,12 +309,19 @@ def partition_to_cob(d: PartitionDiagram) -> Cobordism:
     return Cobordism(d.m, d.n, [(b, 0) for b in d.blocks])
 
 
-def partition_crosscheck(f: PartitionDiagram, g: PartitionDiagram) -> bool:
-    """Compare f after g through partitions against the S_t cobordism route."""
+def partition_crosscheck(
+    f: PartitionDiagram, g: PartitionDiagram, datum: FrobeniusDatum | None = None
+) -> bool:
+    """Compare f after g through partitions against the S_t cobordism route.
+
+    datum is st_datum over Q(t); a caller that checks many pairs builds it
+    once and passes it.
+    """
     from .partition import compose
 
-    field = FieldSpec.generic()
-    datum = st_datum(field)
+    if datum is None:
+        datum = st_datum(FieldSpec.generic())
+    field = datum.field
     diagram, loops = compose(f, g)
     expected = LinMorphism.from_diagram(
         partition_to_cob(diagram), field, field.t_power(loops)

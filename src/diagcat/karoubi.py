@@ -7,9 +7,13 @@ full matrix cut instead of one idempotent per summand costs nothing here
 and lets later constructions (weak kernels of presented functors) stay
 inside the same type.
 
+Each object has one shared instance per key and names, whose cut is
+checked idempotent on its first construction only; direct sums, tensor
+products and zero objects are memoised over those instances.
+
 Morphisms are matrices of LinMorphisms satisfying the absorption law
-E_cod . F . E_dom = F.  Arithmetic preserves absorption, so only raw
-constructions are revalidated.
+E_cod . F . E_dom = F.  Arithmetic preserves absorption, so only morphisms
+built from raw entries are checked.
 """
 
 from __future__ import annotations
@@ -97,21 +101,37 @@ def _mat_key(a):
 
 
 class KarObject:
-    """Words cut by an idempotent matrix over a fixed diagram class."""
+    """Words cut by an idempotent matrix over a fixed diagram class.
 
-    __slots__ = ("cls", "field", "words", "cut", "names", "_key")
+    Each (key, names) has one shared instance: __new__ looks it up in the
+    bounded memo _interned, and __init__ sets its cut on its first
+    construction, after the class-membership and idempotence checks.  An
+    instance that failed them keeps no cut, so every later construction
+    of it checks again and raises again.
+    """
 
-    def __init__(self, cls: DiagramClass, field: FieldSpec, words, cut, names=None):
+    __slots__ = ("cls", "field", "words", "cut", "names", "_key", "_hash")
+
+    def __new__(cls, diagram_class: DiagramClass, field: FieldSpec, words, cut, names=None):
         words = tuple(words)
         cut = tuple(tuple(row) for row in cut)
+        # the key flattens the cut and omits the words of zero entries, so
+        # only a cut of the right shape may look its instance up
         if not _entry_shapes_ok(cut, words, words):
             raise ValueError("cut matrix shape does not match words")
+        key = (diagram_class, field, words, _mat_key(cut))
+        return _interned(key, None if names is None else tuple(names))
+
+    def __init__(self, diagram_class: DiagramClass, field: FieldSpec, words, cut, names=None):
+        if hasattr(self, "cut"):
+            return
+        cut = tuple(tuple(row) for row in cut)
         for row in cut:
             for lin in row:
                 for d in lin.terms:
-                    if not cls.member(d):
+                    if not diagram_class.member(d):
                         raise ValueError(
-                            f"cut term {d.to_text()} is not in class {cls.value}"
+                            f"cut term {d.to_text()} is not in class {diagram_class.value}"
                         )
         square = _mat_compose(cut, cut, field)
         if not _mat_eq(square, cut):
@@ -120,22 +140,18 @@ class KarObject:
                 "cut is not idempotent; residual e.e - e = "
                 + "; ".join(x.to_text() for row in residual for x in row)
             )
-        self.cls = cls
-        self.field = field
-        self.words = words
         self.cut = cut
-        self.names = tuple(names) if names is not None else None
-        self._key = None
 
     @classmethod
     @lru_cache(maxsize=256)
     def word(cls, w: int, diagram_class: DiagramClass, field: FieldSpec):
-        """The plain object [w] with identity cut, one instance per
-        (w, class, field), so its cut is checked idempotent only once."""
+        """The plain object [w] with identity cut, memoised per
+        (w, class, field), so a repeated call builds no cut and no key."""
         e = LinMorphism.from_diagram(PartitionDiagram.identity(w), field)
         return cls(diagram_class, field, (w,), ((e,),), names=("id",))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def zero(cls, diagram_class: DiagramClass, field: FieldSpec):
         return cls(diagram_class, field, (), (), names=())
 
@@ -157,18 +173,20 @@ class KarObject:
         return [(w, self.cut[i][i]) for i, w in enumerate(self.words)]
 
     def key(self):
-        """Class, field, words and cut text; built once, as objects never change."""
-        if self._key is None:
-            self._key = (self.cls, self.field, self.words, _mat_key(self.cut))
+        """Class, field, words and cut text, built once per instance."""
         return self._key
 
     def __eq__(self, other):
+        # two instances of one key exist only for differing names, or
+        # once an instance outlives its evicted memo entry
         return self is other or (
-            isinstance(other, KarObject) and self.key() == other.key()
+            isinstance(other, KarObject)
+            and self._hash == other._hash
+            and self._key == other._key
         )
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def to_text(self) -> str:
         if not self.words:
@@ -188,6 +206,16 @@ class KarObject:
 
     def __repr__(self):
         return f"KarObject({self.to_text()!r})"
+
+
+@lru_cache(maxsize=1024)
+def _interned(key, names) -> KarObject:
+    """The one shared KarObject of a key and names; its cut stays unset
+    until the first KarObject.__init__ on it succeeds."""
+    obj = object.__new__(KarObject)
+    obj.cls, obj.field, obj.words, _ = key
+    obj.names, obj._key, obj._hash = names, key, hash(key)
+    return obj
 
 
 def named_idempotent(name: str, word: int, field: FieldSpec) -> LinMorphism:
@@ -248,6 +276,15 @@ def parse_kar_object(text: str, cls: DiagramClass, field: FieldSpec) -> KarObjec
 
 
 def direct_sum(a: KarObject, b: KarObject) -> KarObject:
+    """a ⊕ b, named by both names when both objects have names."""
+    names = None if a.names is None or b.names is None else a.names + b.names
+    return _direct_sum(a, b, names)
+
+
+@lru_cache(maxsize=1024)
+def _direct_sum(a: KarObject, b: KarObject, names) -> KarObject:
+    """The block-diagonal cut of a and b, memoised with the names that
+    direct_sum gives it, as a's and b's keys omit theirs."""
     if a.cls != b.cls:
         raise ValueError("class mismatch in direct sum")
     words = a.words + b.words
@@ -263,12 +300,10 @@ def direct_sum(a: KarObject, b: KarObject) -> KarObject:
             else:
                 row.append(LinMorphism.zero(words[j], words[i]))
         cut.append(tuple(row))
-    names = None
-    if a.names is not None and b.names is not None:
-        names = a.names + b.names
     return KarObject(a.cls, a.field, words, cut, names=names)
 
 
+@lru_cache(maxsize=1024)
 def tensor_object(a: KarObject, b: KarObject) -> KarObject:
     if a.cls != b.cls:
         raise ValueError("class mismatch in tensor")
@@ -330,7 +365,7 @@ class KarMorphism:
         return (self.dom.key(), self.cod.key(), _mat_key(self.entries))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, KarMorphism)
             and self.dom == other.dom
             and self.cod == other.cod

@@ -252,3 +252,19 @@ def test_crosscheck_cob_small():
     r = check_crosscheck_cob(3)
     assert r.status == "pass"
     assert r.witness["instances"] >= 100
+
+
+def test_crosscheck_cob_builds_the_st_datum_once(monkeypatch):
+    from diagcat import checks, cobordism
+
+    built, st_datum = [], cobordism.st_datum
+
+    def counted(field):
+        built.append(field)
+        return st_datum(field)
+
+    monkeypatch.setattr(checks, "st_datum", counted)
+    monkeypatch.setattr(cobordism, "st_datum", counted)
+    r = check_crosscheck_cob(2)
+    assert r.status == "pass" and r.witness["instances"] > 10
+    assert built == [F]

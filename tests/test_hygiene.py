@@ -3,14 +3,17 @@ no module imports another module's underscore name, every memo is a
 bounded lru_cache rather than a module-level container, the README names
 every memo, every Karoubi hom space and every hom
 space of presented functors is built through its memo, every partition
-diagram is built through the canonical memo, no sum of
+diagram is built through the canonical memo, every Karoubi object through
+the intern memo, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
 every elimination outside the hom spaces reads an ExactMatrix, and an
-ExactMatrix feeds its columns to its Subspace from one method alone."""
+ExactMatrix feeds its columns to its Subspace from one method alone, and
+the benchmark's tracer still finds every binding it wraps."""
 
 import ast
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -259,8 +262,8 @@ def test_the_guard_sees_a_direct_presented_build():
     assert calls_outside(snippet, "FpHomSpace", ("fp_hom_space",)) == [5]
 
 
-def direct_diagram_builds(source: str, scopes=()) -> list:
-    """Line numbers of each __new__ call given PartitionDiagram (by name or
+def direct_builds(source: str, class_name: str, scopes=()) -> list:
+    """Line numbers of each __new__ call given the named class (by name or
     as an attribute), outside the named module-level functions."""
     tree = ast.parse(source)
     inside = {
@@ -275,7 +278,7 @@ def direct_diagram_builds(source: str, scopes=()) -> list:
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "__new__"
         and any(
-            "PartitionDiagram" in (getattr(arg, "id", None), getattr(arg, "attr", None))
+            class_name in (getattr(arg, "id", None), getattr(arg, "attr", None))
             for arg in node.args
         )
         and id(node) not in inside
@@ -288,8 +291,10 @@ def test_every_diagram_goes_through_the_canonical_memo():
     found = [
         f"{path.stem}:{line}"
         for path in MODULES
-        for line in direct_diagram_builds(
-            path.read_text(), ("_canonical",) if path.stem == "partition" else ()
+        for line in direct_builds(
+            path.read_text(),
+            "PartitionDiagram",
+            ("_canonical",) if path.stem == "partition" else (),
         )
     ]
     assert found == []
@@ -305,7 +310,35 @@ def test_the_guard_sees_a_direct_diagram_build():
         "d = PartitionDiagram(1, 1, [(1, 2)])\n"
         "e = object.__new__(PartitionDiagram)\n"
     )
-    assert direct_diagram_builds(snippet, ("_canonical",)) == [4, 7]
+    assert direct_builds(snippet, "PartitionDiagram", ("_canonical",)) == [4, 7]
+
+
+def test_every_karoubi_object_goes_through_the_intern_memo():
+    """karoubi._interned hands out one instance per key and names; only it
+    builds one."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in direct_builds(
+            path.read_text(),
+            "KarObject",
+            ("_interned",) if path.stem == "karoubi" else (),
+        )
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_direct_karoubi_object_build():
+    snippet = (
+        "def _interned(key, names):\n"
+        "    obj = object.__new__(KarObject)\n"
+        "def weak_kernel(theta):\n"
+        "    return object.__new__(karoubi.KarObject)\n"
+        "d = object.__new__(PartitionDiagram)\n"
+        "k = KarObject(cls, field, (1,), cut)\n"
+        "e = object.__new__(KarObject)\n"
+    )
+    assert direct_builds(snippet, "KarObject", ("_interned",)) == [4, 7]
 
 
 SUBSPACE_BUILDERS = {
@@ -560,3 +593,18 @@ def test_the_guard_sees_a_kernel_that_bypasses_the_attributes(monkeypatch):
 
     monkeypatch.setattr(karoubi, "_sandwich", bound_early)
     assert kernel_callees(monkeypatch, split) == set()
+
+
+def test_the_benchmark_tracer_reaches_every_traced_binding():
+    """perfbench/pb_trace.py wraps package functions and class methods by
+    name; a refactor that drops, renames or rebinds one of them must fail
+    here, not only in a traced benchmark run."""
+    path = Path(diagcat.__file__).parents[2] / "perfbench" / "pb_trace.py"
+    spec = importlib.util.spec_from_file_location("pb_trace", path)
+    pb_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pb_trace)
+    installation = pb_trace.Installation(pb_trace.Tracer())
+    try:
+        assert installation.escapes() == []
+    finally:
+        installation.remove()

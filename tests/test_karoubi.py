@@ -103,6 +103,94 @@ def test_word_objects_are_shared():
     assert KarObject.word(2, ALL, at) is KarObject.word(2, ALL, FieldSpec.at(Fraction(5, 2)))
 
 
+def test_equal_objects_reached_by_different_routes_are_one_instance():
+    ident = named_idempotent("id", 1, F)
+    one = word(1)
+    assert kar_object(1, ident, ALL, F, name="id") is one
+    assert parse_kar_object("[1]@id", ALL, F) is one
+    assert KarObject(ALL, F, [1], [[ident]], names=["id"]) is one
+    unnamed = kar_object(1, ident, ALL, F)
+    assert parse_kar_object("[1]@1 * 1 1'", ALL, F) is unnamed
+    x2 = kar_object(2, x_e(2, F), ALL, F, name="x_j*e_j")
+    total = direct_sum(x2, one)
+    assert parse_kar_object("[2]@x_j*e_j ⊕ [1]@id", ALL, F) is total
+    assert direct_sum(kar_object(2, x_e(2, F), ALL, F, name="x_j*e_j"), word(1)) is total
+    assert KarObject(ALL, F, total.words, total.cut, names=total.names) is total
+    assert tensor_object(one, x2) is tensor_object(word(1), x2)
+    assert tensor_object(one, x2) is kar_tensor(
+        KarMorphism.identity(one), KarMorphism.identity(x2)
+    ).dom
+    assert tensor_object(word(1), word(2)) is KarObject(ALL, F, (3,), word(3).cut)
+    assert KarObject.zero(ALL, F) is parse_kar_object("0", ALL, F)
+    eps = KarMorphism.from_lin(lin("1", dom=1, cod=0), ALL, F)
+    k_obj, _ = weak_kernel(kar_row([eps, eps]), one, eps)
+    again, _ = weak_kernel(kar_row([eps, eps]), word(1), eps)
+    assert again is k_obj
+    assert KarObject(ALL, F, k_obj.words, k_obj.cut) is k_obj
+
+
+def test_a_second_equal_construction_checks_nothing(monkeypatch):
+    e = special_morphisms("e_1_sprime", 1, F)
+    first = kar_object(1, e, ALL, F, name="first sprime")
+    calls = []
+    compose = karoubi._mat_compose
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(karoubi, "_mat_compose", counted)
+    assert kar_object(1, special_morphisms("e_1_sprime", 1, F), ALL, F, name="first sprime") is first
+    assert direct_sum(first, first) is direct_sum(first, first)
+    assert len(calls) == 1  # the new sum's cut, checked once
+    assert tensor_object(first, first) is tensor_object(first, first)
+    assert len(calls) == 2
+    assert KarObject(ALL, F, (1,), first.cut, names=["first sprime"]) is first
+    assert len(calls) == 2
+
+
+def test_a_failed_construction_raises_every_time():
+    bad = lin("2 * 1 1'")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="residual"):
+            kar_object(1, bad, ALL, F, name="twice")
+    with pytest.raises(ValueError, match="shape"):
+        KarObject(ALL, F, (1, 1), ((bad,), (bad,)))
+    e1 = special_morphisms("e_1_sprime", 1, F)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="class"):
+            kar_object(1, e1, DiagramClass.EVEN_BLOCKS, F)
+    good = kar_object(1, lin("1 1'"), ALL, F, name="twice")
+    assert good.to_text() == "[1]@twice" and good.words == (1,)
+    assert kar_object(1, e1, ALL, F).cut == ((e1,),)
+
+
+def test_names_stay_with_their_instance():
+    ident = named_idempotent("id", 1, F)
+    named, unnamed = word(1), kar_object(1, ident, ALL, F)
+    assert named == unnamed and hash(named) == hash(unnamed)
+    assert named is not unnamed
+    assert named.to_text() == "[1]@id"
+    assert unnamed.to_text() == "[1]@1 * 1 1'"
+    assert direct_sum(named, named).to_text() == "[1]@id ⊕ [1]@id"
+    # equal inputs with other names: the memoised sum must not answer
+    assert direct_sum(unnamed, unnamed).to_text() == "[1]@1 * 1 1' ⊕ [1]@1 * 1 1'"
+    assert direct_sum(named, unnamed).to_text() == "[1]@1 * 1 1' ⊕ [1]@1 * 1 1'"
+    assert direct_sum(named, named) == direct_sum(unnamed, named)
+
+
+def test_the_generic_and_the_t_zero_object_stay_distinct():
+    at_zero = FieldSpec.at(0)
+    generic = kar_object(1, named_idempotent("id", 1, F), ALL, F)
+    special = kar_object(1, named_idempotent("id", 1, at_zero), ALL, at_zero)
+    assert generic.to_text() == special.to_text()
+    assert generic is not special and generic != special
+    assert special.field == at_zero
+    assert tensor_object(generic, generic) != tensor_object(special, special)
+    assert direct_sum(generic, generic).field == F
+    assert direct_sum(special, special).field == at_zero
+
+
 def test_equal_kar_morphisms_hash_equal():
     # the same morphism built twice, with its terms in the other order
     f = KarMorphism.from_lin(lin("1 * 1 1' + (1)/(t) * 1 | 1'"), ALL, F)
