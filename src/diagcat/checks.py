@@ -275,9 +275,7 @@ def check_uex(
         raise ValueError("the morphism collection U(C) excludes zero morphisms")
     if u.cod != 0:
         raise ValueError("u must have target [0]")
-    for d in u.terms:
-        if not cls.member(d):
-            raise ValueError(f"u term {d.to_text()} is not in class {cls.value}")
+    cls.require(u.terms, "u")
     uw = u.dom
     params = {
         "class": cls.value,

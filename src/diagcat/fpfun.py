@@ -10,6 +10,10 @@ is the summand cut by id - g.f.
 
 Certification of splitting is necessarily bounded: each presentation
 records the morphism set against which its summands were checked.
+
+A square is checked once, where it enters: FpMorphism checks that it
+commutes.  Identities, composites, zero squares and hom-space
+representatives commute by construction and build through _fp_morphism.
 """
 
 from __future__ import annotations
@@ -130,12 +134,9 @@ class FpMorphism:
 
     __slots__ = ("src", "dst", "alpha", "omega")
 
-    def __init__(self, src: FpObject, dst: FpObject, alpha, omega, validate=True):
-        if validate:
-            lhs = kar_compose(alpha, src.rho)
-            rhs = kar_compose(dst.rho, omega)
-            if lhs != rhs:
-                raise ValueError("square does not commute: alpha.rho != rho'.omega")
+    def __init__(self, src: FpObject, dst: FpObject, alpha, omega):
+        if kar_compose(alpha, src.rho) != kar_compose(dst.rho, omega):
+            raise ValueError("square does not commute: alpha.rho != rho'.omega")
         self.src = src
         self.dst = dst
         self.alpha = alpha
@@ -148,31 +149,32 @@ class FpMorphism:
         return f"FpMorphism({self.to_text()})"
 
 
+def _fp_morphism(src: FpObject, dst: FpObject, alpha, omega) -> FpMorphism:
+    """The square (alpha, omega), which commutes by construction; nothing
+    is checked."""
+    phi = object.__new__(FpMorphism)
+    phi.src, phi.dst, phi.alpha, phi.omega = src, dst, alpha, omega
+    return phi
+
+
 def fp_identity(m: FpObject) -> FpMorphism:
-    return FpMorphism(
-        m, m, KarMorphism.identity(m.P), KarMorphism.identity(m.Q), validate=False
-    )
+    return _fp_morphism(m, m, KarMorphism.identity(m.P), KarMorphism.identity(m.Q))
 
 
 def fp_compose(outer: FpMorphism, inner: FpMorphism) -> FpMorphism:
     if inner.dst != outer.src:
         raise ValueError("shape mismatch in square composition")
-    return FpMorphism(
+    return _fp_morphism(
         inner.src,
         outer.dst,
         kar_compose(outer.alpha, inner.alpha),
         kar_compose(outer.omega, inner.omega),
-        validate=False,
     )
 
 
 def fp_zero_morphism(src: FpObject, dst: FpObject) -> FpMorphism:
-    return FpMorphism(
-        src,
-        dst,
-        KarMorphism.zero(src.P, dst.P),
-        KarMorphism.zero(src.Q, dst.Q),
-        validate=False,
+    return _fp_morphism(
+        src, dst, KarMorphism.zero(src.P, dst.P), KarMorphism.zero(src.Q, dst.Q)
     )
 
 
@@ -222,14 +224,15 @@ class FpHomSpace:
             self.space.add({a + k: c for k, c in vec.items()})
         self._rprime_dim = self.space.dimension()
         self._vectors = [v for v in constraint.kernel_basis() if self.space.add(v)]
-        self.reps = [self._square(vec, validate=True) for vec in self._vectors]
+        self.reps = [self._square(vec) for vec in self._vectors]
 
-    def _square(self, vec, validate=False) -> FpMorphism:
-        """The square with the given (alpha, omega) vector."""
+    def _square(self, vec) -> FpMorphism:
+        """The square with the given (alpha, omega) vector, a combination
+        of kernel vectors of the commutation constraint, so it commutes."""
         a = len(self.ha)
         alpha = self.ha.from_coordinates({k: c for k, c in vec.items() if k < a})
         omega = self.ho.from_coordinates({k - a: c for k, c in vec.items() if k >= a})
-        return FpMorphism(self.src, self.dst, alpha, omega, validate=validate)
+        return _fp_morphism(self.src, self.dst, alpha, omega)
 
     def _vector_of(self, alpha, omega):
         """Sparse (alpha, omega) coordinates, or None outside the hom spaces."""
@@ -322,16 +325,12 @@ def weak_kernel(theta: KarMorphism, s_split: KarObject, eps: KarMorphism):
     w = split_solve(s_theta)
     if w is None:
         raise ValueError("S (x) theta is not split; enlarge S")
-    e_k = w.kernel_idempotent
-    k_obj = KarObject(
-        theta.dom.cls, field, e_k.dom.words, e_k.entries
-    )
-    kappa = KarMorphism(k_obj, e_k.dom, e_k.entries, validate=False)
+    kappa = w.kernel_inclusion()
     eps_a = kar_tensor(eps, KarMorphism.identity(theta.dom))
     kappa_prime = kar_compose(eps_a, kappa)
     if not kar_compose(theta, kappa_prime).is_zero():
         raise AssertionError("weak kernel fails theta . kappa' = 0")
-    return k_obj, kappa_prime
+    return kappa.dom, kappa_prime
 
 
 def fp_kernel(

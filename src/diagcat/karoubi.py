@@ -12,8 +12,12 @@ checked idempotent on its first construction only; direct sums, tensor
 products and zero objects are memoised over those instances.
 
 Morphisms are matrices of LinMorphisms satisfying the absorption law
-E_cod . F . E_dom = F.  Arithmetic preserves absorption, so only morphisms
-built from raw entries are checked.
+E_cod . F . E_dom = F.  Each value is checked once, where it enters: the
+KarMorphism constructor checks the shape, class and absorption of raw
+entries, and from_lin checks class alone, since a word object's cut is the
+identity.  Arithmetic, composition, tensors, rows and hom-space elements
+preserve absorption, so they build through _kar_morphism, which checks
+nothing.
 """
 
 from __future__ import annotations
@@ -31,22 +35,17 @@ from .homspace import (
     compose_sum,
     hom_basis,
 )
-from .moebius import special_morphisms, symmetrizer, x_e, x_j
 from .partition import DiagramClass, PartitionDiagram
 from .scalar import FieldElement, FieldSpec, poly_text, sum_products
 
 
 def _entry_shapes_ok(entries, dom_words, cod_words):
-    if len(entries) != len(cod_words):
-        return False
-    for row in entries:
-        if len(row) != len(dom_words):
-            return False
-    for i, row in enumerate(entries):
-        for j, lin in enumerate(row):
-            if lin.dom != dom_words[j] or lin.cod != cod_words[i]:
-                return False
-    return True
+    """Whether entry (i, j) maps word j of dom_words to word i of cod_words."""
+    return len(entries) == len(cod_words) and all(
+        len(row) == len(dom_words)
+        and all(lin.dom == w_dom and lin.cod == w_cod for lin, w_dom in zip(row, dom_words))
+        for row, w_cod in zip(entries, cod_words)
+    )
 
 
 def _mat_zero(dom_words, cod_words):
@@ -126,13 +125,7 @@ class KarObject:
         if hasattr(self, "cut"):
             return
         cut = tuple(tuple(row) for row in cut)
-        for row in cut:
-            for lin in row:
-                for d in lin.terms:
-                    if not diagram_class.member(d):
-                        raise ValueError(
-                            f"cut term {d.to_text()} is not in class {diagram_class.value}"
-                        )
+        diagram_class.require((d for row in cut for lin in row for d in lin.terms), "cut")
         square = _mat_compose(cut, cut, field)
         if not _mat_eq(square, cut):
             residual = _mat_add(square, _mat_scale(cut, -field.one()))
@@ -164,13 +157,6 @@ class KarObject:
             for i, row in enumerate(self.cut)
             for j, x in enumerate(row)
         )
-
-    @property
-    def summands(self):
-        """(word, idempotent) pairs; only defined for block-diagonal cuts."""
-        if not self.is_block_diagonal():
-            raise ValueError("object cut is not block-diagonal")
-        return [(w, self.cut[i][i]) for i, w in enumerate(self.words)]
 
     def key(self):
         """Class, field, words and cut text, built once per instance."""
@@ -218,21 +204,6 @@ def _interned(key, names) -> KarObject:
     return obj
 
 
-def named_idempotent(name: str, word: int, field: FieldSpec) -> LinMorphism:
-    """Resolve id / x_j / e_j / x_j*e_j / e_1_sprime at the given word."""
-    if name == "id":
-        return LinMorphism.from_diagram(PartitionDiagram.identity(word), field)
-    if name == "x_j":
-        return x_j(word, field)
-    if name == "e_j":
-        return symmetrizer(word, field)
-    if name == "x_j*e_j":
-        return x_e(word, field)
-    if name == "e_1_sprime":
-        return special_morphisms("e_1_sprime", word, field)
-    raise ValueError(f"unknown idempotent name {name!r}")
-
-
 def kar_object(
     word: int,
     e: LinMorphism,
@@ -246,33 +217,6 @@ def kar_object(
     return KarObject(
         cls, field, (word,), ((e,),), names=None if name is None else (name,)
     )
-
-
-def parse_kar_object(text: str, cls: DiagramClass, field: FieldSpec) -> KarObject:
-    """Parse the block-diagonal text form [w]@name ⊕ [w]@name."""
-    text = text.strip()
-    if text == "0":
-        return KarObject.zero(cls, field)
-    parts = [p.strip() for p in text.replace("⊕", "(+)").split("(+)")]
-    obj = None
-    for part in parts:
-        if not part.startswith("[") or "]@" not in part:
-            raise ValueError(f"bad summand {part!r}; expected [w]@name")
-        w_text, _, label = part[1:].partition("]@")
-        if not w_text.isdigit():
-            raise ValueError(f"bad word length {w_text!r}")
-        word = int(w_text)
-        try:
-            e = named_idempotent(label, word, field)
-            name = label
-        except ValueError:
-            from .homspace import parse_linmorphism
-
-            e = parse_linmorphism(label, field, dom=word, cod=word)
-            name = None
-        nxt = kar_object(word, e, cls, field, name=name)
-        obj = nxt if obj is None else direct_sum(obj, nxt)
-    return obj
 
 
 def direct_sum(a: KarObject, b: KarObject) -> KarObject:
@@ -316,46 +260,41 @@ class KarMorphism:
 
     __slots__ = ("dom", "cod", "entries")
 
-    def __init__(self, dom: KarObject, cod: KarObject, entries, validate=True):
+    def __init__(self, dom: KarObject, cod: KarObject, entries):
+        """A morphism from raw entries, checked for shape, class and
+        absorption of both cuts."""
         entries = tuple(tuple(row) for row in entries)
         if not _entry_shapes_ok(entries, dom.words, cod.words):
             raise ValueError("entry matrix shape does not match objects")
-        if validate:
-            if dom.cls != cod.cls:
-                raise ValueError("class mismatch between objects")
-            for row in entries:
-                for lin in row:
-                    for d in lin.terms:
-                        if not dom.cls.member(d):
-                            raise ValueError(
-                                f"entry term {d.to_text()} not in class"
-                            )
-            field = dom.field
-            absorbed = _mat_compose(
-                cod.cut, _mat_compose(entries, dom.cut, field), field
-            )
-            if not _mat_eq(absorbed, entries):
-                raise ValueError("entries do not absorb the idempotent cuts")
+        if dom.cls != cod.cls:
+            raise ValueError("class mismatch between objects")
+        dom.cls.require((d for row in entries for lin in row for d in lin.terms), "entry")
+        field = dom.field
+        absorbed = _mat_compose(cod.cut, _mat_compose(entries, dom.cut, field), field)
+        if not _mat_eq(absorbed, entries):
+            raise ValueError("entries do not absorb the idempotent cuts")
         self.dom = dom
         self.cod = cod
         self.entries = entries
 
     @classmethod
     def zero(cls, dom: KarObject, cod: KarObject):
-        return cls(dom, cod, _mat_zero(dom.words, cod.words), validate=False)
+        return _kar_morphism(dom, cod, _mat_zero(dom.words, cod.words))
 
     @classmethod
     def identity(cls, obj: KarObject):
-        return cls(obj, obj, obj.cut, validate=False)
+        return _kar_morphism(obj, obj, obj.cut)
 
     @classmethod
     def from_lin(
         cls, lin: LinMorphism, diagram_class: DiagramClass, field: FieldSpec
     ):
-        """Wrap a plain diagram combination as a map of word objects."""
+        """Wrap a plain diagram combination as a map of word objects; the
+        identity cuts absorb it, so only its class is checked."""
+        diagram_class.require(lin.terms, "entry")
         dom = KarObject.word(lin.dom, diagram_class, field)
         cod = KarObject.word(lin.cod, diagram_class, field)
-        return cls(dom, cod, ((lin,),))
+        return _kar_morphism(dom, cod, ((lin,),))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
@@ -378,18 +317,14 @@ class KarMorphism:
     def __add__(self, other):
         if self.dom != other.dom or self.cod != other.cod:
             raise ValueError("shape mismatch in sum")
-        return KarMorphism(
-            self.dom, self.cod, _mat_add(self.entries, other.entries), validate=False
-        )
+        return _kar_morphism(self.dom, self.cod, _mat_add(self.entries, other.entries))
 
     def __sub__(self, other):
         negated = tuple(tuple(-x for x in row) for row in other.entries)
-        return self + KarMorphism(other.dom, other.cod, negated, validate=False)
+        return self + _kar_morphism(other.dom, other.cod, negated)
 
     def scale(self, c: FieldElement):
-        return KarMorphism(
-            self.dom, self.cod, _mat_scale(self.entries, c), validate=False
-        )
+        return _kar_morphism(self.dom, self.cod, _mat_scale(self.entries, c))
 
     def to_text(self) -> str:
         rows = []
@@ -404,6 +339,14 @@ class KarMorphism:
         )
 
 
+def _kar_morphism(dom: KarObject, cod: KarObject, entries) -> KarMorphism:
+    """The morphism with the given entries, a tuple of row tuples that
+    already absorb both cuts; nothing is checked."""
+    m = object.__new__(KarMorphism)
+    m.dom, m.cod, m.entries = dom, cod, entries
+    return m
+
+
 def kar_compose(g: KarMorphism, f: KarMorphism) -> KarMorphism:
     """g after f."""
     if f.cod != g.dom:
@@ -411,16 +354,13 @@ def kar_compose(g: KarMorphism, f: KarMorphism) -> KarMorphism:
     if len(f.cod.words) == 0:
         return KarMorphism.zero(f.dom, g.cod)
     field = f.dom.field
-    return KarMorphism(
-        f.dom, g.cod, _mat_compose(g.entries, f.entries, field), validate=False
-    )
+    return _kar_morphism(f.dom, g.cod, _mat_compose(g.entries, f.entries, field))
 
 
 def kar_tensor(f: KarMorphism, g: KarMorphism) -> KarMorphism:
     dom = tensor_object(f.dom, g.dom)
     cod = tensor_object(f.cod, g.cod)
-    entries = _mat_tensor(f.entries, g.entries, f.dom.field)
-    return KarMorphism(dom, cod, entries, validate=False)
+    return _kar_morphism(dom, cod, _mat_tensor(f.entries, g.entries, f.dom.field))
 
 
 def kar_row(morphisms) -> KarMorphism:
@@ -432,11 +372,11 @@ def kar_row(morphisms) -> KarMorphism:
     dom = morphisms[0].dom
     for m in morphisms[1:]:
         dom = direct_sum(dom, m.dom)
-    entries = [
+    entries = tuple(
         tuple(x for m in morphisms for x in m.entries[i])
         for i in range(len(cod.words))
-    ]
-    return KarMorphism(dom, cod, entries, validate=False)
+    )
+    return _kar_morphism(dom, cod, entries)
 
 
 def _sandwich(left, right, units, slot_index, field):
@@ -582,14 +522,14 @@ class KarHom:
         for pos, c in vec.items():
             slot, d = self._positions[pos]
             terms[slot][d] = c
-        entries = [
-            [
+        entries = tuple(
+            tuple(
                 LinMorphism(w_dom, w_cod, terms[i, j])
                 for j, w_dom in enumerate(self.dom.words)
-            ]
+            )
             for i, w_cod in enumerate(self.cod.words)
-        ]
-        return KarMorphism(self.dom, self.cod, entries, validate=False)
+        )
+        return _kar_morphism(self.dom, self.cod, entries)
 
     def coordinates_of(self, m: KarMorphism):
         """Coefficients over self.elements, or None if outside the span."""
@@ -604,31 +544,44 @@ class KarHom:
 
 
 class SplitWitness:
-    """g with f.g.f = f, plus the induced idempotents g.f, f.g and the
-    kernel idempotent id - g.f; fg = f.g is composed when it is read."""
+    """g with f.g.f = f, verified by split_solve, and the idempotent g.f;
+    f.g, the kernel idempotent id - g.f and the denominators of g are
+    derived when they are read."""
 
-    __slots__ = ("f", "g", "gf", "kernel_idempotent", "denominators")
+    __slots__ = ("f", "g", "gf")
 
-    def __init__(self, f, g, gf, kernel_idempotent, denominators):
+    def __init__(self, f, g, gf):
         self.f = f
         self.g = g
         self.gf = gf
-        self.kernel_idempotent = kernel_idempotent
-        self.denominators = denominators
 
     @property
     def fg(self):
         return kar_compose(self.f, self.g)
 
+    @property
+    def kernel_idempotent(self):
+        return KarMorphism.identity(self.f.dom) - self.gf
 
-def _witness_denominators(g: KarMorphism):
-    out = set()
-    for row in g.entries:
-        for lin in row:
-            for c in lin.terms.values():
-                if c.kind == "rf" and not c.den.is_one():
-                    out.add(poly_text(c.den, "t"))
-    return tuple(sorted(out))
+    @property
+    def denominators(self):
+        """The distinct non-unit denominators of g's coefficients, as text."""
+        return tuple(sorted({
+            poly_text(c.den, "t")
+            for row in self.g.entries
+            for lin in row
+            for c in lin.terms.values()
+            if c.kind == "rf" and not c.den.is_one()
+        }))
+
+    def kernel_inclusion(self) -> KarMorphism:
+        """The inclusion into f's domain of the summand K that the kernel
+        idempotent e cuts; its entries are e, which absorbs both cuts as
+        f.g.f = f was verified, so only K's construction checks e."""
+        e = self.kernel_idempotent
+        dom = e.dom
+        k_obj = KarObject(dom.cls, dom.field, dom.words, e.entries)
+        return _kar_morphism(k_obj, dom, e.entries)
 
 
 @lru_cache(maxsize=256)
@@ -666,5 +619,4 @@ def split_solve(f: KarMorphism):
     gf = kar_compose(g, f)
     if kar_compose(f, gf) != f:
         raise AssertionError("split solver produced an invalid witness")
-    kernel_idem = KarMorphism.identity(f.dom) - gf
-    return SplitWitness(f, g, gf, kernel_idem, _witness_denominators(g))
+    return SplitWitness(f, g, gf)

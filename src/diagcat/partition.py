@@ -358,6 +358,12 @@ class DiagramClass(Enum):
             return all(len(b) == 2 for b in f.blocks)
         return _is_noncrossing_matching(f)
 
+    def require(self, diagrams, role: str):
+        """Raise ValueError naming the first diagram outside the class."""
+        for d in diagrams:
+            if not self.member(d):
+                raise ValueError(f"{role} term {d.to_text()} is not in class {self.value}")
+
     @classmethod
     def from_text(cls, text):
         for member in cls:

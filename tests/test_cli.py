@@ -281,6 +281,14 @@ def test_check_uex_names_a_u_term_outside_the_class():
     assert "Traceback" not in r.stderr
 
 
+def test_fp_names_a_lin_term_outside_the_class():
+    r = run_cli("fp", "coker", "--class", "even-blocks", "--lin", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error: entry term 1 is not in class even-blocks" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_check_report_schema():
     r = run_cli("check", "lemma-absorption", "--j-max", "2", "--m-max", "2", "--json")
     payload = json.loads(r.stdout)

@@ -26,7 +26,7 @@ from diagcat.fpfun import (
     weak_kernel_exact_at,
     yoneda,
 )
-from diagcat.homspace import LinMorphism, parse_linmorphism
+from diagcat.homspace import LinMorphism, hom_basis, parse_linmorphism
 from diagcat.karoubi import (
     KarHom,
     KarMorphism,
@@ -435,3 +435,31 @@ def test_projection_is_the_target_cut_in_its_block():
                     assert x == target.cut[i][j - offset]
                 else:
                     assert x.is_zero()
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_every_representative_square_commutes(field):
+    """The reps are built unchecked from kernel vectors of the commutation
+    constraint; each must still satisfy alpha.rho = rho'.omega."""
+    rng = random.Random(41)
+    words = [yoneda(KarObject.word(w, CLS, field)) for w in range(3)]
+    scalars = ["1", "-2", "t", "(t+1)/(t-2)"]
+    cokernels = []
+    for _ in range(4):
+        m, n = rng.choice(words[:2]), rng.choice(words[1:])
+        (a,), (b,) = m.P.words, n.P.words
+        basis = hom_basis(CLS, a, b).diagrams
+        diagrams = rng.sample(basis, min(2, len(basis)))
+        rho = LinMorphism(
+            a, b, {d: parse_field_element(rng.choice(scalars), field) for d in diagrams}
+        )
+        alpha = KarMorphism.from_lin(rho, CLS, field)
+        cokernels.append(fp_cokernel(FpMorphism(m, n, alpha, KarMorphism.zero(m.Q, n.Q))))
+    objects = words + cokernels
+    checked = 0
+    for _ in range(12):
+        src, dst = rng.choice(objects), rng.choice(objects)
+        for rep in fpfun.fp_hom_space(src, dst).reps:
+            assert kar_compose(rep.alpha, src.rho) == kar_compose(dst.rho, rep.omega)
+            checked += 1
+    assert checked >= 12

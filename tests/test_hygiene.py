@@ -4,7 +4,9 @@ bounded lru_cache rather than a module-level container, the README names
 every memo, every Karoubi hom space and every hom
 space of presented functors is built through its memo, every partition
 diagram is built through the canonical memo, every Karoubi object through
-the intern memo, no sum of
+the intern memo, every Karoubi and presented morphism through its checking
+constructor or its module's one unchecked builder, no call passes a
+`validate` flag, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
 every elimination outside the hom spaces reads an ExactMatrix, and an
@@ -339,6 +341,64 @@ def test_the_guard_sees_a_direct_karoubi_object_build():
         "e = object.__new__(KarObject)\n"
     )
     assert direct_builds(snippet, "KarObject", ("_interned",)) == [4, 7]
+
+
+MORPHISM_BUILDERS = {
+    "KarMorphism": ("karoubi", "_kar_morphism"),
+    "FpMorphism": ("fpfun", "_fp_morphism"),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(MORPHISM_BUILDERS))
+def test_only_the_unchecked_builder_skips_the_checked_constructor(class_name):
+    """A KarMorphism or FpMorphism built from outside values goes through
+    its checking constructor; only its module's builder (_kar_morphism,
+    _fp_morphism), for values that are right by construction, skips it."""
+    home, builder = MORPHISM_BUILDERS[class_name]
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in direct_builds(
+            path.read_text(), class_name, (builder,) if path.stem == home else ()
+        )
+    ]
+    assert found == []
+
+
+def keyword_calls(source: str, keyword: str) -> list:
+    """Line numbers of each call that passes the named keyword argument."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(k.arg == keyword for k in node.keywords)
+    )
+
+
+def test_no_call_passes_a_validate_flag():
+    """Each constructor checks what it is given; there is no switch."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in keyword_calls(path.read_text(), "validate")
+    ]
+    assert found == []
+
+
+def test_the_guards_see_an_unchecked_morphism_build():
+    snippet = (
+        "def _kar_morphism(dom, cod, entries):\n"
+        "    m = object.__new__(KarMorphism)\n"
+        "def kar_row(ms):\n"
+        "    return object.__new__(karoubi.KarMorphism)\n"
+        "def fp_identity(m):\n"
+        "    return FpMorphism(m, m, a, o, validate=False)\n"
+        "sq = object.__new__(FpMorphism)\n"
+        "k = KarMorphism(dom, cod, entries)\n"
+    )
+    assert direct_builds(snippet, "KarMorphism", ("_kar_morphism",)) == [4]
+    assert direct_builds(snippet, "FpMorphism", ("_fp_morphism",)) == [7]
+    assert keyword_calls(snippet, "validate") == [6]
 
 
 SUBSPACE_BUILDERS = {

@@ -26,8 +26,6 @@ from diagcat.karoubi import (
     kar_object,
     kar_row,
     kar_tensor,
-    named_idempotent,
-    parse_kar_object,
     split_solve,
     tensor_object,
 )
@@ -58,7 +56,7 @@ def kar_direct_sum(f: KarMorphism, g: KarMorphism) -> KarMorphism:
     for i, row in enumerate(g.entries):
         for j, x in enumerate(row):
             entries[oi + i][oj + j] = x
-    return KarMorphism(dom, cod, entries, validate=False)
+    return karoubi._kar_morphism(dom, cod, tuple(map(tuple, entries)))
 
 
 def kar_col(morphisms) -> KarMorphism:
@@ -70,8 +68,8 @@ def kar_col(morphisms) -> KarMorphism:
     cod = morphisms[0].cod
     for m in morphisms[1:]:
         cod = direct_sum(cod, m.cod)
-    entries = [row for m in morphisms for row in m.entries]
-    return KarMorphism(dom, cod, entries, validate=False)
+    entries = tuple(row for m in morphisms for row in m.entries)
+    return karoubi._kar_morphism(dom, cod, entries)
 
 
 def test_kar_object_word():
@@ -103,17 +101,21 @@ def test_word_objects_are_shared():
     assert KarObject.word(2, ALL, at) is KarObject.word(2, ALL, FieldSpec.at(Fraction(5, 2)))
 
 
+def identity_lin(w, field=F):
+    return LinMorphism.from_diagram(PartitionDiagram.identity(w), field)
+
+
 def test_equal_objects_reached_by_different_routes_are_one_instance():
-    ident = named_idempotent("id", 1, F)
+    ident = identity_lin(1)
     one = word(1)
     assert kar_object(1, ident, ALL, F, name="id") is one
-    assert parse_kar_object("[1]@id", ALL, F) is one
+    assert kar_object(1, identity_lin(1), ALL, F, name="id") is one
     assert KarObject(ALL, F, [1], [[ident]], names=["id"]) is one
     unnamed = kar_object(1, ident, ALL, F)
-    assert parse_kar_object("[1]@1 * 1 1'", ALL, F) is unnamed
+    assert kar_object(1, lin("1 * 1 1'"), ALL, F) is unnamed
     x2 = kar_object(2, x_e(2, F), ALL, F, name="x_j*e_j")
     total = direct_sum(x2, one)
-    assert parse_kar_object("[2]@x_j*e_j ⊕ [1]@id", ALL, F) is total
+    assert direct_sum(x2, kar_object(1, identity_lin(1), ALL, F, name="id")) is total
     assert direct_sum(kar_object(2, x_e(2, F), ALL, F, name="x_j*e_j"), word(1)) is total
     assert KarObject(ALL, F, total.words, total.cut, names=total.names) is total
     assert tensor_object(one, x2) is tensor_object(word(1), x2)
@@ -121,7 +123,7 @@ def test_equal_objects_reached_by_different_routes_are_one_instance():
         KarMorphism.identity(one), KarMorphism.identity(x2)
     ).dom
     assert tensor_object(word(1), word(2)) is KarObject(ALL, F, (3,), word(3).cut)
-    assert KarObject.zero(ALL, F) is parse_kar_object("0", ALL, F)
+    assert KarObject.zero(ALL, F) is KarObject(ALL, F, (), (), names=())
     eps = KarMorphism.from_lin(lin("1", dom=1, cod=0), ALL, F)
     k_obj, _ = weak_kernel(kar_row([eps, eps]), one, eps)
     again, _ = weak_kernel(kar_row([eps, eps]), word(1), eps)
@@ -166,7 +168,7 @@ def test_a_failed_construction_raises_every_time():
 
 
 def test_names_stay_with_their_instance():
-    ident = named_idempotent("id", 1, F)
+    ident = identity_lin(1)
     named, unnamed = word(1), kar_object(1, ident, ALL, F)
     assert named == unnamed and hash(named) == hash(unnamed)
     assert named is not unnamed
@@ -181,8 +183,8 @@ def test_names_stay_with_their_instance():
 
 def test_the_generic_and_the_t_zero_object_stay_distinct():
     at_zero = FieldSpec.at(0)
-    generic = kar_object(1, named_idempotent("id", 1, F), ALL, F)
-    special = kar_object(1, named_idempotent("id", 1, at_zero), ALL, at_zero)
+    generic = kar_object(1, identity_lin(1), ALL, F)
+    special = kar_object(1, identity_lin(1, at_zero), ALL, at_zero)
     assert generic.to_text() == special.to_text()
     assert generic is not special and generic != special
     assert special.field == at_zero
@@ -207,14 +209,14 @@ def test_equal_kar_morphisms_hash_equal():
 def test_kar_object_x2():
     x2e2 = x_e(2, F)
     obj = kar_object(2, x2e2, DiagramClass.EVEN_BLOCKS, F, name="x_j*e_j")
-    assert obj.summands == [(2, x2e2)]
+    assert obj.words == (2,) and obj.cut == ((x2e2,),)
     assert obj.to_text() == "[2]@x_j*e_j"
 
 
 def test_kar_object_x1_sprime():
     e1 = special_morphisms("e_1_sprime", 1, F)
     obj = kar_object(1, e1, DiagramClass.EVEN_MANY_ODD_BLOCKS, F, name="e_1_sprime")
-    assert obj.summands == [(1, e1)]
+    assert obj.words == (1,) and obj.cut == ((e1,),)
 
 
 def test_kar_object_rejects_non_idempotent():
@@ -227,20 +229,6 @@ def test_kar_object_rejects_wrong_class():
     e1 = special_morphisms("e_1_sprime", 1, F)  # idempotent, odd blocks
     with pytest.raises(ValueError, match="class"):
         kar_object(1, e1, DiagramClass.EVEN_BLOCKS, F)
-
-
-def test_parse_kar_object_roundtrip():
-    texts = ["[1]@id", "[2]@x_j*e_j ⊕ [0]@id", "0"]
-    for text in texts:
-        obj = parse_kar_object(text, DiagramClass.EVEN_BLOCKS, F)
-        assert obj.to_text() == text
-    inline = parse_kar_object("[1]@(1)/(t) * 1 | 1'", ALL, F)
-    assert inline.summands[0][1] == special_morphisms("e_1_sprime", 1, F)
-
-
-def test_named_idempotent_errors():
-    with pytest.raises(ValueError, match="unknown idempotent"):
-        named_idempotent("y_j", 2, F)
 
 
 def test_direct_sum_and_tensor_objects():
@@ -459,7 +447,7 @@ def bare_units(hom):
         entries = [[LinMorphism.zero(w_dom, w_cod) for w_dom in hom.dom.words]
                    for w_cod in hom.cod.words]
         entries[i][j] = LinMorphism.from_diagram(d, hom.field)
-        units.append(KarMorphism(hom.dom, hom.cod, entries, validate=False))
+        units.append(karoubi._kar_morphism(hom.dom, hom.cod, tuple(map(tuple, entries))))
     return units
 
 
@@ -490,7 +478,7 @@ def _cut_unit(hom, i, j, unit):
             else:
                 row.append(left.compose(unit, hom.field).compose(right, hom.field))
         entries.append(tuple(row))
-    return KarMorphism(hom.dom, hom.cod, entries, validate=False)
+    return karoubi._kar_morphism(hom.dom, hom.cod, tuple(entries))
 
 
 @pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
@@ -546,7 +534,7 @@ def test_split_in_slot_coordinates_fails_where_compressed_solve_fails():
 def test_split_refuses_a_morphism_that_does_not_absorb_its_cuts():
     e1 = special_morphisms("e_1_sprime", 1, F)
     x1 = kar_object(1, e1, ALL, F)
-    bare = KarMorphism(x1, x1, ((lin("1 * 1 1'"),),), validate=False)
+    bare = karoubi._kar_morphism(x1, x1, ((lin("1 * 1 1'"),),))
     with pytest.raises(ValueError, match="morphism escapes its own hom space"):
         split_solve(bare)
 
@@ -806,3 +794,99 @@ def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(monkeypatc
     products = [pair for segment in segments for kind, pair in segment if kind == "product"]
     terms = len(f.entries[0][0].terms)
     assert 0 < len(products) <= terms * terms
+
+
+FIELDS = [F, FieldSpec.at(Fraction(5, 2))]
+
+
+def random_class_lin(rng, cls, field):
+    """A combination of one to three basis diagrams of some Hom([m], [n])
+    of the class, m, n <= 3, with coefficients a + b.t."""
+    shapes = [(m, n) for m in range(4) for n in range(4) if hom_basis(cls, m, n).diagrams]
+    m, n = rng.choice(shapes)
+    diagrams = hom_basis(cls, m, n).diagrams
+    terms = {}
+    for d in rng.sample(diagrams, min(len(diagrams), rng.randint(1, 3))):
+        a = field.rational(Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
+        terms[d] = a + field.rational(rng.randint(0, 2)) * field.t()
+    return LinMorphism(m, n, terms)
+
+
+def counted_calls(monkeypatch, *names):
+    """Replace each named karoubi function by a wrapper that counts its
+    calls; returns the counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(karoubi, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(karoubi, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "t=5/2"])
+@pytest.mark.parametrize("cls", list(DiagramClass), ids=lambda c: c.value)
+def test_from_lin_equals_the_checked_construction_and_checks_no_absorption(
+    cls, field, monkeypatch
+):
+    rng = random.Random(20)
+    for _ in range(8):
+        g = random_class_lin(rng, cls, field)
+        dom, cod = KarObject.word(g.dom, cls, field), KarObject.word(g.cod, cls, field)
+        checked = KarMorphism(dom, cod, ((g,),))
+        with monkeypatch.context() as patch:
+            counts = counted_calls(patch, "_mat_compose", "_entry_shapes_ok")
+            wrapped = KarMorphism.from_lin(g, cls, field)
+        assert counts == {"_mat_compose": 0, "_entry_shapes_ok": 0}
+        assert wrapped == checked and wrapped.key() == checked.key()
+        assert wrapped.dom is dom and wrapped.cod is cod
+
+
+def test_derived_morphisms_run_no_check(monkeypatch):
+    x2 = kar_object(2, x_e(2, F), ALL, F, name="x_j*e_j")
+    f = KarMorphism.from_lin(lin("1 * 1 | 2 1' + (t) * 1 2 1'"), ALL, F)
+    ident = KarMorphism.identity(x2)
+    # build the objects and the hom space first, so that only morphisms
+    # are built below
+    kar_tensor(ident, f)
+    kar_row([f, f])
+    kar_hom(x2, x2)
+    builds = []
+    monkeypatch.setattr(KarMorphism, "__init__", lambda *args: builds.append(args))
+    counts = counted_calls(monkeypatch, "_mat_compose", "_entry_shapes_ok")
+    derived = [
+        KarMorphism.zero(f.dom, f.cod),
+        KarMorphism.identity(x2),
+        f + f,
+        f - f,
+        f.scale(F.t()),
+        kar_tensor(ident, f),
+        kar_row([f, f]),
+        *kar_hom(x2, x2).elements,
+        kar_hom(x2, x2).from_coordinates({0: F.t()}),
+    ]
+    assert builds == [] and counts == {"_mat_compose": 0, "_entry_shapes_ok": 0}
+    assert all(type(m) is KarMorphism for m in derived)
+    assert kar_compose(ident, ident) == ident
+    assert builds == [] and counts == {"_mat_compose": 1, "_entry_shapes_ok": 0}
+
+
+def test_raw_entries_are_refused_at_entry():
+    even = DiagramClass.EVEN_BLOCKS
+    with pytest.raises(ValueError, match="shape"):
+        KarMorphism(word(1), word(1), ((lin("1 1'"), lin("1 1'")),))
+    with pytest.raises(ValueError, match="shape"):
+        KarMorphism(word(1), word(2), ((lin("1 1'"),),))
+    outside = lin("1 | 1'")
+    message = "entry term 1 | 1' is not in class even-blocks"
+    with pytest.raises(ValueError, match=message):
+        KarMorphism(word(1, even), word(1, even), ((outside,),))
+    with pytest.raises(ValueError, match=message):
+        KarMorphism.from_lin(outside, even, F)
+    x1 = kar_object(1, special_morphisms("e_1_sprime", 1, F), ALL, F)
+    with pytest.raises(ValueError, match="absorb"):
+        KarMorphism(x1, x1, ((lin("1 * 1 1'"),),))
+    assert KarMorphism(x1, x1, x1.cut) == KarMorphism.identity(x1)

@@ -56,7 +56,7 @@ def random_morphism(rng, dom, cod):
         ]
         for i, w_cod in enumerate(cod.words)
     ]
-    return KarMorphism(dom, cod, entries, validate=False)
+    return karoubi._kar_morphism(dom, cod, tuple(map(tuple, entries)))
 
 
 def plain_sum(rng, cls, field):
@@ -79,7 +79,7 @@ def unit_morphism(dom, cod, unit):
         [LinMorphism.zero(w_dom, w_cod) for w_dom in dom.words] for w_cod in cod.words
     ]
     entries[i][j] = LinMorphism.from_diagram(d, dom.field)
-    return KarMorphism(dom, cod, entries, validate=False)
+    return karoubi._kar_morphism(dom, cod, tuple(map(tuple, entries)))
 
 
 def assert_kernel_matches_composites(left, right, u_dom, u_cod):
