@@ -17,12 +17,17 @@ pair-of-pants examples in the test suite before anything else trusts it.
 
 A formal sum of cobordisms is a homspace.LinMorphism whose terms are
 Cobordisms; cob_compose is its composition.
+
+Cobordism() checks outside components; glued, reduced and partition-derived
+ones are built by _cobordism, which only sorts them.  The data (one per
+field) and the expansions x^g mod u are memoised, shared and never changed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 from .homspace import LinMorphism
 from .partition import PartitionDiagram, DiagramParseError
@@ -64,8 +69,7 @@ class FrobeniusDatum:
 
     def genus_expansion(self, g: int):
         """Coefficients c_i with x^g = sum c_i x^i mod u, i < deg u."""
-        _, rem = poly_divmod(Poly.x_power(g), self.u)
-        return rem.coeffs
+        return _genus_expansion(self.u, g)
 
     def describe(self) -> str:
         from .scalar import poly_text
@@ -74,11 +78,19 @@ class FrobeniusDatum:
         return f"alpha=({init}), u={poly_text(self.u, 'x')}"
 
 
+@lru_cache(maxsize=256)
+def _genus_expansion(u: Poly, g: int) -> tuple:
+    _, rem = poly_divmod(Poly.x_power(g), u)
+    return rem.coeffs
+
+
+@lru_cache(maxsize=64)
 def st_datum(field: FieldSpec) -> FrobeniusDatum:
     """alpha = (t, t, ...), u = x - 1."""
     return FrobeniusDatum(field, (field.t(),), Poly((Fraction(-1), Fraction(1))))
 
 
+@lru_cache(maxsize=64)
 def fibonacci_datum(field: FieldSpec) -> FrobeniusDatum:
     """alpha = (1, 2, 3, 5, ...), u = x^2 - x - 1."""
     one = field.one()
@@ -188,6 +200,17 @@ class Cobordism:
         return f'Cobordism({self.m}, {self.n}, "{self.to_text()}")'
 
 
+def _cobordism(m: int, n: int, components) -> Cobordism:
+    """The cobordism of components that are right by construction, sorted
+    into canonical form; nothing is checked."""
+    c = object.__new__(Cobordism)
+    c.m, c.n = m, n
+    c.components = tuple(
+        sorted((tuple(sorted(circles)), genus) for circles, genus in components)
+    )
+    return c
+
+
 def generator(name: str) -> Cobordism:
     """The structure maps: unit, counit, product, coproduct, handle."""
     table = {
@@ -230,7 +253,7 @@ def reduce_normal_form(c: Cobordism, datum: FrobeniusDatum) -> LinMorphism:
         branches = new_branches
     terms = {}
     for comps, coeff in branches:
-        cob = Cobordism(c.m, c.n, comps)
+        cob = _cobordism(c.m, c.n, comps)
         cur = terms.get(cob)
         terms[cob] = coeff if cur is None else cur + coeff
     return LinMorphism(c.m, c.n, terms)
@@ -284,7 +307,7 @@ def glue_raw(g: Cobordism, f: Cobordism) -> Cobordism:
         if genus < 0:
             raise AssertionError("negative genus in gluing")
         out.append((circles, genus))
-    return Cobordism(m, n, out)
+    return _cobordism(m, n, out)
 
 
 def glue(g: Cobordism, f: Cobordism, datum: FrobeniusDatum) -> LinMorphism:
@@ -306,7 +329,7 @@ def cob_compose(
 
 def partition_to_cob(d: PartitionDiagram) -> Cobordism:
     """The genus-0 cobordism with one component per block of d."""
-    return Cobordism(d.m, d.n, [(b, 0) for b in d.blocks])
+    return _cobordism(d.m, d.n, [(b, 0) for b in d.blocks])
 
 
 def partition_crosscheck(

@@ -256,9 +256,10 @@ def tensor_object(a: KarObject, b: KarObject) -> KarObject:
 
 
 class KarMorphism:
-    """Matrix of LinMorphisms between KarObjects, absorbed by the cuts."""
+    """Matrix of LinMorphisms between KarObjects, absorbed by the cuts; its
+    key and the key's hash are built on first use and kept."""
 
-    __slots__ = ("dom", "cod", "entries")
+    __slots__ = ("dom", "cod", "entries", "_key", "_hash")
 
     def __init__(self, dom: KarObject, cod: KarObject, entries):
         """A morphism from raw entries, checked for shape, class and
@@ -276,6 +277,7 @@ class KarMorphism:
         self.dom = dom
         self.cod = cod
         self.entries = entries
+        self._key = self._hash = None
 
     @classmethod
     def zero(cls, dom: KarObject, cod: KarObject):
@@ -301,7 +303,9 @@ class KarMorphism:
 
     def key(self):
         """The keys of both objects and the entry text, built like KarObject.key."""
-        return (self.dom.key(), self.cod.key(), _mat_key(self.entries))
+        if self._key is None:
+            self._key = (self.dom.key(), self.cod.key(), _mat_key(self.entries))
+        return self._key
 
     def __eq__(self, other):
         return self is other or (
@@ -312,7 +316,9 @@ class KarMorphism:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __add__(self, other):
         if self.dom != other.dom or self.cod != other.cod:
@@ -344,6 +350,7 @@ def _kar_morphism(dom: KarObject, cod: KarObject, entries) -> KarMorphism:
     already absorb both cuts; nothing is checked."""
     m = object.__new__(KarMorphism)
     m.dom, m.cod, m.entries = dom, cod, entries
+    m._key = m._hash = None
     return m
 
 

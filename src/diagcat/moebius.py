@@ -18,8 +18,10 @@ coarsenings f' that merge active blocks of f, with each x'(f') merging the
 blocks active in f' itself, would differ once a merge of odd blocks
 produces an even block, and fails those identities.
 
-The terms of each (diagram, chosen blocks) pair are computed once and
-kept in a bounded lru_cache, shared by x and x'.
+Each (diagram, chosen blocks, field) closed form is built once and kept
+in a bounded lru_cache, shared by x and x', and so is x_j e_j per (j,
+field).  A memoised morphism is shared by every caller, so nothing may
+change its terms.
 """
 
 from __future__ import annotations
@@ -44,23 +46,18 @@ def _partition_moebius(grouping) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _merged_terms(f: PartitionDiagram, blocks: tuple) -> tuple:
-    """The closed form over the given block indices of f, as (diagram,
-    integer coefficient) pairs; distinct groupings give distinct diagrams."""
-    return tuple(
-        (partition.merge_blocks(f, grouping), _partition_moebius(grouping))
+def _moebius(f: PartitionDiagram, blocks: tuple, field: FieldSpec) -> LinMorphism:
+    """The closed form over the given block indices of f; distinct
+    groupings give distinct diagrams."""
+    return LinMorphism(f.m, f.n, {
+        partition.merge_blocks(f, grouping): field.rational(_partition_moebius(grouping))
         for grouping in partition.set_partitions(blocks)
-    )
-
-
-def _moebius(f: PartitionDiagram, blocks, field: FieldSpec) -> LinMorphism:
-    terms = _merged_terms(f, tuple(blocks))
-    return LinMorphism(f.m, f.n, {d: field.rational(c) for d, c in terms})
+    })
 
 
 def moebius_x(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:
     """x(f): the Moebius inverse of f along the coarsening order."""
-    return _moebius(f, range(len(f.blocks)), field)
+    return _moebius(f, tuple(range(len(f.blocks))), field)
 
 
 def active_blocks(f: PartitionDiagram):
@@ -72,7 +69,7 @@ def active_blocks(f: PartitionDiagram):
 
 def moebius_x_prime(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:
     """x'(f): Moebius inversion merging only the active blocks of f."""
-    return _moebius(f, active_blocks(f), field)
+    return _moebius(f, tuple(active_blocks(f)), field)
 
 
 def symmetrizer(j: int, field: FieldSpec) -> LinMorphism:
@@ -89,8 +86,10 @@ def x_j(j: int, field: FieldSpec) -> LinMorphism:
     return moebius_x(PartitionDiagram.identity(j), field)
 
 
+@lru_cache(maxsize=64)
 def x_e(j: int, field: FieldSpec) -> LinMorphism:
-    """The commuting product x_j e_j, an idempotent on [j]."""
+    """The commuting product x_j e_j, an idempotent on [j], composed once
+    per (j, field)."""
     return x_j(j, field).compose(symmetrizer(j, field), field)
 
 

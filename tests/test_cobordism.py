@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from diagcat import cobordism
 from diagcat.cobordism import (
     Cobordism,
     FrobeniusDatum,
@@ -19,7 +20,7 @@ from diagcat.cobordism import (
 )
 from diagcat.homspace import LinMorphism
 from diagcat.partition import PartitionDiagram, all_diagrams
-from diagcat.scalar import FieldSpec, Poly
+from diagcat.scalar import FieldSpec, Poly, poly_divmod
 
 F = FieldSpec.generic()
 ST = st_datum(F)
@@ -110,6 +111,28 @@ def test_alpha_is_the_recurrence(field):
     )
     for datum in (st_datum(field), fibonacci_datum(field), cubic):
         assert [datum.alpha(i) for i in range(31)] == recurrence_alphas(datum, 31)
+
+
+def test_the_data_are_memoised_per_field(monkeypatch):
+    """One shared datum per field, and each x^g mod u is divided out once:
+    with every expansion memoised, alpha(i) for i <= 10 still reads the
+    recurrence and divides nothing."""
+    fields = (F, FieldSpec.at(Fraction(5, 2)), FieldSpec.at(Fraction(0)))
+    for build in (st_datum, fibonacci_datum):
+        data = [build(field) for field in fields]
+        assert len({id(d) for d in data}) == len(fields)
+        assert all(build(FieldSpec(d.field.t_value)) is d for d in data)
+        for datum in data:
+            for i in range(11):
+                datum.alpha(i)
+    divisions = []
+    monkeypatch.setattr(
+        cobordism, "poly_divmod", lambda a, b: divisions.append(a) or poly_divmod(a, b)
+    )
+    for field in fields:
+        for datum in (st_datum(field), fibonacci_datum(field)):
+            assert [datum.alpha(i) for i in range(11)] == recurrence_alphas(datum, 11)
+    assert divisions == []
 
 
 def test_recurrence_invariant():

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 import diagcat.fpfun as fpfun
+import diagcat.karoubi as karoubi
 from diagcat.fpfun import (
     FpHomSpace,
     FpMorphism,
@@ -195,6 +196,22 @@ def test_presented_hom_spaces_keep_fields_apart(fp_built):
     assert generic is not special
     assert generic.field == F and special.field == at
     assert len(fp_built) == 2
+
+
+def test_a_repeated_lookup_renders_no_coefficient_text(monkeypatch):
+    """A KarMorphism keeps its key and hash: looking the same presentations
+    or the same eps up again renders no entry as text."""
+    src, dst, eps = yoneda(word(1)), yoneda(word(2)), eps_kar()
+    space = fpfun.fp_hom_space(src, dst)
+    section = fpfun.split_epi_section(eps)
+    keys = []
+    original = karoubi._mat_key
+    monkeypatch.setattr(karoubi, "_mat_key", lambda a: keys.append(a) or original(a))
+    assert fpfun.fp_hom_space(src, dst) is space
+    assert fpfun.split_epi_section(eps) is section
+    assert keys == []
+    assert fpfun.split_epi_section(eps_kar()) is section  # a new instance keys once
+    assert len(keys) == 1
 
 
 def test_unit_presentations():

@@ -5,8 +5,9 @@ every memo, every Karoubi hom space and every hom
 space of presented functors is built through its memo, every partition
 diagram is built through the canonical memo, every Karoubi object through
 the intern memo, every Karoubi and presented morphism through its checking
-constructor or its module's one unchecked builder, no call passes a
-`validate` flag, no sum of
+constructor or its module's one unchecked builder, and every Cobordism
+through its checking constructor or _cobordism, no call passes a
+`validate` flag, no LinMorphism's terms change after it is built, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
 every elimination outside the hom spaces reads an ExactMatrix, and an
@@ -199,11 +200,9 @@ def test_the_guard_sees_an_unbounded_memo():
     assert unbounded_caches(namespace) == ["f", "K.g"]
 
 
-def calls_outside(source: str, callee: str, scopes) -> list:
-    """Line numbers of calls to callee (by name or as an attribute) anywhere
-    but inside the named scopes: "name" for a module-level function or a
-    whole class, "Class.method" for one method."""
-    tree = ast.parse(source)
+def nodes_inside(tree, scopes) -> set:
+    """ids of the nodes inside the named scopes: "name" for a module-level
+    function or a whole class, "Class.method" for one method."""
     inside = set()
     for node in tree.body:
         named = [(getattr(node, "name", None), node)]
@@ -216,6 +215,14 @@ def calls_outside(source: str, callee: str, scopes) -> list:
         for name, scope in named:
             if name in scopes:
                 inside.update(id(n) for n in ast.walk(scope))
+    return inside
+
+
+def calls_outside(source: str, callee: str, scopes) -> list:
+    """Line numbers of calls to callee (by name or as an attribute) anywhere
+    but inside the named scopes (see nodes_inside)."""
+    tree = ast.parse(source)
+    inside = nodes_inside(tree, scopes)
     return sorted(
         node.lineno
         for node in ast.walk(tree)
@@ -343,18 +350,20 @@ def test_the_guard_sees_a_direct_karoubi_object_build():
     assert direct_builds(snippet, "KarObject", ("_interned",)) == [4, 7]
 
 
-MORPHISM_BUILDERS = {
+UNCHECKED_BUILDERS = {
     "KarMorphism": ("karoubi", "_kar_morphism"),
     "FpMorphism": ("fpfun", "_fp_morphism"),
+    "Cobordism": ("cobordism", "_cobordism"),
 }
 
 
-@pytest.mark.parametrize("class_name", sorted(MORPHISM_BUILDERS))
+@pytest.mark.parametrize("class_name", sorted(UNCHECKED_BUILDERS))
 def test_only_the_unchecked_builder_skips_the_checked_constructor(class_name):
-    """A KarMorphism or FpMorphism built from outside values goes through
-    its checking constructor; only its module's builder (_kar_morphism,
-    _fp_morphism), for values that are right by construction, skips it."""
-    home, builder = MORPHISM_BUILDERS[class_name]
+    """A KarMorphism, FpMorphism or Cobordism built from outside values goes
+    through its checking constructor; only its module's builder
+    (_kar_morphism, _fp_morphism, _cobordism), for values that are right
+    by construction, skips it."""
+    home, builder = UNCHECKED_BUILDERS[class_name]
     found = [
         f"{path.stem}:{line}"
         for path in MODULES
@@ -395,10 +404,95 @@ def test_the_guards_see_an_unchecked_morphism_build():
         "    return FpMorphism(m, m, a, o, validate=False)\n"
         "sq = object.__new__(FpMorphism)\n"
         "k = KarMorphism(dom, cod, entries)\n"
+        "def _cobordism(m, n, components):\n"
+        "    c = object.__new__(Cobordism)\n"
+        "glued = object.__new__(cobordism.Cobordism)\n"
+        "c = Cobordism(1, 1, [((1, 2), 0)])\n"
     )
     assert direct_builds(snippet, "KarMorphism", ("_kar_morphism",)) == [4]
     assert direct_builds(snippet, "FpMorphism", ("_fp_morphism",)) == [7]
+    assert direct_builds(snippet, "Cobordism", ("_cobordism",)) == [11]
     assert keyword_calls(snippet, "validate") == [6]
+
+
+MUTATING = ("clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__")
+TERMS_WRITERS = {"homspace": ("LinMorphism.__init__", "compose_sum")}
+
+
+def assigned(target):
+    """The single targets of an assignment target, unpacking tuples."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from assigned(elt)
+    elif isinstance(target, ast.Starred):
+        yield from assigned(target.value)
+    else:
+        yield target
+
+
+def terms_mutations(source: str, scopes=()) -> list:
+    """Line numbers of each assignment or deletion of .terms or
+    .terms[...], and each mutating dict method called on .terms, outside
+    the named scopes (see nodes_inside)."""
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    tree = ast.parse(source)
+    inside = nodes_inside(tree, scopes)
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in MUTATING and is_terms(node.func.value):
+                found.append(node.lineno)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(
+            is_terms(t) or (isinstance(t, ast.Subscript) and is_terms(t.value))
+            for target in targets
+            for t in assigned(target)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_shared_terms_are_mutated():
+    """Memoised morphisms (x_j e_j, x and x', hom-space elements) are shared
+    by every caller, so a LinMorphism's terms are set once, where it is
+    built, and never changed."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in terms_mutations(path.read_text(), TERMS_WRITERS.get(path.stem, ()))
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_terms_mutation():
+    snippet = (
+        "class LinMorphism:\n"
+        "    def __init__(self, dom, cod, terms):\n"
+        "        self.terms = dict(terms)\n"
+        "def scale_in_place(lin, c):\n"
+        "    lin.terms = {d: c * v for d, v in lin.terms.items()}\n"
+        "    lin.terms[d] = c\n"
+        "    del lin.terms[d]\n"
+        "    lin.terms.update(other.terms)\n"
+        "    lin.terms.pop(d)\n"
+        "    out.dom, out.terms = 1, {}\n"
+        "    lin.terms |= other.terms\n"
+        "    terms = dict(lin.terms)\n"
+        "    terms[d] = lin.terms.get(d)\n"
+        "    x[lin.terms] = 1\n"
+    )
+    assert terms_mutations(snippet, ("LinMorphism.__init__",)) == [5, 6, 7, 8, 9, 10, 11]
 
 
 SUBSPACE_BUILDERS = {

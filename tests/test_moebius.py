@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from diagcat import moebius
+from diagcat.homspace import LinMorphism
 from diagcat.moebius import (
     active_blocks,
     moebius_x,
@@ -59,19 +60,43 @@ def test_x_inverts_coarsening_sum(m, n):
         for g in coarsenings(f):
             xg = moebius_x(g, F)
             total = xg if total is None else total + xg
-        from diagcat.homspace import LinMorphism
-
         assert total == LinMorphism.from_diagram(f, F)
 
 
 def test_x_and_x_prime_share_one_memo():
     f = D("1 | 2 | 3")  # every block is active, so x' merges what x merges
     moebius_x(f, F)
-    before = moebius._merged_terms.cache_info()
+    before = moebius._moebius.cache_info()
     assert moebius_x(f, F) == moebius_x_prime(f, F)
-    after = moebius._merged_terms.cache_info()
+    after = moebius._moebius.cache_info()
     assert after.hits == before.hits + 2
     assert after.misses == before.misses
+
+
+FIELDS = (F, FieldSpec.at(Fraction(5, 2)), FieldSpec.at(Fraction(0)))
+
+
+def test_one_memoised_instance_per_field():
+    f = D("1 2' | 2 | 1'")
+    for build, arg in ((x_e, 2), (x_e, 3), (moebius_x, f), (moebius_x_prime, f)):
+        first = [build(arg, field) for field in FIELDS]
+        assert len({id(x) for x in first}) == len(FIELDS)
+        again = [build(arg, FieldSpec(field.t_value)) for field in FIELDS]
+        assert all(a is b for a, b in zip(first, again))
+
+
+def test_a_second_x_e_composes_nothing(monkeypatch):
+    field = FieldSpec.at(Fraction(-3, 2))
+    moebius.x_e.cache_clear()
+    calls = []
+    compose = LinMorphism.compose
+    monkeypatch.setattr(
+        LinMorphism, "compose", lambda self, *args: calls.append(1) or compose(self, *args)
+    )
+    first = x_e(3, field)
+    assert calls == [1]
+    assert x_e(3, field) is first
+    assert calls == [1]
 
 
 def test_x_coefficients_are_integers():

@@ -8,7 +8,7 @@ import pytest
 
 from diagcat.homspace import LinMorphism, hom_basis
 from diagcat.karoubi import KarMorphism, kar_compose, split_solve
-from diagcat.moebius import moebius_x
+from diagcat.moebius import moebius_x, moebius_x_prime, x_e
 from diagcat.partition import DiagramClass
 from diagcat.scalar import FieldElement, FieldSpec, Poly, parse_poly, specialize
 
@@ -74,6 +74,20 @@ def test_generic_result_specialises_to_the_specialised_result(op):
             field = FieldSpec.at(t0)
             specialised = tuple(at(x, t0) if isinstance(x, LinMorphism) else x for x in lins)
             assert at(generic, t0) == op(field, specialised)
+
+
+@pytest.mark.parametrize("t0", [Fraction(5, 2), Fraction(-3, 2)], ids=["t=5/2", "t=-3/2"])
+def test_memoised_constants_specialise_to_the_specialised_constants(t0):
+    """x_j e_j, x and x' are memoised per field; the Q(t) entry, evaluated
+    at t0, is the entry built at t0."""
+    field = FieldSpec.at(t0)
+    for j in range(4):
+        assert at(x_e(j, GENERIC), t0) == x_e(j, field)
+    for m in range(5):
+        for n in range(5 - m):
+            for f in hom_basis(ALL, m, n).diagrams:
+                for build in (moebius_x, moebius_x_prime):
+                    assert at(build(f, GENERIC), t0) == build(f, field)
 
 
 def test_split_witness_specialises_away_from_its_denominators():
