@@ -150,7 +150,7 @@ def check_ex(
     max_points: int = 6,
     samples: int = 200,
     seed: int = 0,
-    field: FieldSpec | None = None,
+    field: FieldSpec = FieldSpec(),
 ) -> CheckReport:
     """Exactness conditions on hom spaces.
 
@@ -160,7 +160,6 @@ def check_ex(
     factors in the through-unit span; the basis-level structural argument
     is rechecked alongside the samples.
     """
-    field = field or FieldSpec.generic()
     params = {
         "class": cls.value,
         "max_points": max_points,
@@ -262,7 +261,7 @@ def check_uex(
     u: LinMorphism,
     cls: DiagramClass,
     max_target_word: int = 3,
-    field: FieldSpec | None = None,
+    field: FieldSpec = FieldSpec(),
 ) -> CheckReport:
     """Coequalizer condition for u: U -> 1.
 
@@ -270,7 +269,6 @@ def check_uex(
     f -> f . (u (x) U - U (x) u) on Hom(U, V) must equal the image of
     v -> v . u from Hom(1, V), and v -> v . u must be injective.
     """
-    field = field or FieldSpec.generic()
     if u.is_zero():
         raise ValueError("the morphism collection U(C) excludes zero morphisms")
     if u.cod != 0:
@@ -356,13 +354,12 @@ def check_splitting_object(
 def check_split_sweep(
     cls: DiagramClass = DiagramClass.ALL,
     max_points: int = 4,
-    field: FieldSpec | None = None,
+    field: FieldSpec = FieldSpec(),
     samples: int = 25,
     seed: int = 0,
 ) -> CheckReport:
     """split_solve on every basis diagram within the bound, plus sampled
     combinations; every returned witness is re-verified exactly."""
-    field = field or FieldSpec.generic()
     params = {
         "class": cls.value,
         "max_points": max_points,
@@ -442,14 +439,13 @@ def _phi_bijective(cls, x, p_entries, m_max, field):
 
 
 def representable_H(
-    i: int, m_max: int, field: FieldSpec | None = None
+    i: int, m_max: int, field: FieldSpec = FieldSpec()
 ) -> CheckReport:
     """Bijectivity of p . - : Hom_H([m], X_0 + ... + X_i) -> Hom_S([m], [0]).
 
     The even-blocks statement holds for m <= i; probing larger m exhibits
     the rank deficit that makes the full direct sum necessary.
     """
-    field = field or FieldSpec.generic()
 
     def run():
         x = _rep_h_objects(i, field)
@@ -501,10 +497,9 @@ def _verify_h_skeleton(p_entries, m: int, field: FieldSpec) -> int:
 
 
 def representable_Sprime(
-    m_max: int, field: FieldSpec | None = None
+    m_max: int, field: FieldSpec = FieldSpec()
 ) -> CheckReport:
     """Bijectivity of (p_0, p_1) . - : Hom_S'([m], X_0 + X_1) -> Hom_S([m],[0])."""
-    field = field or FieldSpec.generic()
     field.require_nonzero_t("representable_Sprime")
 
     def run():
@@ -529,10 +524,9 @@ def verify_lemma(
     which: str,
     j_max: int = 3,
     m_max: int = 3,
-    field: FieldSpec | None = None,
+    field: FieldSpec = FieldSpec(),
 ) -> CheckReport:
     """Exhaustive instances of the absorption / computation lemmas."""
-    field = field or FieldSpec.generic()
     params = {"which": which, "j_max": j_max, "m_max": m_max}
     if which == "absorption":
         return _report(
@@ -602,7 +596,7 @@ def check_crosscheck_cob(max_points: int = 5) -> CheckReport:
                 for n in range(max_points + 1 - m - k):
                     for g in all_diagrams(m, k):
                         for f in all_diagrams(k, n):
-                            if not partition_crosscheck(f, g, st):
+                            if not partition_crosscheck(f, g):
                                 raise CheckFailed({
                                     "f": f.to_text(),
                                     "g": g.to_text(),

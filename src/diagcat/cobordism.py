@@ -18,20 +18,23 @@ pair-of-pants examples in the test suite before anything else trusts it.
 A formal sum of cobordisms is a homspace.LinMorphism whose terms are
 Cobordisms; cob_compose is its composition.
 
-Cobordism() checks outside components; glued, reduced and partition-derived
-ones are built by _cobordism, which only sorts them.  The data (one per
-field) and the expansions x^g mod u are memoised, shared and never changed.
+A cobordism is the immutable tuple (m, n, components), so tuple equality,
+hashing and order serve it.  Cobordism() checks outside components; glued,
+reduced and partition-derived ones are built by _cobordism, which only
+sorts them.  The data (one per field) and the expansions x^g mod u are
+memoised, shared and never changed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .homspace import LinMorphism
-from .partition import PartitionDiagram, DiagramParseError
-from .scalar import FieldElement, FieldSpec, Poly, poly_divmod
+from .partition import DiagramParseError, PartitionDiagram, compose
+from .scalar import FieldElement, FieldSpec, Poly, poly_divmod, poly_text
 
 
 class FrobeniusDatum:
@@ -72,8 +75,6 @@ class FrobeniusDatum:
         return _genus_expansion(self.u, g)
 
     def describe(self) -> str:
-        from .scalar import poly_text
-
         init = ", ".join(a.to_text() for a in self.alpha_init)
         return f"alpha=({init}), u={poly_text(self.u, 'x')}"
 
@@ -100,21 +101,26 @@ def fibonacci_datum(field: FieldSpec) -> FrobeniusDatum:
     )
 
 
-class Cobordism:
+class Cobordism(namedtuple("Cobordism", "m n components")):
     """Components (circle tuple, genus) over circles 1..m upper, then lower.
 
     Closed components (empty circle tuple) and large genera are allowed so
     that intermediate gluing results are representable; normal form under a
     datum additionally demands no closed components and genus < deg u.
+
+    A cobordism is the tuple (m, n, components), and tuple equality,
+    hashing and order are its own.  So it equals the plain tuple (m, n,
+    components), and the empty cobordism equals the empty diagram; no dict
+    or set in the package mixes them, because the terms of a LinMorphism
+    are all of one kind.
     """
 
-    __slots__ = ("m", "n", "components")
+    __slots__ = ()
 
-    def __init__(self, m: int, n: int, components):
-        comps = []
+    def __new__(cls, m: int, n: int, components):
+        components = list(components)
         seen = set()
         for circles, genus in components:
-            circles = tuple(sorted(circles))
             if genus < 0:
                 raise ValueError("genus must be nonnegative")
             for p in circles:
@@ -123,29 +129,14 @@ class Cobordism:
                 if p in seen:
                     raise ValueError(f"circle {p} used twice")
                 seen.add(p)
-            comps.append((circles, genus))
         if len(seen) != m + n:
             missing = min(set(range(1, m + n + 1)) - seen, default=0)
             raise ValueError(f"boundary circle {missing} not covered")
-        self.m = m
-        self.n = n
-        self.components = tuple(sorted(comps))
+        return _cobordism(m, n, components)
 
     @classmethod
     def identity(cls, n: int) -> "Cobordism":
         return cls(n, n, [((i, n + i), 0) for i in range(1, n + 1)])
-
-    def key(self):
-        return (self.m, self.n, self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, Cobordism) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def _label(self, p: int) -> str:
         return str(p) if p <= self.m else f"{p - self.m}'"
@@ -203,12 +194,8 @@ class Cobordism:
 def _cobordism(m: int, n: int, components) -> Cobordism:
     """The cobordism of components that are right by construction, sorted
     into canonical form; nothing is checked."""
-    c = object.__new__(Cobordism)
-    c.m, c.n = m, n
-    c.components = tuple(
-        sorted((tuple(sorted(circles)), genus) for circles, genus in components)
-    )
-    return c
+    components = sorted((tuple(sorted(circles)), genus) for circles, genus in components)
+    return tuple.__new__(Cobordism, (m, n, tuple(components)))
 
 
 def generator(name: str) -> Cobordism:
@@ -332,18 +319,10 @@ def partition_to_cob(d: PartitionDiagram) -> Cobordism:
     return _cobordism(d.m, d.n, [(b, 0) for b in d.blocks])
 
 
-def partition_crosscheck(
-    f: PartitionDiagram, g: PartitionDiagram, datum: FrobeniusDatum | None = None
-) -> bool:
-    """Compare f after g through partitions against the S_t cobordism route.
-
-    datum is st_datum over Q(t); a caller that checks many pairs builds it
-    once and passes it.
-    """
-    from .partition import compose
-
-    if datum is None:
-        datum = st_datum(FieldSpec.generic())
+def partition_crosscheck(f: PartitionDiagram, g: PartitionDiagram) -> bool:
+    """Compare f after g through partitions against the S_t cobordism route,
+    with the memoised st_datum over Q(t)."""
+    datum = st_datum(FieldSpec.generic())
     field = datum.field
     diagram, loops = compose(f, g)
     expected = LinMorphism.from_diagram(

@@ -32,7 +32,13 @@ from typing import Callable
 
 from . import partition
 from .partition import DiagramClass, PartitionDiagram
-from .scalar import FieldElement, FieldSpec, sub_product, sum_products
+from .scalar import (
+    FieldElement,
+    FieldSpec,
+    parse_field_element,
+    sub_product,
+    sum_products,
+)
 
 
 class LinMorphism:
@@ -176,8 +182,6 @@ def _split_top_level(text, sep=" + "):
 
 def parse_linmorphism(text, field: FieldSpec, dom=None, cod=None) -> LinMorphism:
     """Parse "c1 * <diagram> + c2 * <diagram> + ..." text."""
-    from .scalar import parse_field_element
-
     stripped = text.strip()
     if stripped == "0":
         if dom is None or cod is None:

@@ -2,11 +2,13 @@
 
 A diagram in P_{m,n} is a set partition of the m+n boundary points.  Upper
 points are 1..m, lower points are stored internally as m+1..m+n and printed
-primed ("1'", "2'", ...).  Diagrams are immutable and canonical: blocks are
-sorted tuples ordered by their minimum, so equal diagrams are structurally
-equal and hashable.  Every diagram is built through one bounded lru_cache,
-_canonical, which hands out one shared instance per diagram, so a memo
-hit or a dict lookup keyed by a diagram mostly compares it by identity.
+primed ("1'", "2'", ...).  A diagram is the tuple (m, n, blocks), its
+blocks sorted tuples ordered by their minimum, so equal diagrams are equal
+tuples.  Every diagram is built through one bounded lru_cache, _canonical,
+which hands out one shared instance per diagram, so a memo hit or a dict
+lookup keyed by a diagram mostly compares it by identity.
+PartitionDiagram() checks its points; diagrams derived from diagrams or
+walks are right by construction and built through _from_valid.
 
 Composition glues the lower boundary of the inner diagram to the upper
 boundary of the outer one; merged blocks that end up with middle points only
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import comb, prod
@@ -86,10 +89,16 @@ def non_crossing_count(size):
     return 0 if size % 2 else comb(size, half) // (half + 1)
 
 
-class PartitionDiagram:
-    """An element of the diagram basis of Hom([m], [n])."""
+class PartitionDiagram(namedtuple("PartitionDiagram", "m n blocks")):
+    """An element of the diagram basis of Hom([m], [n]).
 
-    __slots__ = ("m", "n", "blocks", "_hash")
+    A diagram is the tuple (m, n, blocks), and tuple equality, hashing and
+    order are its own.  So it equals the plain tuple (m, n, blocks), and the
+    empty diagram equals the empty cobordism; no dict or set in the package
+    mixes them, because the terms of a LinMorphism are all of one kind.
+    """
+
+    __slots__ = ()
 
     def __new__(cls, m, n, blocks):
         points = sorted(p for b in blocks for p in b)
@@ -106,39 +115,23 @@ class PartitionDiagram:
 
     @classmethod
     def identity(cls, m):
-        return cls(m, m, [(i, m + i) for i in range(1, m + 1)])
+        return cls._from_valid(m, m, [(i, m + i) for i in range(1, m + 1)])
 
     @classmethod
     def permutation(cls, sigma):
         """Strand diagram of a permutation given as a 0-based tuple."""
         j = len(sigma)
-        return cls(j, j, [(i + 1, j + sigma[i] + 1) for i in range(j)])
+        return cls._from_valid(j, j, [(i + 1, j + sigma[i] + 1) for i in range(j)])
 
     @classmethod
     def singletons(cls, m, n=0):
-        return cls(m, n, [(p,) for p in range(1, m + n + 1)])
+        return cls._from_valid(m, n, [(p,) for p in range(1, m + n + 1)])
 
     def upper_part(self, block):
         return tuple(p for p in block if p <= self.m)
 
     def lower_count(self, block):
         return sum(1 for p in block if p > self.m)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PartitionDiagram):
-            return NotImplemented
-        # an instance that outlives its evicted _canonical entry is a second
-        # live instance of its diagram, so equal fields still mean equal
-        fields = (self.m, self.n, self.blocks)
-        return self._hash == other._hash and fields == (other.m, other.n, other.blocks)
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return (self.m, self.n, self.blocks) < (other.m, other.n, other.blocks)
 
     def to_text(self):
         if not self.blocks:
@@ -213,10 +206,7 @@ class PartitionDiagram:
 @lru_cache(maxsize=16384)
 def _canonical(m, n, blocks) -> PartitionDiagram:
     """The one shared PartitionDiagram with canonical blocks."""
-    d = object.__new__(PartitionDiagram)
-    d.m, d.n, d.blocks = m, n, blocks
-    d._hash = hash((m, n, blocks))
-    return d
+    return tuple.__new__(PartitionDiagram, (m, n, blocks))
 
 
 class ComposeResult(NamedTuple):
@@ -277,20 +267,6 @@ def tensor(f: PartitionDiagram, g: PartitionDiagram) -> PartitionDiagram:
     return PartitionDiagram._from_valid(m, n, blocks)
 
 
-def coarsenings(f: PartitionDiagram, proper=False):
-    """All diagrams obtained by merging blocks of f, canonically sorted."""
-    out = set()
-    nblocks = len(f.blocks)
-    for grouping in set_partitions(range(nblocks)):
-        if proper and len(grouping) == nblocks:
-            continue
-        merged = [
-            tuple(sorted(p for i in group for p in f.blocks[i])) for group in grouping
-        ]
-        out.add(PartitionDiagram(f.m, f.n, merged))
-    return sorted(out)
-
-
 def merge_blocks(f: PartitionDiagram, grouping) -> PartitionDiagram:
     """Coarsen f by merging the given groups of block indices."""
     taken = set(i for group in grouping for i in group)
@@ -298,7 +274,7 @@ def merge_blocks(f: PartitionDiagram, grouping) -> PartitionDiagram:
         tuple(sorted(p for i in group for p in f.blocks[i])) for group in grouping
     ]
     merged += [b for i, b in enumerate(f.blocks) if i not in taken]
-    return PartitionDiagram(f.m, f.n, merged)
+    return PartitionDiagram._from_valid(f.m, f.n, merged)
 
 
 def factors_through_unit(f: PartitionDiagram) -> bool:
@@ -317,7 +293,7 @@ def upper_partition(f: PartitionDiagram) -> PartitionDiagram:
         ups = f.upper_part(block)
         if ups:
             blocks.append(ups)
-    return PartitionDiagram(f.m, 0, blocks)
+    return PartitionDiagram._from_valid(f.m, 0, blocks)
 
 
 def _is_noncrossing_matching(f: PartitionDiagram) -> bool:
@@ -375,7 +351,7 @@ class DiagramClass(Enum):
 def all_diagrams(m, n) -> Iterable[PartitionDiagram]:
     """All of P_{m,n} (every set partition of the m+n points)."""
     for part in set_partitions(range(1, m + n + 1)):
-        yield PartitionDiagram(m, n, part)
+        yield PartitionDiagram._from_valid(m, n, part)
 
 
 def all_matchings(m, n) -> Iterable[PartitionDiagram]:

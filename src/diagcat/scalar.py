@@ -17,6 +17,7 @@ alike); nothing here ever rounds or approximates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -254,8 +255,6 @@ def parse_rational(text):
 
 def parse_poly(text, var="t"):
     """Parse polynomial text like 'x^2-x-1' or '3/2t^2+1'."""
-    import re
-
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")

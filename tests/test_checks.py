@@ -254,17 +254,14 @@ def test_crosscheck_cob_small():
     assert r.witness["instances"] >= 100
 
 
-def test_crosscheck_cob_builds_the_st_datum_once(monkeypatch):
-    from diagcat import checks, cobordism
+def test_crosscheck_cob_builds_the_st_datum_once():
+    """Every pair reads the one memoised S_t datum over Q(t)."""
+    from diagcat.cobordism import st_datum
 
-    built, st_datum = [], cobordism.st_datum
-
-    def counted(field):
-        built.append(field)
-        return st_datum(field)
-
-    monkeypatch.setattr(checks, "st_datum", counted)
-    monkeypatch.setattr(cobordism, "st_datum", counted)
+    st_datum.cache_clear()
     r = check_crosscheck_cob(2)
     assert r.status == "pass" and r.witness["instances"] > 10
-    assert built == [F]
+    info = st_datum.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+    # one hit per diagram pair; the last 10 instances are handle scalars
+    assert info.hits == r.witness["instances"] - 10

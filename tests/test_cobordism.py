@@ -157,6 +157,21 @@ def test_cobordism_validation():
         Cobordism(1, 0, [((1,), -1)])
 
 
+def test_a_cobordism_is_its_tuple():
+    """Equality, hashing and order are tuple's own, the hash is that of
+    (m, n, components), and the empty cobordism equals the empty diagram."""
+    for name in ("__eq__", "__hash__", "__lt__"):
+        assert getattr(Cobordism, name) is getattr(tuple, name)
+    assert not hasattr(Cobordism, "key")
+    c = C("g=1: 1 2' | g=0: 2 1'")
+    assert hash(c) == hash((c.m, c.n, c.components))
+    assert c == (2, 2, (((1, 4), 1), ((2, 3), 0)))
+    assert sorted([C("g=1: 1 1'"), C("g=0: 1 | g=0: 1'")]) == [
+        C("g=0: 1 | g=0: 1'"), C("g=1: 1 1'")
+    ]
+    assert Cobordism(0, 0, []) == PartitionDiagram(0, 0, [])
+
+
 def test_text_roundtrip():
     samples = [
         "<empty>",

@@ -1,13 +1,14 @@
 """Source hygiene: every name a package module imports is used in it,
-no module imports another module's underscore name, every memo is a
-bounded lru_cache rather than a module-level container, the README names
-every memo, every Karoubi hom space and every hom
-space of presented functors is built through its memo, every partition
+no module imports another module's underscore name or imports inside a
+function, every memo is a bounded lru_cache rather than a module-level
+container, the README names every memo, every Karoubi hom space and every
+hom space of presented functors is built through its memo, every partition
 diagram is built through the canonical memo, every Karoubi object through
 the intern memo, every Karoubi and presented morphism through its checking
 constructor or its module's one unchecked builder, and every Cobordism
-through its checking constructor or _cobordism, no call passes a
-`validate` flag, no LinMorphism's terms change after it is built, no sum of
+through its checking constructor or _cobordism, no namedtuple `_make` or
+`_replace` rebuilds a diagram or a cobordism, no call passes a `validate`
+flag, no LinMorphism's terms change after it is built, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
 every elimination outside the hom spaces reads an ExactMatrix, and an
@@ -52,6 +53,42 @@ def test_no_unused_imports(path):
 
 def test_the_guard_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os"]
+
+
+def function_imports(source: str) -> list:
+    """Line numbers of each import statement inside a function."""
+    return sorted(
+        {
+            node.lineno
+            for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    """Every module imports at its top; no import cycle needs a late one."""
+    assert function_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_an_import_inside_a_function():
+    snippet = (
+        "import re\n"
+        "def parse(text):\n"
+        "    from .scalar import parse_field_element\n"
+        "    return re.split(text)\n"
+        "class Datum:\n"
+        "    def describe(self):\n"
+        "        def inner():\n"
+        "            import json\n"
+        "        return inner\n"
+        "async def fetch():\n"
+        "    import asyncio\n"
+    )
+    assert function_imports(snippet) == [3, 8, 11]
 
 
 def private_imports(source: str) -> list:
@@ -312,14 +349,16 @@ def test_every_diagram_goes_through_the_canonical_memo():
 def test_the_guard_sees_a_direct_diagram_build():
     snippet = (
         "def _canonical(m, n, blocks):\n"
-        "    d = object.__new__(PartitionDiagram)\n"
+        "    return tuple.__new__(PartitionDiagram, (m, n, blocks))\n"
         "def tensor(f, g):\n"
         "    return object.__new__(partition.PartitionDiagram)\n"
         "out = object.__new__(LinMorphism)\n"
         "d = PartitionDiagram(1, 1, [(1, 2)])\n"
         "e = object.__new__(PartitionDiagram)\n"
+        "u = tuple.__new__(PartitionDiagram, (1, 0, ((1,),)))\n"
+        "w = tuple.__new__(partition.PartitionDiagram, (0, 0, ()))\n"
     )
-    assert direct_builds(snippet, "PartitionDiagram", ("_canonical",)) == [4, 7]
+    assert direct_builds(snippet, "PartitionDiagram", ("_canonical",)) == [4, 7, 8, 9]
 
 
 def test_every_karoubi_object_goes_through_the_intern_memo():
@@ -374,6 +413,38 @@ def test_only_the_unchecked_builder_skips_the_checked_constructor(class_name):
     assert found == []
 
 
+def tuple_rebuilds(source: str) -> list:
+    """Line numbers of each ._make(...) or ._replace(...) call: namedtuple's
+    own constructors, which would build a PartitionDiagram or a Cobordism
+    past its checks and past the canonical memo."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("_make", "_replace")
+    )
+
+
+def test_no_diagram_or_cobordism_is_rebuilt_as_a_tuple():
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in tuple_rebuilds(path.read_text())
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_tuple_rebuild():
+    snippet = (
+        "d = PartitionDiagram._make((1, 1, ((1, 2),)))\n"
+        "e = d._replace(n=0)\n"
+        "c = cobordism.Cobordism._make(fields)\n"
+        "x = make(d)\n"
+        "y = d.replace_blocks(b)\n"
+    )
+    assert tuple_rebuilds(snippet) == [1, 2, 3]
+
+
 def keyword_calls(source: str, keyword: str) -> list:
     """Line numbers of each call that passes the named keyword argument."""
     return sorted(
@@ -406,12 +477,14 @@ def test_the_guards_see_an_unchecked_morphism_build():
         "k = KarMorphism(dom, cod, entries)\n"
         "def _cobordism(m, n, components):\n"
         "    c = object.__new__(Cobordism)\n"
+        "    return tuple.__new__(Cobordism, (m, n, tuple(components)))\n"
         "glued = object.__new__(cobordism.Cobordism)\n"
         "c = Cobordism(1, 1, [((1, 2), 0)])\n"
+        "e = tuple.__new__(cobordism.Cobordism, (0, 0, ()))\n"
     )
     assert direct_builds(snippet, "KarMorphism", ("_kar_morphism",)) == [4]
     assert direct_builds(snippet, "FpMorphism", ("_fp_morphism",)) == [7]
-    assert direct_builds(snippet, "Cobordism", ("_cobordism",)) == [11]
+    assert direct_builds(snippet, "Cobordism", ("_cobordism",)) == [12, 14]
     assert keyword_calls(snippet, "validate") == [6]
 
 

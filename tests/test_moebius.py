@@ -13,8 +13,9 @@ from diagcat.moebius import (
     x_e,
     x_j,
 )
-from diagcat.partition import PartitionDiagram, all_diagrams, coarsenings
+from diagcat.partition import PartitionDiagram, all_diagrams
 from diagcat.scalar import FieldSpec
+from test_partition import coarsenings
 
 F = FieldSpec.generic()
 

@@ -11,10 +11,10 @@ from diagcat.partition import (
     PartitionDiagram,
     all_diagrams,
     bell_number,
-    coarsenings,
     compose,
     factors_through_unit,
     matching_count,
+    merge_blocks,
     perfect_matchings,
     set_partitions,
     tensor,
@@ -27,6 +27,20 @@ BELL = [1, 1, 2, 5, 15, 52, 203]
 
 def D(text):
     return PartitionDiagram.parse(text)
+
+
+def coarsenings(f: PartitionDiagram, proper=False):
+    """All diagrams obtained by merging blocks of f, canonically sorted."""
+    out = set()
+    nblocks = len(f.blocks)
+    for grouping in set_partitions(range(nblocks)):
+        if proper and len(grouping) == nblocks:
+            continue
+        merged = [
+            tuple(sorted(p for i in group for p in f.blocks[i])) for group in grouping
+        ]
+        out.add(PartitionDiagram(f.m, f.n, merged))
+    return sorted(out)
 
 
 def test_canonical_form_and_equality():
@@ -66,6 +80,47 @@ def test_a_diagram_that_outlives_its_canonical_entry_equals_the_new_one():
     assert compose(new, PartitionDiagram.identity(2)) == first
     assert compose.cache_info().hits == before.hits + 1
     assert new != D("1 | 2 | 1'")
+
+
+def test_a_diagram_is_its_tuple():
+    """Equality, hashing and order are tuple's own, so no Python-level
+    dunder runs on a lookup, and the hash is that of (m, n, blocks)."""
+    for name in ("__eq__", "__hash__", "__lt__"):
+        assert getattr(PartitionDiagram, name) is getattr(tuple, name)
+    d = D("1 2' | 2 1'")
+    assert hash(d) == hash((d.m, d.n, d.blocks))
+    assert d == (2, 2, ((1, 4), (2, 3)))
+    assert sorted([D("1 2"), D("1 1'"), D("1 | 1'")]) == [
+        D("1 | 1'"), D("1 1'"), D("1 2")
+    ]
+
+
+def test_derived_diagrams_skip_the_point_check(monkeypatch):
+    """Diagrams built from blocks that are right by construction go
+    through _from_valid; only PartitionDiagram() checks the points."""
+    f, g = D("1 2 | 3 1' | 2'"), D("1 1' | 2 3 2'")
+    checked = []
+    check = PartitionDiagram.__new__
+
+    def counting(cls, m, n, blocks):
+        checked.append((m, n))
+        return check(cls, m, n, blocks)
+
+    monkeypatch.setattr(PartitionDiagram, "__new__", staticmethod(counting))
+    walked = sum(1 for t in range(6) for m in range(t + 1) for _ in all_diagrams(m, t - m))
+    assert walked == sum((t + 1) * BELL[t] for t in range(6))
+    derived = [
+        merge_blocks(f, [(0, 2)]),
+        upper_partition(g),
+        PartitionDiagram.identity(2),
+        PartitionDiagram.permutation((1, 0)),
+        PartitionDiagram.singletons(2, 1),
+    ]
+    assert checked == []
+    assert derived == [
+        D(text) for text in ("1 2 2' | 3 1'", "1 | 2 3", "1 1' | 2 2'", "1 2' | 2 1'", "1 | 2 | 1'")
+    ]
+    assert checked == [(3, 2), (3, 0), (2, 2), (2, 2), (2, 1)]
 
 
 def test_validation_rejects_bad_covers():
