@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .cobordism import (
     Cobordism,
@@ -47,6 +46,7 @@ from .partition import (
     PartitionDiagram,
     all_diagrams,
     factors_through_unit,
+    odd_block_legs,
     tensor,
     upper_partition,
 )
@@ -65,7 +65,7 @@ class CheckReport:
         return self.status in ("pass", "pass-up-to-bound")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 class CheckFailed(Exception):
@@ -88,14 +88,9 @@ def _report(check, params, run, status="pass") -> CheckReport:
     return CheckReport(check, params, status, witness, elapsed)
 
 
-def _shapes_within(max_points, arity):
-    """All tuples of `arity` nonnegative ints with bounded sum."""
-    if arity == 0:
-        yield ()
-        return
-    for head in range(max_points + 1):
-        for rest in _shapes_within(max_points - head, arity - 1):
-            yield (head,) + rest
+def _shapes(bound):
+    """Every (m, n) with m + n <= bound, in lexicographic order."""
+    return [(m, n) for m in range(bound + 1) for n in range(bound + 1 - m)]
 
 
 def check_diag(cls: DiagramClass, max_points: int = 6) -> CheckReport:
@@ -103,13 +98,26 @@ def check_diag(cls: DiagramClass, max_points: int = 6) -> CheckReport:
 
     (a) (b, b') -> b (x) b' is injective into the basis of the target;
     (b) if b (x) b' factors through the unit, so do b and b'.
+
+    Each basis is marked once with whether its diagrams factor through the
+    unit; then every pair, shape by shape in lexicographic order, is tested.
     """
 
     def run():
-        seen = {}
-        for m, n, m2, n2 in _shapes_within(max_points, 4):
-            for b in hom_basis(cls, m, n):
-                for b2 in hom_basis(cls, m2, n2):
+        marked = {}
+        for m, n in _shapes(max_points):
+            basis = hom_basis(cls, m, n)
+            units = set(basis.through_unit)
+            marked[m, n] = [(d, d in units) for d in basis]
+        shapes = [
+            (left, marked[s])
+            for (m, n), left in marked.items()
+            for s in _shapes(max_points - m - n)
+        ]
+        for left, right in shapes:
+            seen = {}  # the tensor of each pair of the shape -> the pair
+            for b, b_unit in left:
+                for b2, b2_unit in right:
                     prod = tensor(b, b2)
                     if not cls.member(prod):
                         raise CheckFailed({
@@ -117,19 +125,16 @@ def check_diag(cls: DiagramClass, max_points: int = 6) -> CheckReport:
                             "tensor": prod.to_text(),
                             "problem": "tensor left the class basis",
                         })
-                    key = (m, n, m2, n2, prod)
-                    if key in seen and seen[key] != (b, b2):
-                        other = seen[key]
+                    pair = (b, b2)
+                    other = seen.setdefault(prod, pair)
+                    if other is not pair:
                         raise CheckFailed({
                             "pair": [b.to_text(), b2.to_text()],
                             "other_pair": [other[0].to_text(), other[1].to_text()],
                             "tensor": prod.to_text(),
                             "problem": "tensor map not injective",
                         })
-                    seen[key] = (b, b2)
-                    if factors_through_unit(prod) and not (
-                        factors_through_unit(b) and factors_through_unit(b2)
-                    ):
+                    if not (b_unit and b2_unit) and factors_through_unit(prod):
                         raise CheckFailed({
                             "pair": [b.to_text(), b2.to_text()],
                             "tensor": prod.to_text(),
@@ -176,31 +181,30 @@ def check_ex(
 
 
 def _ex1(cls, max_points, field):
-    for a in range(max_points + 1):
-        for b in range(max_points + 1 - a):
-            us = hom_basis(cls, a, 0)
-            vs = hom_basis(cls, 0, b)
-            if not us or not vs:
-                continue
-            target = hom_basis(cls, a, b)
-            pairs = [(v, u) for v in vs for u in us]
-            matrix = matrix_of(
-                lambda vu: LinMorphism.from_diagram(vu[0], field).tensor(
-                    LinMorphism.from_diagram(vu[1], field), field
-                ),
-                pairs,
-                target,
-                field,
-            )
-            rank = matrix.rank()
-            if rank != len(pairs):
-                raise CheckFailed({
-                    "U": a,
-                    "V": b,
-                    "columns": len(pairs),
-                    "rank": rank,
-                    "problem": "psi_{U,V} not injective",
-                })
+    for a, b in _shapes(max_points):
+        us = hom_basis(cls, a, 0)
+        vs = hom_basis(cls, 0, b)
+        if not us or not vs:
+            continue
+        target = hom_basis(cls, a, b)
+        pairs = [(v, u) for v in vs for u in us]
+        matrix = matrix_of(
+            lambda vu: LinMorphism.from_diagram(vu[0], field).tensor(
+                LinMorphism.from_diagram(vu[1], field), field
+            ),
+            pairs,
+            target,
+            field,
+        )
+        rank = matrix.rank()
+        if rank != len(pairs):
+            raise CheckFailed({
+                "U": a,
+                "V": b,
+                "columns": len(pairs),
+                "rank": rank,
+                "problem": "psi_{U,V} not injective",
+            })
 
 
 def _ex2(cls, max_points, samples, seed, field):
@@ -210,12 +214,7 @@ def _ex2(cls, max_points, samples, seed, field):
         raise CheckFailed(structural.witness)
     rng = random.Random(seed)
     hits = 0
-    shapes = [
-        (m, n)
-        for m in range(max_points + 1)
-        for n in range(max_points + 1 - m)
-        if m + n <= max_points // 2 and len(hom_basis(cls, m, n)) > 0
-    ]
+    shapes = [s for s in _shapes(max_points // 2) if hom_basis(cls, *s)]
     for _ in range(samples):
         mf, nf = rng.choice(shapes)
         mg, ng = rng.choice(shapes)
@@ -239,15 +238,12 @@ def _ex2(cls, max_points, samples, seed, field):
 
 def _random_combination(rng, cls, m, n, field, unit_bias=False):
     basis = hom_basis(cls, m, n)
-    out = LinMorphism.zero(m, n)
-    pool = list(basis)
+    pool = basis.diagrams
     if unit_bias and rng.random() < 0.5:
-        pool = [d for d in pool if factors_through_unit(d)] or pool
+        pool = basis.through_unit or pool
     size = rng.randint(1, min(3, len(pool)))
-    for d in rng.sample(pool, size):
-        c = field.rational(Fraction(rng.randint(-3, 3)))
-        out = out + LinMorphism.from_diagram(d, field, coeff=c)
-    return out
+    terms = {d: field.rational(rng.randint(-3, 3)) for d in rng.sample(pool, size)}
+    return LinMorphism(m, n, terms)
 
 
 def default_unit_morphism(cls: DiagramClass, field: FieldSpec) -> LinMorphism:
@@ -371,16 +367,10 @@ def check_split_sweep(
     def run():
         rng = random.Random(seed)
         cases = []
-        for m in range(max_points + 1):
-            for n in range(max_points + 1 - m):
-                for d in hom_basis(cls, m, n):
-                    cases.append(LinMorphism.from_diagram(d, field))
-        shapes = [
-            (m, n)
-            for m in range(max_points + 1)
-            for n in range(max_points + 1 - m)
-            if len(hom_basis(cls, m, n)) > 0
-        ]
+        for m, n in _shapes(max_points):
+            for d in hom_basis(cls, m, n):
+                cases.append(LinMorphism.from_diagram(d, field))
+        shapes = [s for s in _shapes(max_points) if hom_basis(cls, *s)]
         for _ in range(samples):
             m, n = rng.choice(shapes)
             lin = _random_combination(rng, cls, m, n, field)
@@ -474,20 +464,10 @@ def _verify_h_skeleton(p_entries, m: int, field: FieldSpec) -> int:
     """
     count = 0
     for f in all_diagrams(m, 0):
-        odd = [b for b in f.blocks if len(b) % 2 == 1]
-        j = len(odd)
-        if j >= len(p_entries):
+        g = odd_block_legs(f)
+        if g.n >= len(p_entries):
             continue
-        blocks = []
-        next_lower = m + 1
-        for b in f.blocks:
-            if len(b) % 2 == 1:
-                blocks.append(tuple(b) + (next_lower,))
-                next_lower += 1
-            else:
-                blocks.append(tuple(b))
-        g = PartitionDiagram(m, j, blocks)
-        lhs = p_entries[j].compose(LinMorphism.from_diagram(g, field), field)
+        lhs = p_entries[g.n].compose(LinMorphism.from_diagram(g, field), field)
         if lhs != moebius_x_prime(f, field):
             raise AssertionError(
                 f"spanning-set image mismatch at f = {f.to_text()}"
@@ -590,20 +570,19 @@ def check_crosscheck_cob(max_points: int = 5) -> CheckReport:
     def run():
         checked = 0
         field = FieldSpec.generic()
-        st = st_datum(field)
-        for m in range(max_points + 1):
-            for k in range(max_points + 1 - m):
-                for n in range(max_points + 1 - m - k):
-                    for g in all_diagrams(m, k):
-                        for f in all_diagrams(k, n):
-                            if not partition_crosscheck(f, g):
-                                raise CheckFailed({
-                                    "f": f.to_text(),
-                                    "g": g.to_text(),
-                                    "problem": "cobordism route disagrees",
-                                })
-                            checked += 1
-        for datum in (st, fibonacci_datum(field)):
+        walks = {s: list(all_diagrams(*s)) for s in _shapes(max_points)}
+        for m, k in walks:
+            for n in range(max_points + 1 - m - k):
+                for g in walks[m, k]:
+                    for f in walks[k, n]:
+                        if not partition_crosscheck(f, g):
+                            raise CheckFailed({
+                                "f": f.to_text(),
+                                "g": g.to_text(),
+                                "problem": "cobordism route disagrees",
+                            })
+                        checked += 1
+        for datum in (st_datum(field), fibonacci_datum(field)):
             for i in range(5):
                 cur = LinMorphism.from_diagram(generator("eta"), field)
                 phi = LinMorphism.from_diagram(generator("phi"), field)

@@ -21,8 +21,8 @@ Cobordisms; cob_compose is its composition.
 A cobordism is the immutable tuple (m, n, components), so tuple equality,
 hashing and order serve it.  Cobordism() checks outside components; glued,
 reduced and partition-derived ones are built by _cobordism, which only
-sorts them.  The data (one per field) and the expansions x^g mod u are
-memoised, shared and never changed.
+sorts them.  The data (one per field), their genus scalars alpha(i) and
+the expansions x^g mod u are memoised, shared and never changed.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ class FrobeniusDatum:
     def degree(self) -> int:
         return self.u.degree()
 
+    @lru_cache(maxsize=256)
     def alpha(self, i: int) -> FieldElement:
         """alpha_i = sum of c_k alpha_k over x^i = sum of c_k x^k mod u, the
         linear form that the recurrence alpha_{j+d} = -sum_{k<d} u_k
-        alpha_{j+k} extends from the initial values."""
+        alpha_{j+k} extends from the initial values; memoised per (datum, i)."""
         if i < 0:
             raise ValueError("alpha index must be nonnegative")
         acc = self.field.zero()
@@ -133,10 +134,6 @@ class Cobordism(namedtuple("Cobordism", "m n components")):
             missing = min(set(range(1, m + n + 1)) - seen, default=0)
             raise ValueError(f"boundary circle {missing} not covered")
         return _cobordism(m, n, components)
-
-    @classmethod
-    def identity(cls, n: int) -> "Cobordism":
-        return cls(n, n, [((i, n + i), 0) for i in range(1, n + 1)])
 
     def _label(self, p: int) -> str:
         return str(p) if p <= self.m else f"{p - self.m}'"

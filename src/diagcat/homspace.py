@@ -211,7 +211,7 @@ def parse_linmorphism(text, field: FieldSpec, dom=None, cod=None) -> LinMorphism
 class HomBasis:
     """The canonical diagram basis of Hom([m], [n]) in a diagram class."""
 
-    __slots__ = ("cls", "m", "n", "diagrams", "_index")
+    __slots__ = ("cls", "m", "n", "diagrams", "_index", "_through_unit")
 
     def __init__(self, cls: DiagramClass, m, n):
         self.cls = cls
@@ -226,6 +226,14 @@ class HomBasis:
         }.get(cls, partition.all_diagrams)
         self.diagrams = tuple(sorted(d for d in walk(m, n) if cls.member(d)))
         self._index = {d: i for i, d in enumerate(self.diagrams)}
+        self._through_unit = None
+
+    @property
+    def through_unit(self):
+        """The through-unit diagrams in basis order, found on the first read."""
+        if self._through_unit is None:
+            self._through_unit = tuple(filter(partition.factors_through_unit, self.diagrams))
+        return self._through_unit
 
     def __len__(self):
         return len(self.diagrams)

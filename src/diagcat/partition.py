@@ -278,12 +278,10 @@ def merge_blocks(f: PartitionDiagram, grouping) -> PartitionDiagram:
 
 
 def factors_through_unit(f: PartitionDiagram) -> bool:
-    """True iff no block contains both an upper and a lower point."""
-    for block in f.blocks:
-        ups = sum(1 for p in block if p <= f.m)
-        if 0 < ups < len(block):
-            return False
-    return True
+    """True iff no block contains both an upper and a lower point: the
+    blocks are sorted, so their two ends tell."""
+    m = f.m
+    return all(b[-1] <= m or b[0] > m for b in f.blocks)
 
 
 def upper_partition(f: PartitionDiagram) -> PartitionDiagram:
@@ -294,6 +292,20 @@ def upper_partition(f: PartitionDiagram) -> PartitionDiagram:
         if ups:
             blocks.append(ups)
     return PartitionDiagram._from_valid(f.m, 0, blocks)
+
+
+def odd_block_legs(f: PartitionDiagram) -> PartitionDiagram:
+    """f, a diagram with no lower points, with one new lower point added
+    to each odd block, numbered in block order."""
+    if f.n:
+        raise ValueError("odd_block_legs needs a diagram with no lower points")
+    blocks, lower = [], f.m
+    for b in f.blocks:
+        if len(b) % 2:
+            lower += 1
+            b += (lower,)
+        blocks.append(b)
+    return PartitionDiagram._from_valid(f.m, lower - f.m, blocks)
 
 
 def _is_noncrossing_matching(f: PartitionDiagram) -> bool:

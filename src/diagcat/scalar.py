@@ -586,7 +586,8 @@ class FieldSpec:
 
     @classmethod
     def generic(cls):
-        return cls()
+        """The one shared Q(t) field."""
+        return _GENERIC
 
     @classmethod
     def at(cls, q):
@@ -626,3 +627,6 @@ class FieldSpec:
 
     def describe(self):
         return "generic" if self.t_value is None else f"t={self.t_value}"
+
+
+_GENERIC = FieldSpec()

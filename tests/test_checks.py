@@ -3,6 +3,7 @@ import json
 import pytest
 from fractions import Fraction
 
+from diagcat import checks, partition
 from diagcat.checks import (
     CheckReport,
     check_crosscheck_cob,
@@ -15,6 +16,7 @@ from diagcat.checks import (
     representable_H,
     representable_Sprime,
     verify_lemma,
+    _verify_h_skeleton,
 )
 from diagcat.homspace import LinMorphism
 from diagcat.karoubi import KarMorphism, KarObject, direct_sum, kar_object
@@ -188,6 +190,23 @@ def test_representable_h_skeleton_counts():
     assert r.witness["skeleton_instances"] == 1 + 1 + 2 + 5
 
 
+def test_the_skeleton_builds_each_g_without_a_point_check(monkeypatch):
+    p_entries = [
+        special_morphisms("p_j", j, F).compose(x_e(j, F), F) for j in range(4)
+    ]
+    checked = []
+    check = PartitionDiagram.__new__
+
+    def counting(cls, m, n, blocks):
+        checked.append((m, n))
+        return check(cls, m, n, blocks)
+
+    monkeypatch.setattr(PartitionDiagram, "__new__", staticmethod(counting))
+    # at m = 4, f = 1 | 2 | 3 | 4 has j = 4 odd blocks, past p_entries
+    assert [_verify_h_skeleton(p_entries, m, F) for m in range(5)] == [1, 1, 2, 5, 14]
+    assert checked == []
+
+
 def test_representable_h_rank_deficit():
     r = representable_H(0, 2)
     assert r.status == "fail"
@@ -265,3 +284,95 @@ def test_crosscheck_cob_builds_the_st_datum_once():
     assert info.misses == 1 and info.currsize == 1
     # one hit per diagram pair; the last 10 instances are handle scalars
     assert info.hits == r.witness["instances"] - 10
+
+
+# Planted faults: a tensor that breaks one law of (Diag) at a known pair.
+# Each check still reaches its CheckFailed with the first witness that the
+# pair-by-pair walk over the shapes in lexicographic order finds.
+
+
+def _odd_when_four(f, g):
+    """Singletons for pairs of non-empty diagrams with four points in all."""
+    if f.blocks and g.blocks and f.m + f.n + g.m + g.n == 4:
+        return PartitionDiagram.singletons(f.m + g.m, f.n + g.n)
+    return partition.tensor(f, g)
+
+
+def _forget_left(f, g):
+    """The tensor with a (1, 1) left factor replaced by 1 | 1'."""
+    if (f.m, f.n) == (1, 1):
+        f = PartitionDiagram.singletons(1, 1)
+    return partition.tensor(f, g)
+
+
+_SWAP = {
+    PartitionDiagram.parse(a): PartitionDiagram.parse(b)
+    for a, b in (("1 1' | 2 2'", "1 2 | 1' 2'"), ("1 2 | 1' 2'", "1 1' | 2 2'"))
+}
+
+
+def _swapped(f, g):
+    """The tensor followed by a swap of two diagrams, one through the unit:
+    injective and within the class, but it breaks (b)."""
+    prod = partition.tensor(f, g)
+    return _SWAP.get(prod, prod)
+
+
+@pytest.mark.parametrize(
+    "cls, fake, witness",
+    [
+        (DiagramClass.EVEN_BLOCKS, _odd_when_four, {
+            "pair": ["1' 2'", "1' 2'"],
+            "problem": "tensor left the class basis",
+            "tensor": "1' | 2' | 3' | 4'",
+        }),
+        (DiagramClass.ALL, _forget_left, {
+            "other_pair": ["1 | 1'", "<empty>"],
+            "pair": ["1 1'", "<empty>"],
+            "problem": "tensor map not injective",
+            "tensor": "1 | 1'",
+        }),
+        (DiagramClass.ALL, _swapped, {
+            "pair": ["<empty>", "1 1' | 2 2'"],
+            "problem": "factor of a through-unit tensor is not through-unit",
+            "tensor": "1 2 | 1' 2'",
+        }),
+    ],
+)
+def test_diag_fails_at_a_planted_fault(monkeypatch, cls, fake, witness):
+    monkeypatch.setattr(checks, "tensor", fake)
+    r = check_diag(cls, 4)
+    assert (r.status, r.witness) == ("fail", witness)
+    # ex2's structural route is check_diag, so it fails with the same witness
+    r = check_ex(2, cls, 4, samples=30, seed=7)
+    assert (r.status, r.witness) == ("fail", witness)
+
+
+@pytest.mark.parametrize(
+    "cls, witness",
+    [
+        (DiagramClass.ALL, {
+            "f": "-3 * 1 1'",
+            "g": "-1 * <empty>",
+            "problem": "factor escapes the through-unit span",
+            "tensor": "3 * 1 | 1'",
+        }),
+        (DiagramClass.EVEN_BLOCKS, {
+            "f": "3 * 1 1'",
+            "g": "1 * 1' 2'",
+            "problem": "factor escapes the through-unit span",
+            "tensor": "3 * 1 | 1' | 2' | 3'",
+        }),
+    ],
+)
+def test_ex2_samples_fail_at_a_planted_fault(monkeypatch, cls, witness):
+    """A LinMorphism tensor that lands every sample on singletons: the
+    structural route keeps the true diagram tensor and passes, and the
+    first sample with a factor outside the through-unit span fails."""
+    monkeypatch.setattr(
+        partition,
+        "tensor",
+        lambda f, g: PartitionDiagram.singletons(f.m + g.m, f.n + g.n),
+    )
+    r = check_ex(2, cls, 4, samples=30, seed=7)
+    assert (r.status, r.witness) == ("fail", witness)

@@ -27,6 +27,11 @@ ST = st_datum(F)
 FIB = fibonacci_datum(F)
 
 
+def cylinder(n: int) -> Cobordism:
+    """The identity cobordism of [n]: one cylinder per circle."""
+    return Cobordism(n, n, [((i, n + i), 0) for i in range(1, n + 1)])
+
+
 def cob_tensor(a: Cobordism, b: Cobordism) -> Cobordism:
     comps = []
     for circles, genus in a.components:
@@ -113,6 +118,20 @@ def test_alpha_is_the_recurrence(field):
         assert [datum.alpha(i) for i in range(31)] == recurrence_alphas(datum, 31)
 
 
+def test_each_alpha_is_made_once_per_datum(monkeypatch):
+    """alpha(i) is memoised per datum and i: a repeated call returns the
+    same scalar and reads no expansion."""
+    datum = FrobeniusDatum(F, (F.t(), F.one()), Poly((Fraction(2), Fraction(-1), Fraction(1))))
+    first = [datum.alpha(i) for i in range(6)]
+    read = []
+    monkeypatch.setattr(
+        FrobeniusDatum, "genus_expansion", lambda self, g: read.append(g) or ()
+    )
+    assert all(datum.alpha(i) is a for i, a in enumerate(first))
+    assert read == []
+    assert first == recurrence_alphas(datum, 6)
+
+
 def test_the_data_are_memoised_per_field(monkeypatch):
     """One shared datum per field, and each x^g mod u is divided out once:
     with every expansion memoised, alpha(i) for i <= 10 still reads the
@@ -194,7 +213,7 @@ def test_parse_errors():
 
 
 def test_identity_gluing():
-    cyl = Cobordism.identity(1)
+    cyl = cylinder(1)
     res = glue(cyl, cyl, ST)
     assert res == LinMorphism.from_diagram(cyl, F)
 
@@ -217,7 +236,7 @@ def test_pants_copants_is_handle():
 
 def test_handle_reduces_under_st():
     res = glue(generator("mu"), generator("delta"), ST)
-    assert res == LinMorphism.from_diagram(Cobordism.identity(1), F)
+    assert res == LinMorphism.from_diagram(cylinder(1), F)
 
 
 def test_sphere_scalar():
@@ -271,8 +290,8 @@ def test_phi_hat_identity():
 
 
 def test_tensor():
-    cyl = Cobordism.identity(1)
-    assert cob_tensor(cyl, cyl) == Cobordism.identity(2)
+    cyl = cylinder(1)
+    assert cob_tensor(cyl, cyl) == cylinder(2)
     eps, eta = generator("eps"), generator("eta")
     side = cob_tensor(eps, eta)
     assert side == Cobordism(1, 1, [((1,), 0), ((2,), 0)])

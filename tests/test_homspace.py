@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from diagcat import homspace
+from diagcat import homspace, partition
 from diagcat.homspace import (
     ExactMatrix,
     HomBasis,
@@ -767,3 +767,22 @@ def test_a_scaled_column_names_a_column_given_as_a_vector():
     matrix = ExactMatrix(1, chain, F)
     with pytest.raises(ValueError):
         matrix.rank()
+
+
+def test_the_through_unit_sub_basis_is_the_filtered_basis(monkeypatch):
+    """Every class and m+n <= 6: the diagrams that factor through the unit,
+    in basis order, found on the first read and kept."""
+    calls = []
+    ftu = partition.factors_through_unit
+    monkeypatch.setattr(partition, "factors_through_unit", lambda d: calls.append(d) or ftu(d))
+    for cls in DiagramClass:
+        for total in range(7):
+            for m in range(total + 1):
+                basis = HomBasis(cls, m, total - m)
+                assert calls == []
+                want = tuple(d for d in basis.diagrams if ftu(d))
+                assert basis.through_unit == want
+                assert len(calls) == len(basis)
+                assert basis.through_unit is basis.through_unit
+                assert len(calls) == len(basis)
+                calls.clear()

@@ -15,6 +15,7 @@ from diagcat.partition import (
     factors_through_unit,
     matching_count,
     merge_blocks,
+    odd_block_legs,
     perfect_matchings,
     set_partitions,
     tensor,
@@ -345,6 +346,45 @@ def test_factors_through_unit():
     assert factors_through_unit(D("1 | 1'"))
     assert not factors_through_unit(D("1 1'"))
     assert factors_through_unit(PartitionDiagram(0, 0, []))
+
+
+def test_factors_through_unit_reads_the_block_ends():
+    """The two ends of each sorted block decide what counting its upper
+    points decides, on every diagram with m+n <= 6."""
+
+    def by_points(f):
+        return all(
+            sum(1 for p in b if p <= f.m) in (0, len(b)) for b in f.blocks
+        )
+
+    seen = 0
+    for total in range(7):
+        for m in range(total + 1):
+            for f in all_diagrams(m, total - m):
+                assert factors_through_unit(f) == by_points(f), f
+                seen += 1
+    assert seen == sum((t + 1) * BELL[t] for t in range(7))
+
+
+def test_odd_block_legs_adds_one_lower_point_per_odd_block(monkeypatch):
+    """g is right by construction and skips the point check."""
+    cases = [
+        (D("1 3 | 2 4 5 | 6"), D("1 3 | 2 4 5 1' | 6 2'")),
+        (D("1 2"), D("1 2")),
+        (PartitionDiagram(0, 0, []), PartitionDiagram(0, 0, [])),
+    ]
+    checked = []
+    check = PartitionDiagram.__new__
+
+    def counting(cls, m, n, blocks):
+        checked.append((m, n))
+        return check(cls, m, n, blocks)
+
+    monkeypatch.setattr(PartitionDiagram, "__new__", staticmethod(counting))
+    assert [odd_block_legs(f) for f, _ in cases] == [g for _, g in cases]
+    assert checked == []
+    with pytest.raises(ValueError, match="no lower points"):
+        odd_block_legs(cases[0][1])
 
 
 def test_upper_partition():

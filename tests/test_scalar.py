@@ -144,6 +144,11 @@ def test_fieldspec_modes():
         FieldSpec.at(0).require_nonzero_t("thing")
 
 
+def test_the_generic_field_is_one_shared_instance():
+    assert FieldSpec.generic() is FieldSpec.generic()
+    assert FieldSpec.generic() == FieldSpec() and FieldSpec.generic().is_generic()
+
+
 @pytest.mark.parametrize("field", [FieldSpec.generic(), FieldSpec.at(Fraction(5, 2))])
 def test_zero_and_one_are_shared_and_rational_keeps_its_value(field):
     assert field.zero() is field.zero() is FieldSpec(field.t_value).zero()
