@@ -28,6 +28,7 @@ from .cobordism import (
     fibonacci_datum,
     generator,
     partition_crosscheck,
+    partition_to_cob,
     st_datum,
 )
 from .homspace import LinMorphism, compose_sum, hom_basis, matrix_of
@@ -571,28 +572,27 @@ def check_crosscheck_cob(max_points: int = 5) -> CheckReport:
         checked = 0
         field = FieldSpec.generic()
         walks = {s: list(all_diagrams(*s)) for s in _shapes(max_points)}
+        # every composite of two walked diagrams is walked too
+        cobs = {d: partition_to_cob(d) for ds in walks.values() for d in ds}
         for m, k in walks:
             for n in range(max_points + 1 - m - k):
                 for g in walks[m, k]:
                     for f in walks[k, n]:
-                        if not partition_crosscheck(f, g):
+                        if not partition_crosscheck(f, g, cobs.__getitem__):
                             raise CheckFailed({
                                 "f": f.to_text(),
                                 "g": g.to_text(),
                                 "problem": "cobordism route disagrees",
                             })
                         checked += 1
+        gen = {n: LinMorphism.from_diagram(generator(n), field) for n in ("eta", "phi", "eps")}
         for datum in (st_datum(field), fibonacci_datum(field)):
+            cur = gen["eta"]  # phi^i . eta, carried from i to i + 1
             for i in range(5):
-                cur = LinMorphism.from_diagram(generator("eta"), field)
-                phi = LinMorphism.from_diagram(generator("phi"), field)
-                for _ in range(i):
-                    cur = cob_compose(phi, cur, datum)
-                cur = cob_compose(
-                    LinMorphism.from_diagram(generator("eps"), field), cur, datum
-                )
+                if i:
+                    cur = cob_compose(gen["phi"], cur, datum)
                 want = LinMorphism(0, 0, {Cobordism(0, 0, []): datum.alpha(i)})
-                if cur != want:
+                if cob_compose(gen["eps"], cur, datum) != want:
                     raise CheckFailed({
                         "datum": datum.describe(),
                         "i": i,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .homspace import LinMorphism
@@ -89,17 +88,13 @@ def _genus_expansion(u: Poly, g: int) -> tuple:
 @lru_cache(maxsize=64)
 def st_datum(field: FieldSpec) -> FrobeniusDatum:
     """alpha = (t, t, ...), u = x - 1."""
-    return FrobeniusDatum(field, (field.t(),), Poly((Fraction(-1), Fraction(1))))
+    return FrobeniusDatum(field, (field.t(),), Poly((-1, 1)))
 
 
 @lru_cache(maxsize=64)
 def fibonacci_datum(field: FieldSpec) -> FrobeniusDatum:
     """alpha = (1, 2, 3, 5, ...), u = x^2 - x - 1."""
-    one = field.one()
-    two = field.rational(Fraction(2))
-    return FrobeniusDatum(
-        field, (one, two), Poly((Fraction(-1), Fraction(-1), Fraction(1)))
-    )
+    return FrobeniusDatum(field, (field.one(), field.rational(2)), Poly((-1, -1, 1)))
 
 
 class Cobordism(namedtuple("Cobordism", "m n components")):
@@ -316,14 +311,13 @@ def partition_to_cob(d: PartitionDiagram) -> Cobordism:
     return _cobordism(d.m, d.n, [(b, 0) for b in d.blocks])
 
 
-def partition_crosscheck(f: PartitionDiagram, g: PartitionDiagram) -> bool:
+def partition_crosscheck(f: PartitionDiagram, g: PartitionDiagram, to_cob=partition_to_cob) -> bool:
     """Compare f after g through partitions against the S_t cobordism route,
-    with the memoised st_datum over Q(t)."""
+    with the memoised st_datum over Q(t); to_cob gives a diagram's
+    cobordism, so a check over many pairs can convert each diagram once."""
     datum = st_datum(FieldSpec.generic())
     field = datum.field
     diagram, loops = compose(f, g)
-    expected = LinMorphism.from_diagram(
-        partition_to_cob(diagram), field, field.t_power(loops)
-    )
-    got = glue(partition_to_cob(f), partition_to_cob(g), datum)
+    expected = LinMorphism.from_diagram(to_cob(diagram), field, field.t_power(loops))
+    got = glue(to_cob(f), to_cob(g), datum)
     return got == expected

@@ -432,9 +432,7 @@ def _sandwich(left, right, units, slot_index, field):
         relative = [(dy, loops - shift) for dy, loops in composites] if shift else composites
         first = firsts.setdefault((i, j, tuple(relative)), (k, shift))
         if first[0] != k:
-            s = shift - first[1]
-            c = field.t_power(s) if s >= 0 else field.t_power(-s).inv()
-            yield ScaledColumn(first[0], c)
+            yield ScaledColumn(first[0], field.t_power(shift - first[1]))
             continue
         inner = {}  # (column, d . y) -> (number of y, its coefficient, loops)
         for n, ((b, _, cy), (dy, loops)) in enumerate(zip(ys, composites)):
@@ -606,7 +604,8 @@ def split_solve(f: KarMorphism):
     """
     gh = kar_hom(f.cod, f.dom)
     fh = kar_hom(f.dom, f.cod)
-    if fh.coordinates_of(f) is None:
+    target = fh.slot_vector(f)
+    if not fh.space.contains(target):
         raise ValueError("morphism escapes its own hom space")
     # f lies in the span of the cut units of fh, so it absorbs its cuts:
     # f.E_dom = f = E_cod.f, hence f.(E_dom.U.E_cod).f = f.U.f for the bare
@@ -619,7 +618,7 @@ def split_solve(f: KarMorphism):
     # ScaledColumn, which is never a pivot and is not composed.
     columns = _sandwich(f.entries, f.entries, gh.unit_slots, fh._slot_index, gh.field)
     matrix = ExactMatrix(fh.slots, LazyColumns(len(gh.unit_slots), columns), gh.field)
-    coords = matrix.solve(fh.slot_vector(f))
+    coords = matrix.solve(target)
     if coords is None:
         return None
     g = gh.from_coordinates(coords)

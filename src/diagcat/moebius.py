@@ -47,12 +47,13 @@ def _partition_moebius(grouping) -> int:
 
 @lru_cache(maxsize=4096)
 def _moebius(f: PartitionDiagram, blocks: tuple, field: FieldSpec) -> LinMorphism:
-    """The closed form over the given block indices of f; distinct
-    groupings give distinct diagrams."""
-    return LinMorphism(f.m, f.n, {
-        partition.merge_blocks(f, grouping): field.rational(_partition_moebius(grouping))
-        for grouping in partition.set_partitions(blocks)
-    })
+    """The closed form over the given block indices of f, with one scalar
+    per distinct Moebius number; distinct groupings give distinct diagrams."""
+    mus = {g: _partition_moebius(g) for g in partition.set_partitions(blocks)}
+    scalars = {mu: field.rational(mu) for mu in set(mus.values())}
+    return LinMorphism(
+        f.m, f.n, {partition.merge_blocks(f, g): scalars[mu] for g, mu in mus.items()}
+    )
 
 
 def moebius_x(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:

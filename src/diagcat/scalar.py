@@ -6,9 +6,11 @@ Two coefficient fields are supported, selected by a FieldSpec:
   with a monic denominator;
 * specialized mode: Q, with t fixed to a concrete rational.
 
-A polynomial over Q is kept as integer numerators over one shared
-denominator, the layout of FLINT's fmpq_poly, so its arithmetic runs on
-Python ints with one gcd per result instead of one per coefficient.
+Both fields keep a scalar as num over den: coprime ints with den > 0 at a
+rational t (`FieldElement.q` is a read-only Fraction view), Polys over
+Q(t).  A Poly is integer numerators over one shared denominator, the
+layout of FLINT's fmpq_poly, so both fields compute on Python ints with
+one gcd per result, not one per coefficient.
 
 All arithmetic is exact.  Values are immutable and kept in a canonical
 form, so equal values compare equal structurally (and polynomials hash
@@ -67,6 +69,9 @@ class Poly:
     def is_zero(self):
         return not self.nums
 
+    def __bool__(self):
+        return bool(self.nums)
+
     def is_one(self):
         return self.nums == (1,) and self.den == 1
 
@@ -118,14 +123,16 @@ class Poly:
         return _poly(out, self.den * other.den)
 
     def evaluate(self, q):
-        q = Fraction(q)
-        p, r = q.numerator, q.denominator
+        return Fraction(*self._at(*_parts(q)))
+
+    def _at(self, p, r):
+        """(a, b) with self(p/r) = a/b, for ints p and r > 0; b > 0."""
         acc, rk = 0, 1
         for n in reversed(self.nums):
             acc = acc * p + n * rk
             rk *= r
         # acc = sum nums[i] p^i r^(deg-i), and rk = r^(deg+1)
-        return Fraction(acc * r, rk * self.den)
+        return acc * r, rk * self.den
 
     def to_text(self, var="t"):
         return poly_text(self, var)
@@ -245,6 +252,12 @@ def poly_text(p: Poly, var="t"):
     return "".join(parts)
 
 
+def _parts(q):
+    """The numerator and denominator of an int, or of Fraction(q)."""
+    q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+    return q.numerator, q.denominator
+
+
 def parse_rational(text):
     """A rational from text like '5' or '-1/2'."""
     try:
@@ -291,23 +304,28 @@ _P_ONE = _raw((1,), 1)
 
 
 class FieldElement:
-    """A scalar in Q (kind 'q') or in Q(t) (kind 'rf').
+    """A scalar num/den in Q (kind 'q') or in Q(t) (kind 'rf').
 
-    Rational functions are kept reduced with a monic denominator, so
+    In Q, num and den are coprime ints with den > 0; in Q(t) they are
+    Polys, reduced, with den monic.  Either form is canonical, so
     structural equality is semantic equality.
     """
 
-    __slots__ = ("kind", "q", "num", "den")
+    __slots__ = ("kind", "num", "den")
 
-    def __init__(self, kind, q=None, num=None, den=None):
+    def __init__(self, kind, num, den):
         self.kind = kind
-        self.q = q
         self.num = num
         self.den = den
 
+    @property
+    def q(self):
+        """The value of a Q scalar as a Fraction; None over Q(t)."""
+        return Fraction(self.num, self.den) if self.kind == "q" else None
+
     @classmethod
     def rational(cls, q):
-        return cls("q", q=q if isinstance(q, Fraction) else Fraction(q))
+        return cls("q", *_parts(q))
 
     @classmethod
     def ratfunc(cls, num: Poly, den: Poly = _P_ONE):
@@ -316,7 +334,7 @@ class FieldElement:
         if num.is_zero():
             return _RF_ZERO
         if den.is_one():
-            return cls("rf", num=num, den=den)
+            return cls("rf", num, den)
         top, bottom = num.nums, den.nums
         # a constant shares no factor of positive degree
         g = poly_gcd(num, den) if len(top) > 1 and len(bottom) > 1 else _P_ONE
@@ -329,8 +347,8 @@ class FieldElement:
         lead = bottom[-1]
         return cls(
             "rf",
-            num=_poly([n * den.den for n in top], num.den * lead),
-            den=_poly(list(bottom), lead),
+            _poly([n * den.den for n in top], num.den * lead),
+            _poly(list(bottom), lead),
         )
 
     def _check(self, other):
@@ -338,11 +356,11 @@ class FieldElement:
             raise FieldModeError("field mode mismatch")
 
     def is_zero(self):
-        return self.q == 0 if self.kind == "q" else self.num.is_zero()
+        return not self.num
 
     def is_one(self):
         if self.kind == "q":
-            return self.q == 1
+            return self.num == 1 and self.den == 1
         # a monic denominator of degree 0 is 1
         return self.num.nums == (1,) and self.num.den == 1 and len(self.den.nums) == 1
 
@@ -350,17 +368,15 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        if self.kind == "q":
-            return self.q == other.q
         return self.num == other.num and self.den == other.den
 
     def __add__(self, other):
         self._check(other)
         if self.kind == "q":
-            return FieldElement.rational(self.q + other.q)
-        if self.is_zero():
+            return _rat(self.num * other.den + other.num * self.den, self.den * other.den)
+        if not self.num:
             return other
-        if other.is_zero():
+        if not other.num:
             return self
         if self.den == other.den:
             return FieldElement.ratfunc(self.num + other.num, self.den)
@@ -369,9 +385,7 @@ class FieldElement:
         )
 
     def __neg__(self):
-        if self.kind == "q":
-            return FieldElement.rational(-self.q)
-        return FieldElement("rf", num=-self.num, den=self.den)
+        return FieldElement(self.kind, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -380,7 +394,7 @@ class FieldElement:
         if self.kind != other.kind:
             raise FieldModeError("field mode mismatch")
         if self.kind == "q":
-            return FieldElement("q", self.q * other.q)
+            return _rat(self.num * other.num, self.den * other.den)
         if not self.num.nums or not other.num.nums:
             return _RF_ZERO
         if self.is_one():
@@ -388,13 +402,14 @@ class FieldElement:
         if other.is_one():
             return self
         num, den, reduced = _rf_product(self, other, 0)
-        return FieldElement("rf", None, num, den) if reduced else FieldElement.ratfunc(num, den)
+        return FieldElement("rf", num, den) if reduced else FieldElement.ratfunc(num, den)
 
     def inv(self):
-        if self.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "q":
-            return FieldElement.rational(1 / self.q)
+            n, d = self.num, self.den
+            return FieldElement("q", d, n) if n > 0 else FieldElement("q", -d, -n)
         return FieldElement.ratfunc(self.den, self.num)
 
     def __truediv__(self, other):
@@ -402,7 +417,8 @@ class FieldElement:
 
     def to_text(self):
         if self.kind == "q":
-            return str(self.q)
+            # as str(Fraction) prints it
+            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         if self.den.is_one():
             body = poly_text(self.num)
             nterms = sum(1 for n in self.num.nums if n)
@@ -413,11 +429,17 @@ class FieldElement:
         return f"FieldElement({self.to_text()!r})"
 
 
+def _rat(n, d):
+    """The Q scalar n/d in lowest terms, for ints n and d > 0."""
+    g = gcd(n, d)
+    return FieldElement("q", n // g, d // g)
+
+
 # The zero and one of each field, shared: scalars are never mutated.
-_Q_ZERO = FieldElement("q", _ZERO)
-_Q_ONE = FieldElement("q", _ONE)
-_RF_ZERO = FieldElement("rf", None, _P_ZERO, _P_ONE)
-_RF_ONE = FieldElement("rf", None, _P_ONE, _P_ONE)
+_Q_ZERO = FieldElement("q", 0, 1)
+_Q_ONE = FieldElement("q", 1, 1)
+_RF_ZERO = FieldElement("rf", _P_ZERO, _P_ONE)
+_RF_ONE = FieldElement("rf", _P_ONE, _P_ONE)
 
 
 def _rf_product(a, b, k):
@@ -455,30 +477,26 @@ def sub_product(cur, a, b):
     put over one denominator with cur's, and one ratfunc call reduces the
     result; none is needed for -a*b when _rf_product knows the product
     reduced, or when both terms are polynomials.  At a rational t the
-    integer numerators and denominators make one Fraction.  A scalar of
-    the other field raises FieldModeError.
+    result is formed on the ints and reduced by one gcd.  A scalar of the
+    other field raises FieldModeError.
     """
     if a.kind == "q":
         if b.kind != "q" or (cur is not None and cur.kind != "q"):
             raise FieldModeError("field mode mismatch")
-        x, y = a.q, b.q
-        n, d = x.numerator * y.numerator, x.denominator * y.denominator
+        n, d = a.num * b.num, a.den * b.den
         if cur is None:
-            return FieldElement("q", Fraction(-n, d))
-        z = cur.q
-        return FieldElement(
-            "q", Fraction(z.numerator * d - n * z.denominator, z.denominator * d)
-        )
+            return _rat(-n, d)
+        return _rat(cur.num * d - n * cur.den, cur.den * d)
     num, den, reduced = _rf_product(a, b, 0)
     if cur is None:
         if reduced and num.nums:
-            return FieldElement("rf", None, -num, den)
+            return FieldElement("rf", -num, den)
         return FieldElement.ratfunc(-num, den)
     if cur.kind != "rf":
         raise FieldModeError("field mode mismatch")
     if cur.den == den:
         if len(den.nums) == 1:  # both are polynomials
-            return FieldElement("rf", None, cur.num - num, den)
+            return FieldElement("rf", cur.num - num, den)
         return FieldElement.ratfunc(cur.num - num, den)
     return FieldElement.ratfunc(cur.num * den - num * cur.den, cur.den * den)
 
@@ -493,8 +511,8 @@ def sum_products(sums, field: "FieldSpec"):
     ratfunc call reduces the result.  A lone product skips that call when
     the reduced-product rule of _rf_product knows it to be in lowest terms;
     without a power of t it is a * b, which also passes a factor 1 through.
-    At a rational t the integer numerators and denominators accumulate into
-    one Fraction.  A scalar of the other field raises FieldModeError.
+    At a rational t the products accumulate on the ints and each sum is
+    reduced by one gcd.  A scalar of the other field raises FieldModeError.
     """
     out = {}
     if field.t_value is not None:
@@ -504,8 +522,7 @@ def sum_products(sums, field: "FieldSpec"):
             for a, b, k in triples:
                 if a.kind != "q" or b.kind != "q":
                     raise FieldModeError("field mode mismatch")
-                x, y = a.q, b.q
-                p, q = x.numerator * y.numerator, x.denominator * y.denominator
+                p, q = a.num * b.num, a.den * b.den
                 if k:
                     p *= tn**k
                     q *= td**k
@@ -514,7 +531,7 @@ def sum_products(sums, field: "FieldSpec"):
                 else:
                     n, d = n * q + p * d, d * q
             if n:
-                out[key] = FieldElement("q", Fraction(n, d))
+                out[key] = _rat(n, d)
         return out
     for key, triples in sums.items():
         if len(triples) == 1:
@@ -535,9 +552,7 @@ def sum_products(sums, field: "FieldSpec"):
             if not num.nums:
                 continue
             reduced = len(den.nums) == 1
-        out[key] = (
-            FieldElement("rf", None, num, den) if reduced else FieldElement.ratfunc(num, den)
-        )
+        out[key] = FieldElement("rf", num, den) if reduced else FieldElement.ratfunc(num, den)
     return out
 
 
@@ -545,11 +560,12 @@ def specialize(fe: FieldElement, q) -> FieldElement:
     """Evaluate a rational-function scalar at t = q (exactly)."""
     if fe.kind == "q":
         return fe
-    q = Fraction(q)
-    dv = fe.den.evaluate(q)
-    if dv == 0:
-        raise PoleError(f"pole at t = {q}")
-    return FieldElement.rational(fe.num.evaluate(q) / dv)
+    p, r = _parts(q)
+    (nn, nd), (dn, dd) = fe.num._at(p, r), fe.den._at(p, r)
+    if not dn:
+        raise PoleError(f"pole at t = {Fraction(p, r)}")
+    # (nn/nd) / (dn/dd), the sign of dn moved to the numerator
+    return _rat(nn * dd, nd * dn) if dn > 0 else _rat(-nn * dd, -nd * dn)
 
 
 def parse_field_element(text, field: "FieldSpec") -> FieldElement:
@@ -603,23 +619,26 @@ class FieldSpec:
         return _RF_ONE if self.t_value is None else _Q_ONE
 
     def rational(self, q):
-        q = q if isinstance(q, Fraction) else Fraction(q)
+        n, d = _parts(q)
         if self.t_value is not None:
-            return FieldElement("q", q)
-        n = q.numerator
+            return FieldElement("q", n, d)
         if not n:
             return _RF_ZERO
-        return FieldElement("rf", None, _raw((n,), q.denominator), _P_ONE)
+        return FieldElement("rf", _raw((n,), d), _P_ONE)
 
     def t(self):
         return self.t_power(1)
 
     def t_power(self, k: int):
+        """t^k for an int k; a negative k needs t != 0."""
         if k == 0:
             return self.one()
+        if k < 0:
+            return self.t_power(-k).inv()
         if self.t_value is not None:
-            return FieldElement.rational(self.t_value**k)
-        return FieldElement("rf", num=Poly.x_power(k), den=_P_ONE)
+            t = self.t_value
+            return FieldElement("q", t.numerator**k, t.denominator**k)
+        return FieldElement("rf", Poly.x_power(k), _P_ONE)
 
     def require_nonzero_t(self, what):
         if self.t_value == 0:

@@ -286,6 +286,22 @@ def test_crosscheck_cob_builds_the_st_datum_once():
     assert info.hits == r.witness["instances"] - 10
 
 
+def test_crosscheck_cob_converts_each_walked_diagram_once(monkeypatch):
+    """One cobordism per diagram with at most 3 points, not three per pair,
+    and per datum 4 phi-gluings, carried from one handle power to the next,
+    plus 5 closing eps-gluings."""
+    converted, glued = [], []
+    to_cob, cob_compose = checks.partition_to_cob, checks.cob_compose
+    monkeypatch.setattr(checks, "partition_to_cob", lambda d: converted.append(d) or to_cob(d))
+    monkeypatch.setattr(
+        checks, "cob_compose", lambda g, f, datum: glued.append(g) or cob_compose(g, f, datum)
+    )
+    r = check_crosscheck_cob(3)
+    assert r.status == "pass" and r.witness["instances"] == 90 + 10
+    assert len(converted) == len(set(converted)) == 1 + 2 * 1 + 3 * 2 + 4 * 5
+    assert len(glued) == 2 * (4 + 5)
+
+
 # Planted faults: a tensor that breaks one law of (Diag) at a known pair.
 # Each check still reaches its CheckFailed with the first witness that the
 # pair-by-pair walk over the shapes in lexicographic order finds.

@@ -359,6 +359,23 @@ def test_split_eps_by_scaled_eta():
     assert w.denominators == ("t",)
 
 
+def test_split_at_a_rational_t_builds_no_fraction(monkeypatch):
+    """Once its input exists, split_solve of an x_2.e_2-cut morphism at
+    t = 5/2, hom spaces included, computes on ints alone."""
+    at = FieldSpec.at(Fraction(5, 2))
+    e = x_e(2, at)
+    obj = kar_object(2, e, ALL, at, name="x_j*e_j")
+    d = parse_linmorphism("1 * 1 1' | 2 2' + -1/2 * 1 2 | 1' 2' + 3 * 1 2' | 2 | 1'", at)
+    f = KarMorphism(obj, obj, ((e.compose(d, at).compose(e, at),),))
+    kar_hom.cache_clear()
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+    w = split_solve(f)
+    monkeypatch.undo()
+    assert w is not None and built == []
+    assert w.g.entries[0][0].terms  # a nonzero witness, computed
+
+
 def test_split_zero_morphism():
     z = KarMorphism.zero(word(1), word(2))
     w = split_solve(z)

@@ -107,6 +107,14 @@ def test_x_coefficients_are_integers():
             assert c.num.evaluate(Fraction(0)).denominator == 1
 
 
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_a_closed_form_keeps_one_scalar_per_moebius_number(field):
+    x = moebius_x(PartitionDiagram.singletons(2, 3), field)  # Bell(5) = 52 terms
+    coefficients = list(x.terms.values())
+    assert len(coefficients) == 52
+    assert len({id(c) for c in coefficients}) == len({c.to_text() for c in coefficients}) == 6
+
+
 def test_active_blocks():
     f = D("1 1' | 2")
     assert [f.blocks[i] for i in active_blocks(f)] == [(1, 3)]

@@ -15,6 +15,8 @@ from diagcat.scalar import (
     poly_divmod,
     poly_gcd,
     specialize,
+    sub_product,
+    sum_products,
 )
 
 
@@ -135,6 +137,8 @@ def test_fieldspec_modes():
     assert sp.t() == FieldElement.rational(5)
     assert gen.t_power(2) == gen.t() * gen.t()
     assert sp.t_power(3) == FieldElement.rational(125)
+    assert gen.t_power(-2) * gen.t_power(2) == gen.one()
+    assert sp.t_power(-1) == FieldElement.rational(Fraction(1, 5))
     assert gen.rational(Fraction(1, 2)).kind == "rf"
     assert sp.rational(Fraction(1, 2)).kind == "q"
     assert gen.is_generic() and not sp.is_generic()
@@ -315,3 +319,80 @@ def test_rational_text_with_zero_denominator_is_named():
         parse_poly("1+3/0t")
     with pytest.raises(ValueError, match=r"zero denominator in '\(t\)/\(0\)'"):
         parse_field_element("(t)/(0)", FieldSpec.generic())
+
+
+# ---- rationals as two ints against Fraction ------------------------------------
+
+
+def rand_rational(rng):
+    """A rational that is zero, small or with a large numerator, of either sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def assert_rational(fe, want):
+    """fe is the Q scalar want, in lowest terms with a positive denominator,
+    printed as str(Fraction) prints it."""
+    assert fe.kind == "q" and fe.q == want
+    assert type(fe.num) is int and type(fe.den) is int
+    assert fe.den > 0 and gcd(fe.num, fe.den) == 1
+    assert fe.to_text() == str(want)
+
+
+@pytest.mark.parametrize("t0", [Fraction(5, 2), Fraction(-3, 2)], ids=["5/2", "-3/2"])
+def test_rational_arithmetic_matches_fraction(t0):
+    rng = random.Random(59)
+    field = FieldSpec.at(t0)
+
+    def nonzero():
+        return field.rational(rand_rational(rng) or 1)
+
+    for _ in range(400):
+        x, y, z = rand_rational(rng), rand_rational(rng), rand_rational(rng)
+        a, b, c = field.rational(x), field.rational(y), field.rational(z)
+        assert_rational(a, x)
+        assert_rational(a + b, x + y)
+        assert_rational(a - b, x - y)
+        assert_rational(a * b, x * y)
+        assert_rational(-a, -x)
+        assert (a == b) == (x == y) and a == field.rational(x)
+        assert a.is_zero() == (x == 0) and a.is_one() == (x == 1)
+        if y:
+            assert_rational(a / b, x / y)
+            assert_rational(b.inv(), 1 / y)
+        assert_rational(sub_product(None, a, b), -x * y)
+        assert_rational(sub_product(c, a, b), z - x * y)
+        triples = [(nonzero(), nonzero(), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        want = sum((u.q * v.q * t0**k for u, v, k in triples), Fraction(0))
+        got = sum_products({"key": triples}, field)
+        if want:
+            assert_rational(got["key"], want)
+        else:
+            assert got == {}
+    for k in range(4):
+        assert_rational(field.t_power(k), t0**k)
+        assert_rational(specialize(FieldSpec.generic().t_power(k), t0), t0**k)
+
+
+def test_mixing_the_fields_raises_in_every_operator_and_both_fused_helpers():
+    q = FieldSpec.at(Fraction(5, 2)).rational(Fraction(-1, 2))
+    rf = FieldSpec.generic().t() + FieldSpec.generic().one()
+    for a, b in ((q, rf), (rf, q)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b, lambda: a == b):
+            with pytest.raises(FieldModeError):
+                op()
+        for cur, x, y in ((None, a, b), (a, b, b), (b, a, a)):
+            with pytest.raises(FieldModeError):
+                sub_product(cur, x, y)
+    for field, triple in (
+        (FieldSpec.generic(), (q, q, 0)),
+        (FieldSpec.generic(), (rf, q, 1)),
+        (FieldSpec.at(Fraction(5, 2)), (rf, rf, 0)),
+        (FieldSpec.at(Fraction(5, 2)), (q, rf, 1)),
+    ):
+        with pytest.raises(FieldModeError):
+            sum_products({0: [triple]}, field)
