@@ -598,10 +598,30 @@ def kar_hom(dom: KarObject, cod: KarObject) -> KarHom:
 def split_solve(f: KarMorphism):
     """Find g with f.g.f = f, or None when the exact system is inconsistent.
 
-    f.g.f = f is verified again on the witness, so g.f and f.g are
-    idempotents and id - g.f is the kernel idempotent (f.(id - g.f) = 0);
-    g.f.g = g is not asked for and does not always hold.
+    f is split up to a nonzero scalar: with c the coefficient of f's least
+    nonzero term in (row, column, diagram) order, _split_witness solves
+    c^-1.f once, and its witness g' gives g = c^-1.g' with g.f = g'.(c^-1.f).
+    f.g.f = f is verified on every call, solved or remembered, so g.f and
+    f.g are idempotents and id - g.f is the kernel idempotent
+    (f.(id - g.f) = 0); g.f.g = g is not asked for and does not always hold.
     """
+    c = next((x.terms[min(x.terms)] for row in f.entries for x in row if x.terms), None)
+    scale = None if c is None or c.is_one() else c.inv()
+    solved = _split_witness(f if scale is None else f.scale(scale))
+    if solved is None:
+        return None
+    g, gf = solved
+    if scale is not None:
+        g = g.scale(scale)
+    if kar_compose(f, gf) != f:
+        raise AssertionError("split solver produced an invalid witness")
+    return SplitWitness(f, g, gf)
+
+
+@lru_cache(maxsize=256)
+def _split_witness(f: KarMorphism):
+    """(g, g.f) for f with the free variables of its exact system at zero,
+    or None when the system is inconsistent; split_solve verifies it."""
     gh = kar_hom(f.cod, f.dom)
     fh = kar_hom(f.dom, f.cod)
     target = fh.slot_vector(f)
@@ -622,7 +642,4 @@ def split_solve(f: KarMorphism):
     if coords is None:
         return None
     g = gh.from_coordinates(coords)
-    gf = kar_compose(g, f)
-    if kar_compose(f, gf) != f:
-        raise AssertionError("split solver produced an invalid witness")
-    return SplitWitness(f, g, gf)
+    return g, kar_compose(g, f)

@@ -19,9 +19,9 @@ blocks active in f' itself, would differ once a merge of odd blocks
 produces an even block, and fails those identities.
 
 Each (diagram, chosen blocks, field) closed form is built once and kept
-in a bounded lru_cache, shared by x and x', and so is x_j e_j per (j,
-field).  A memoised morphism is shared by every caller, so nothing may
-change its terms.
+in a bounded lru_cache, shared by x and x', and so are x_j e_j per (j,
+field) and the scalar of each Moebius number per field.  A memoised
+morphism is shared by every caller, so nothing may change its terms.
 """
 
 from __future__ import annotations
@@ -45,15 +45,21 @@ def _partition_moebius(grouping) -> int:
     return out
 
 
+@lru_cache(maxsize=256)
+def _moebius_number(mu: int, field: FieldSpec):
+    """The one scalar of the Moebius number mu in field, which every closed
+    form shares."""
+    return field.rational(mu)
+
+
 @lru_cache(maxsize=4096)
 def _moebius(f: PartitionDiagram, blocks: tuple, field: FieldSpec) -> LinMorphism:
-    """The closed form over the given block indices of f, with one scalar
-    per distinct Moebius number; distinct groupings give distinct diagrams."""
-    mus = {g: _partition_moebius(g) for g in partition.set_partitions(blocks)}
-    scalars = {mu: field.rational(mu) for mu in set(mus.values())}
-    return LinMorphism(
-        f.m, f.n, {partition.merge_blocks(f, g): scalars[mu] for g, mu in mus.items()}
-    )
+    """The closed form over the given block indices of f; distinct
+    groupings give distinct diagrams."""
+    return LinMorphism(f.m, f.n, {
+        partition.merge_blocks(f, g): _moebius_number(_partition_moebius(g), field)
+        for g in partition.set_partitions(blocks)
+    })
 
 
 def moebius_x(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:

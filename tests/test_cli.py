@@ -631,16 +631,21 @@ def test_random_command_lines_exit_0_1_or_2(monkeypatch, capsys):
 
 
 # Every `check` name, at the bounds the verify-suite workload of perfbench
-# runs it with (split, which that workload does not run, at a small one),
-# with the exit code and the --json report it prints (`elapsed_ms` removed),
-# pinned so that a speed-up of the checks cannot change a verdict or a
-# witness.  representable-h at i = 0, m = 2 is the known fail, with its
-# replay line.
+# runs it with (split, which that workload does not run, at small ones, over
+# both fields and two classes), and `fp kernel`, whose weak kernels split
+# S (x) theta and eps, on f and on scalar multiples of f, with the exit code
+# and the --json report each prints (`elapsed_ms` removed), pinned so that a
+# speed-up of the checks or of the splits cannot change a verdict, a witness
+# or a presentation.  representable-h at i = 0, m = 2 is the known fail,
+# with its replay line.
 PINNED = json.loads((Path(__file__).parent / "check_reports.json").read_text())
 
 
 def test_the_pinned_reports_cover_every_check():
-    assert {shlex.split(case["argv"])[1] for case in PINNED} == set(cli.CHECKS)
+    names = [shlex.split(case["argv"])[:2] for case in PINNED]
+    assert {name for command, name in names if command == "check"} == set(cli.CHECKS)
+    assert {command for command, _ in names} == {"check", "fp"}
+    assert {name for command, name in names if command == "fp"} <= set(cli.FP_OPS)
     assert [case["exit"] for case in PINNED].count(1) == 1
 
 

@@ -106,11 +106,12 @@ def test_certificates_recorded():
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """Empties the certificate, section and hom-space memos and records
-    each fpfun.split_solve call."""
+    """Empties the certificate, section, hom-space and witness memos and
+    records each fpfun.split_solve call."""
     fpfun._certify.cache_clear()
     fpfun.split_epi_section.cache_clear()
     fpfun.fp_hom_space.cache_clear()
+    karoubi._split_witness.cache_clear()
     calls = []
     original = fpfun.split_solve
 

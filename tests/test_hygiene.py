@@ -2,7 +2,8 @@
 no module imports another module's underscore name or imports inside a
 function, every memo is a bounded lru_cache rather than a module-level
 container, the README names every memo, every Karoubi hom space and every
-hom space of presented functors is built through its memo, every partition
+hom space of presented functors is built through its memo, only split_solve
+reads the memo of split witnesses, every partition
 diagram is built through the canonical memo, every Karoubi object through
 the intern memo, every Karoubi and presented morphism through its checking
 constructor or its module's one unchecked builder, and every Cobordism
@@ -286,6 +287,25 @@ def test_the_guard_sees_a_direct_build():
         "    return KarHom(f.cod, f.dom), kar_hom(f.dom, f.cod)\n"
     )
     assert calls_outside(snippet, "KarHom", ("kar_hom",)) == [4]
+
+
+def test_every_split_reads_the_witness_memo_through_split_solve():
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in calls_outside(path.read_text(), "_split_witness", ("split_solve",))
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_direct_witness_lookup():
+    snippet = (
+        "def split_solve(f):\n"
+        "    return _split_witness(f)\n"
+        "def weak_kernel(s_theta):\n"
+        "    return karoubi._split_witness(s_theta), split_solve(s_theta)\n"
+    )
+    assert calls_outside(snippet, "_split_witness", ("split_solve",)) == [4]
 
 
 def test_every_presented_hom_space_goes_through_the_memo():
@@ -725,7 +745,8 @@ def test_hom_spaces_and_splits_compose_through_the_kernel():
     """Each L . U . R of a Karoubi hom space or a split is one column of
     karoubi._sandwich, never a kar_compose per unit."""
     source = (Path(diagcat.__file__).parent / "karoubi.py").read_text()
-    assert calls_in_loops(source, ("KarHom.__init__", "split_solve"), "kar_compose") == []
+    scopes = ("KarHom.__init__", "split_solve", "_split_witness")
+    assert calls_in_loops(source, scopes, "kar_compose") == []
 
 
 def test_the_guard_sees_a_composite_per_unit():
@@ -769,7 +790,9 @@ def kernel_callees(monkeypatch, run):
 
 def split_of_x_tensor_f():
     """A split_solve over Q(t) whose kernel draws several columns, with its
-    hom spaces built beforehand so that only the split's kernel runs."""
+    hom spaces built beforehand so that only the split's kernel runs, and
+    the witness memo emptied before and after each run, so that the kernel
+    runs and no witness of a replaced kernel is kept."""
     from diagcat import karoubi, moebius, partition
     from diagcat.homspace import parse_linmorphism
     from diagcat.scalar import FieldSpec
@@ -782,7 +805,15 @@ def split_of_x_tensor_f():
     )
     karoubi.kar_hom(f.cod, f.dom)
     karoubi.kar_hom(f.dom, f.cod)
-    return lambda: karoubi.split_solve(f)
+
+    def split():
+        karoubi._split_witness.cache_clear()
+        try:
+            return karoubi.split_solve(f)
+        finally:
+            karoubi._split_witness.cache_clear()
+
+    return split
 
 
 def test_the_kernel_reaches_its_callees_at_call_time(monkeypatch):

@@ -31,7 +31,7 @@ from diagcat.karoubi import (
 )
 from diagcat.moebius import special_morphisms, x_e
 from diagcat.partition import DiagramClass, PartitionDiagram, all_diagrams
-from diagcat.scalar import FieldSpec, Poly
+from diagcat.scalar import FieldSpec, Poly, parse_field_element
 
 F = FieldSpec.generic()
 ALL = DiagramClass.ALL
@@ -394,8 +394,10 @@ def test_split_identity():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Empties the hom-space memo and records each KarHom construction."""
+    """Empties the hom-space and witness memos and records each KarHom
+    construction."""
     kar_hom.cache_clear()
+    karoubi._split_witness.cache_clear()
     pairs = []
     original = KarHom.__init__
 
@@ -556,8 +558,17 @@ def test_split_refuses_a_morphism_that_does_not_absorb_its_cuts():
         split_solve(bare)
 
 
+@pytest.fixture
+def fresh_witnesses():
+    """Empties the witness memo before the test, so that every split is
+    solved, and after it, so that no witness planted here outlives it."""
+    karoubi._split_witness.cache_clear()
+    yield
+    karoubi._split_witness.cache_clear()
+
+
 @pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
-def test_split_refuses_a_wrong_solution(t, monkeypatch):
+def test_split_refuses_a_wrong_solution(t, monkeypatch, fresh_witnesses):
     # f.g.f = f is checked again, however far the solve drew its columns
     field = F if t is None else FieldSpec.at(t)
     inputs = _split_inputs(field, random.Random(7))
@@ -591,6 +602,7 @@ def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
 
     monkeypatch.setattr(karoubi, "_sandwich", counted)
     kar_hom.cache_clear()
+    karoubi._split_witness.cache_clear()
     f = KarMorphism.from_lin(lin(f"1 * {text}"), ALL, F)
     assert split_solve(f) is not None
     *builds, (units, drawn) = calls
@@ -764,7 +776,9 @@ def test_a_loop_shifted_repeat_is_skipped_only_where_t_is_invertible():
     assert exact and all(c == at_zero.one() for _, c in exact)
 
 
-def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(monkeypatch):
+def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(
+    monkeypatch, fresh_witnesses
+):
     """Over Q(t), for X (x) g with X = [2]@x_2.e_2: a skipped unit d meets
     partition.compose only as d after the terms of f, never f's terms after
     those, and each pair of terms of f has its coefficients multiplied at
@@ -774,7 +788,7 @@ def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(monkeypatc
     f = kar_tensor(KarMorphism.identity(x2), g)
     gh = kar_hom(f.cod, f.dom)
     kar_hom(f.dom, f.cod)
-    numerators = {id(c.num) for row in f.entries for x in row for c in x.terms.values()}
+    numerators = set()  # of the terms of the morphism the kernel splits
     log = []
     compose, sandwich, multiply = partition.compose, karoubi._sandwich, Poly.__mul__
 
@@ -787,8 +801,9 @@ def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(monkeypatc
             log.append(("product", (id(a), id(b))))
         return multiply(a, b)
 
-    def drawn(*args, **kwargs):
-        for vec in sandwich(*args, **kwargs):
+    def drawn(left, *args, **kwargs):
+        numerators.update(id(c.num) for row in left for x in row for c in x.terms.values())
+        for vec in sandwich(left, *args, **kwargs):
             log.append(("column", vec))
             yield vec
 
@@ -907,3 +922,132 @@ def test_raw_entries_are_refused_at_entry():
     with pytest.raises(ValueError, match="absorb"):
         KarMorphism(x1, x1, ((lin("1 * 1 1'"),),))
     assert KarMorphism(x1, x1, x1.cut) == KarMorphism.identity(x1)
+
+
+def _scalable_inputs(field, rng):
+    """Seeded morphisms of the four kinds the benchmark splits: basis
+    diagrams, combinations of two or three of them, x_2.e_2-cut morphisms
+    (the cut itself, a cut diagram, a combination of two and zero) and
+    X (x) f with X = [1] or [2]@x_2.e_2."""
+
+    def combination(m, n, terms):
+        diagrams = hom_basis(ALL, m, n).diagrams
+        return LinMorphism(m, n, {
+            d: field.rational(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+            + field.rational(rng.randint(0, 1)) * field.t()
+            for d in rng.sample(diagrams, min(terms, len(diagrams)))
+        })
+
+    def diagram(m, n):
+        return LinMorphism.from_diagram(rng.choice(hom_basis(ALL, m, n).diagrams), field)
+
+    e = x_e(2, field)
+    x2 = kar_object(2, e, ALL, field, name="x_j*e_j")
+    cuts = [
+        KarMorphism(x2, x2, ((e.compose(LinMorphism.from_diagram(d, field), field).compose(e, field),),))
+        for d in hom_basis(ALL, 2, 2).diagrams
+    ]
+    a, b = rng.sample([m for m in cuts if not m.is_zero()], 2)
+    q = field.rational(Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3)))
+
+    def tensor(x, g):
+        return kar_tensor(KarMorphism.identity(x), KarMorphism.from_lin(g, ALL, field))
+
+    return [
+        *(KarMorphism.from_lin(diagram(m, n), ALL, field) for m, n in ((1, 0), (1, 1), (2, 1))),
+        *(KarMorphism.from_lin(combination(m, n, k), ALL, field)
+          for m, n, k in ((1, 1, 2), (2, 1, 3), (2, 2, 3))),
+        KarMorphism.identity(x2),
+        a,
+        a + b.scale(q),
+        KarMorphism.zero(x2, x2),
+        tensor(KarObject.word(1, ALL, field), combination(1, 1, 2)),
+        tensor(x2, diagram(1, 0)),
+    ]
+
+
+def _scalars(field):
+    out = [field.rational(Fraction(-2)), field.rational(Fraction(3, 5))]
+    if field.t_value is None:
+        out += [parse_field_element("(t+1)/(t-2)", field), field.t()]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "t=5/2"])
+def test_a_split_of_c_f_is_the_split_of_f_over_c(field, fresh_witnesses):
+    """g(c.f) = c^-1.g(f) and g(c.f).(c.f) = g(f).f, as text, where g(c.f)
+    comes from split_solve, which solves some multiple of c.f once, and
+    from the solve of c.f itself; f.g.f = f holds for c.f."""
+    solve = karoubi._split_witness.__wrapped__
+    for f in _scalable_inputs(field, random.Random(25)):
+        karoubi._split_witness.cache_clear()
+        w = split_solve(f)
+        assert w is not None
+        for c in _scalars(field):
+            cf = f.scale(c)
+            karoubi._split_witness.cache_clear()
+            wc = split_solve(cf)
+            g, gf = solve(cf)
+            assert wc.g.to_text() == w.g.scale(c.inv()).to_text() == g.to_text()
+            assert wc.gf == w.gf == gf and wc.gf.to_text() == w.gf.to_text()
+            assert kar_compose(cf, kar_compose(wc.g, cf)) == cf
+
+
+def test_no_split_is_remembered_as_none(fresh_witnesses):
+    at_zero = FieldSpec.at(Fraction(0))
+    eps = KarMorphism.from_lin(
+        LinMorphism.from_diagram(PartitionDiagram.parse("1"), at_zero), ALL, at_zero
+    )
+    for f in (eps, eps, eps.scale(at_zero.rational(Fraction(-3, 4)))):
+        assert split_solve(f) is None
+    info = karoubi._split_witness.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def test_a_morphism_that_escapes_its_hom_space_raises_every_time(fresh_witnesses):
+    e1 = special_morphisms("e_1_sprime", 1, F)
+    x1 = kar_object(1, e1, ALL, F)
+    bare = karoubi._kar_morphism(x1, x1, ((lin("1 * 1 1'"),),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="morphism escapes its own hom space"):
+            split_solve(bare)
+    assert karoubi._split_witness.cache_info().currsize == 0
+
+
+def test_a_wrong_witness_is_refused_when_solved_and_when_remembered(
+    monkeypatch, fresh_witnesses
+):
+    f = KarMorphism.from_lin(lin("1 * 1 2' | 2 | 1' + (t) * 1 | 2 1' 2'"), ALL, F)
+    solve = ExactMatrix.solve
+
+    def doubled(self, b):
+        return {k: c + c for k, c in solve(self, b).items()}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExactMatrix, "solve", doubled)
+        with pytest.raises(AssertionError, match="split solver produced an invalid witness"):
+            split_solve(f)
+    # the wrong witness is remembered, and checked again on every call
+    for again in (f, f.scale(F.t())):
+        with pytest.raises(AssertionError, match="split solver produced an invalid witness"):
+            split_solve(again)
+    assert karoubi._split_witness.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "t=5/2"])
+def test_a_remembered_split_solves_nothing_and_composes_once(
+    field, monkeypatch, fresh_witnesses
+):
+    for f in _scalable_inputs(field, random.Random(26)):
+        assert split_solve(f) is not None
+        solved = karoubi._split_witness.cache_info().misses
+        with monkeypatch.context() as patch:
+            solves = []
+            solve = ExactMatrix.solve
+            patch.setattr(ExactMatrix, "solve", lambda self, b: solves.append(b) or solve(self, b))
+            counts = counted_calls(patch, "kar_compose")
+            for c in (field.one(), *_scalars(field)):
+                counts["kar_compose"] = 0
+                assert split_solve(f.scale(c)) is not None
+                assert solves == [] and counts == {"kar_compose": 1}
+        assert karoubi._split_witness.cache_info().misses == solved

@@ -115,6 +115,19 @@ def test_a_closed_form_keeps_one_scalar_per_moebius_number(field):
     assert len({id(c) for c in coefficients}) == len({c.to_text() for c in coefficients}) == 6
 
 
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_every_closed_form_shares_one_scalar_per_moebius_number(field):
+    coefficients = [
+        c
+        for m in range(4)
+        for n in range(5 - m)
+        for f in all_diagrams(m, n)
+        for x in (moebius_x(f, field), moebius_x_prime(f, field))
+        for c in x.terms.values()
+    ]
+    assert len({id(c) for c in coefficients}) == len({c.to_text() for c in coefficients})
+
+
 def test_active_blocks():
     f = D("1 1' | 2")
     assert [f.blocks[i] for i in active_blocks(f)] == [(1, 3)]
