@@ -300,7 +300,7 @@ def _projection(parts, index: int) -> KarMorphism:
 def split_epi_section(eps: KarMorphism) -> KarMorphism:
     """The section of a split epimorphism, or an error.
 
-    Memoised per morphism key: the first split of an eps is verified
+    Memoised per value of eps: the first split of an eps is verified
     (fg = id here, fgf = f in split_solve), and a failure raises and is
     not stored.
     """

@@ -43,7 +43,8 @@ from .scalar import (
 
 class LinMorphism:
     """A finite formal sum of diagrams in Hom([dom], [cod]); a term is any
-    hashable, ordered diagram with its shape in .m and .n."""
+    hashable, ordered diagram with its shape in .m and .n.  Equality and
+    hashing are by shape and terms, which are never changed after a build."""
 
     __slots__ = ("dom", "cod", "terms")
 
@@ -74,13 +75,10 @@ class LinMorphism:
     def __eq__(self, other):
         if not isinstance(other, LinMorphism):
             return NotImplemented
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[d] == other.terms[d] for d in self.terms)
+        return (self.dom, self.cod, self.terms) == (other.dom, other.cod, other.terms)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self.dom, self.cod, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if (self.dom, self.cod) != (other.dom, other.cod):

@@ -67,9 +67,8 @@ def _mat_scale(a, c):
 
 def _mat_compose(b, a, field):
     """Matrix product, entry-wise g after f: each entry is one compose_sum
-    over the inner index."""
-    if not a or not b:
-        return ()
+    over the inner index.  An a with no rows is read as a map between no
+    words, so the product has a row of no entries per row of b."""
     columns = tuple(zip(*a))
     return tuple(
         tuple(
@@ -87,21 +86,11 @@ def _mat_tensor(a, b, field):
     )
 
 
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _mat_key(a):
-    """Sorted (diagram, coefficient text) pairs of each entry, row by row."""
-    return tuple(
-        tuple(sorted((d, c.to_text()) for d, c in x.terms.items()))
-        for row in a for x in row
-    )
-
-
 class KarObject:
     """Words cut by an idempotent matrix over a fixed diagram class.
 
+    Its key is the value (class, field, words, cut), the field before the
+    cut, so keys of different fields differ before any scalar is compared.
     Each (key, names) has one shared instance: __new__ looks it up in the
     bounded memo _interned, and __init__ sets its cut on its first
     construction, after the class-membership and idempotence checks.  An
@@ -114,11 +103,9 @@ class KarObject:
     def __new__(cls, diagram_class: DiagramClass, field: FieldSpec, words, cut, names=None):
         words = tuple(words)
         cut = tuple(tuple(row) for row in cut)
-        # the key flattens the cut and omits the words of zero entries, so
-        # only a cut of the right shape may look its instance up
         if not _entry_shapes_ok(cut, words, words):
             raise ValueError("cut matrix shape does not match words")
-        key = (diagram_class, field, words, _mat_key(cut))
+        key = (diagram_class, field, words, cut)
         return _interned(key, None if names is None else tuple(names))
 
     def __init__(self, diagram_class: DiagramClass, field: FieldSpec, words, cut, names=None):
@@ -127,7 +114,7 @@ class KarObject:
         cut = tuple(tuple(row) for row in cut)
         diagram_class.require((d for row in cut for lin in row for d in lin.terms), "cut")
         square = _mat_compose(cut, cut, field)
-        if not _mat_eq(square, cut):
+        if square != cut:
             residual = _mat_add(square, _mat_scale(cut, -field.one()))
             raise ValueError(
                 "cut is not idempotent; residual e.e - e = "
@@ -159,7 +146,7 @@ class KarObject:
         )
 
     def key(self):
-        """Class, field, words and cut text, built once per instance."""
+        """Class, field, words and cut, built once per instance."""
         return self._key
 
     def __eq__(self, other):
@@ -196,8 +183,9 @@ class KarObject:
 
 @lru_cache(maxsize=1024)
 def _interned(key, names) -> KarObject:
-    """The one shared KarObject of a key and names; its cut stays unset
-    until the first KarObject.__init__ on it succeeds."""
+    """The one shared KarObject of a key and names, which keeps the key and
+    its hash; its cut stays unset until the first KarObject.__init__ on it
+    succeeds."""
     obj = object.__new__(KarObject)
     obj.cls, obj.field, obj.words, _ = key
     obj.names, obj._key, obj._hash = names, key, hash(key)
@@ -256,10 +244,11 @@ def tensor_object(a: KarObject, b: KarObject) -> KarObject:
 
 
 class KarMorphism:
-    """Matrix of LinMorphisms between KarObjects, absorbed by the cuts; its
-    key and the key's hash are built on first use and kept."""
+    """Matrix of LinMorphisms between KarObjects, absorbed by the cuts; it
+    is equal to and hashes like the value (dom, cod, entries), and its hash
+    is computed on first use and kept."""
 
-    __slots__ = ("dom", "cod", "entries", "_key", "_hash")
+    __slots__ = ("dom", "cod", "entries", "_hash")
 
     def __init__(self, dom: KarObject, cod: KarObject, entries):
         """A morphism from raw entries, checked for shape, class and
@@ -272,12 +261,12 @@ class KarMorphism:
         dom.cls.require((d for row in entries for lin in row for d in lin.terms), "entry")
         field = dom.field
         absorbed = _mat_compose(cod.cut, _mat_compose(entries, dom.cut, field), field)
-        if not _mat_eq(absorbed, entries):
+        if absorbed != entries:
             raise ValueError("entries do not absorb the idempotent cuts")
         self.dom = dom
         self.cod = cod
         self.entries = entries
-        self._key = self._hash = None
+        self._hash = None
 
     @classmethod
     def zero(cls, dom: KarObject, cod: KarObject):
@@ -301,23 +290,15 @@ class KarMorphism:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
-    def key(self):
-        """The keys of both objects and the entry text, built like KarObject.key."""
-        if self._key is None:
-            self._key = (self.dom.key(), self.cod.key(), _mat_key(self.entries))
-        return self._key
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, KarMorphism)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and _mat_eq(self.entries, other.entries)
+            and (self.dom, self.cod, self.entries) == (other.dom, other.cod, other.entries)
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.dom, self.cod, self.entries))
         return self._hash
 
     def __add__(self, other):
@@ -350,7 +331,7 @@ def _kar_morphism(dom: KarObject, cod: KarObject, entries) -> KarMorphism:
     already absorb both cuts; nothing is checked."""
     m = object.__new__(KarMorphism)
     m.dom, m.cod, m.entries = dom, cod, entries
-    m._key = m._hash = None
+    m._hash = None
     return m
 
 

@@ -13,8 +13,8 @@ layout of FLINT's fmpq_poly, so both fields compute on Python ints with
 one gcd per result, not one per coefficient.
 
 All arithmetic is exact.  Values are immutable and kept in a canonical
-form, so equal values compare equal structurally (and polynomials hash
-alike); nothing here ever rounds or approximates.
+form, so equal values compare equal structurally and hash alike, by
+num and den; nothing here ever rounds or approximates.
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ class FieldElement:
 
     In Q, num and den are coprime ints with den > 0; in Q(t) they are
     Polys, reduced, with den monic.  Either form is canonical, so
-    structural equality is semantic equality.
+    structural equality is semantic equality, and the hash is that of
+    (num, den).  Comparing scalars of the two fields raises FieldModeError.
     """
 
     __slots__ = ("kind", "num", "den")
@@ -369,6 +370,9 @@ class FieldElement:
             return NotImplemented
         self._check(other)
         return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         self._check(other)

@@ -38,7 +38,7 @@ from diagcat.karoubi import (
 )
 from diagcat.moebius import special_morphisms
 from diagcat.partition import DiagramClass, PartitionDiagram
-from diagcat.scalar import FieldSpec, parse_field_element
+from diagcat.scalar import FieldElement, FieldSpec, parse_field_element
 
 F = FieldSpec.generic()
 CLS = DiagramClass.ALL
@@ -200,19 +200,19 @@ def test_presented_hom_spaces_keep_fields_apart(fp_built):
 
 
 def test_a_repeated_lookup_renders_no_coefficient_text(monkeypatch):
-    """A KarMorphism keeps its key and hash: looking the same presentations
-    or the same eps up again renders no entry as text."""
+    """A KarMorphism is keyed by its value: looking the same presentations
+    or an equal eps up again, even a new instance of it, renders no
+    coefficient as text."""
     src, dst, eps = yoneda(word(1)), yoneda(word(2)), eps_kar()
     space = fpfun.fp_hom_space(src, dst)
     section = fpfun.split_epi_section(eps)
-    keys = []
-    original = karoubi._mat_key
-    monkeypatch.setattr(karoubi, "_mat_key", lambda a: keys.append(a) or original(a))
+    rendered = []
+    original = FieldElement.to_text
+    monkeypatch.setattr(FieldElement, "to_text", lambda c: rendered.append(c) or original(c))
     assert fpfun.fp_hom_space(src, dst) is space
     assert fpfun.split_epi_section(eps) is section
-    assert keys == []
-    assert fpfun.split_epi_section(eps_kar()) is section  # a new instance keys once
-    assert len(keys) == 1
+    assert fpfun.split_epi_section(eps_kar()) is section
+    assert rendered == []
 
 
 def test_unit_presentations():

@@ -95,6 +95,29 @@ def test_linmorphism_zero_and_scale():
     assert a + z == a
 
 
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_linmorphisms_are_equal_and_hash_equal_by_value(field):
+    """Terms inserted in either order, or with an explicit zero, give equal
+    morphisms with equal hashes; a changed coefficient gives another."""
+    rng = random.Random(71)
+    basis = tuple(hom_basis(DiagramClass.ALL, 2, 1))
+    for _ in range(30):
+        chosen = rng.sample(basis, rng.randint(2, len(basis) - 1))
+        pairs = [(d, random_rf(rng)) for d in chosen]
+        if not field.is_generic():
+            pairs = [(d, specialize(c, field.t_value)) for d, c in pairs]
+        forward = LinMorphism(2, 1, dict(pairs))
+        backward = LinMorphism(2, 1, dict(reversed(pairs)))
+        spare = next(d for d in basis if d not in chosen)
+        padded = LinMorphism(2, 1, {**dict(pairs), spare: field.zero()})
+        assert list(forward.terms) != list(backward.terms)
+        for other in (backward, padded):
+            assert other == forward and hash(other) == hash(forward)
+        assert len({forward, backward, padded}) == 1
+        changed = forward + LinMorphism.from_diagram(chosen[0], field)
+        assert changed != forward and len({forward, changed}) == 2
+
+
 def test_circle_evaluates_to_t():
     eps = LinMorphism.from_diagram(D("1"), F)
     eta = lin("1 * 1'")

@@ -9,12 +9,14 @@ the intern memo, every Karoubi and presented morphism through its checking
 constructor or its module's one unchecked builder, and every Cobordism
 through its checking constructor or _cobordism, no namedtuple `_make` or
 `_replace` rebuilds a diagram or a cobordism, no call passes a `validate`
-flag, no LinMorphism's terms change after it is built, no sum of
+flag, no hash, equality, key or __new__ renders a value as text, no
+LinMorphism's terms change after it is built, no sum of
 composites is accumulated one composite at a time, the Karoubi hom
 space and the split solver compose their columns through one kernel,
 every elimination outside the hom spaces reads an ExactMatrix, and an
 ExactMatrix feeds its columns to its Subspace from one method alone, and
-the benchmark's tracer still finds every binding it wraps."""
+the benchmark's tracer still finds every binding it wraps and its hooks
+still read what they read."""
 
 import ast
 import importlib
@@ -465,6 +467,83 @@ def test_the_guard_sees_a_tuple_rebuild():
     assert tuple_rebuilds(snippet) == [1, 2, 3]
 
 
+IDENTITIES = ("__hash__", "__eq__", "key", "__new__")
+RENDERERS = ("to_text", "poly_text")
+
+
+def identity_renderings(source: str) -> list:
+    """("Class.method", line) of each to_text or poly_text call that a
+    __hash__, __eq__, key or __new__ reaches: in its own body, in a
+    module-level function it calls by name, or in a method of its class
+    it calls as an attribute, followed to any depth."""
+    tree = ast.parse(source)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    found = set()
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+        for name in IDENTITIES:
+            if name not in methods:
+                continue
+            pending, seen = [methods[name]], set()
+            while pending:
+                scope = pending.pop()
+                if id(scope) in seen:
+                    continue
+                seen.add(id(scope))
+                for node in ast.walk(scope):
+                    func = getattr(node, "func", None)
+                    if isinstance(func, ast.Name):
+                        callee, target = func.id, functions.get(func.id)
+                    elif isinstance(func, ast.Attribute):
+                        callee, target = func.attr, methods.get(func.attr)
+                    else:
+                        continue
+                    if callee in RENDERERS:
+                        found.add((f"{cls.name}.{name}", node.lineno))
+                    elif target is not None:
+                        pending.append(target)
+    return sorted(found)
+
+
+def test_no_identity_renders_text():
+    """A value's hash, equality and key are built from the values
+    themselves, never from their printed text."""
+    found = [
+        f"{path.stem}:{scope}:{line}"
+        for path in MODULES
+        for scope, line in identity_renderings(path.read_text())
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_an_identity_that_renders_text():
+    snippet = (
+        "def _mat_key(a):\n"
+        "    return tuple(sorted((d, c.to_text()) for d, c in a))\n"
+        "class KarObject:\n"
+        "    def __new__(cls, cut):\n"
+        "        return _interned((cls, _mat_key(cut)))\n"
+        "class KarMorphism:\n"
+        "    def key(self):\n"
+        "        return (self.dom.key(), _mat_key(self.entries))\n"
+        "    def __hash__(self):\n"
+        "        return hash(self.key())\n"
+        "    def __repr__(self):\n"
+        "        return self.to_text()\n"
+        "class Poly:\n"
+        "    def __eq__(self, other):\n"
+        "        return poly_text(self) == poly_text(other)\n"
+        "    def __hash__(self):\n"
+        "        return hash((self.nums, self.den))\n"
+    )
+    assert identity_renderings(snippet) == [
+        ("KarMorphism.__hash__", 2),
+        ("KarMorphism.key", 2),
+        ("KarObject.__new__", 2),
+        ("Poly.__eq__", 15),
+    ]
+
+
 def keyword_calls(source: str, keyword: str) -> list:
     """Line numbers of each call that passes the named keyword argument."""
     return sorted(
@@ -857,12 +936,26 @@ def test_the_benchmark_tracer_reaches_every_traced_binding():
     """perfbench/pb_trace.py wraps package functions and class methods by
     name; a refactor that drops, renames or rebinds one of them must fail
     here, not only in a traced benchmark run."""
+    from diagcat import fpfun, karoubi, partition
+    from diagcat.scalar import FieldSpec
+
     path = Path(diagcat.__file__).parents[2] / "perfbench" / "pb_trace.py"
     spec = importlib.util.spec_from_file_location("pb_trace", path)
     pb_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pb_trace)
-    installation = pb_trace.Installation(pb_trace.Tracer())
+    tracer = pb_trace.Tracer()
+    installation = pb_trace.Installation(tracer)
     try:
         assert installation.escapes() == []
+        # the hooks of these two layers read KarObject.key and
+        # KarMorphism.to_text; a fresh build of each runs them
+        karoubi.kar_hom.cache_clear()
+        fpfun.fp_hom_space.cache_clear()
+        a = karoubi.KarObject.word(1, partition.DiagramClass.ALL, FieldSpec.generic())
+        karoubi.kar_hom(a, a)
+        fpfun.fp_hom_space(fpfun.yoneda(a), fpfun.yoneda(a))
     finally:
         installation.remove()
+    for layer in ("karoubi.kar_hom", "fpfun.fp_hom_space"):
+        assert tracer.layers[layer].calls >= 1
+        assert tracer.layers[layer].extra["repeats"] == 0

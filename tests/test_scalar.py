@@ -396,3 +396,51 @@ def test_mixing_the_fields_raises_in_every_operator_and_both_fused_helpers():
     ):
         with pytest.raises(FieldModeError):
             sum_products({0: [triple]}, field)
+
+
+def scalar_of(field, num, den):
+    """num/den in field: the Q(t) scalar, or its value at field's t."""
+    fe = FieldElement.ratfunc(num, den)
+    return fe if field.is_generic() else specialize(fe, field.t_value)
+
+
+@pytest.mark.parametrize(
+    "field", [FieldSpec.generic(), FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"]
+)
+def test_equal_scalars_built_by_different_paths_hash_equal(field):
+    """A scalar hashes by its value, so equal scalars from ratfunc, the
+    operators, the fused helpers, specialize and the parser hash alike."""
+    rng = random.Random(67)
+    t0 = Fraction(5, 2)
+
+    def poly(nonzero_at_t0=False):
+        while True:
+            size = rng.randint(1, 3)
+            p = Poly(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size))
+            if p and (not nonzero_at_t0 or p.evaluate(t0)):
+                return p
+
+    for _ in range(40):
+        (na, da), (nb, db), (nc, dc) = [(poly(), poly(True)) for _ in range(3)]
+        g = poly(True)
+        a, b, c = scalar_of(field, na, da), scalar_of(field, nb, db), scalar_of(field, nc, dc)
+        k = rng.randint(0, 2)
+        pairs = [
+            (scalar_of(field, na * g, da * g), a),
+            (a + b, scalar_of(field, na * db + nb * da, da * db)),
+            (a * b, scalar_of(field, na * nb, da * db)),
+            (sub_product(c, a, b), c - a * b),
+            (sub_product(None, a, b), -(a * b)),
+            (
+                sum_products({0: [(a, b, k), (c, a, 0)]}, field).get(0, field.zero()),
+                a * b * field.t_power(k) + c * a,
+            ),
+            (parse_field_element(a.to_text(), field), a),
+            (parse_field_element((a * b).to_text(), field), a * b),
+        ]
+        if not field.is_generic():
+            exact = Fraction(na.evaluate(t0), da.evaluate(t0))
+            generic = FieldElement.ratfunc(na * g, da * g)
+            pairs.append((specialize(generic, t0), field.rational(exact)))
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y) and len({x, y}) == 1
