@@ -44,9 +44,14 @@ from .scalar import (
 class LinMorphism:
     """A finite formal sum of diagrams in Hom([dom], [cod]); a term is any
     hashable, ordered diagram with its shape in .m and .n.  Equality and
-    hashing are by shape and terms, which are never changed after a build."""
+    hashing are by shape and terms, which are never changed after a build,
+    so the hash is computed on first use and kept.
 
-    __slots__ = ("dom", "cod", "terms")
+    The constructor checks each term's shape and drops zero coefficients;
+    a sum derived from built ones (sums, negation, scaling, tensor and
+    composite) is right by construction and built by derived_lin."""
+
+    __slots__ = ("dom", "cod", "terms", "_hash")
 
     def __init__(self, dom, cod, terms):
         self.dom = dom
@@ -60,6 +65,7 @@ class LinMorphism:
             if not c.is_zero():
                 clean[d] = c
         self.terms = clean
+        self._hash = None
 
     @classmethod
     def zero(cls, dom, cod):
@@ -78,7 +84,9 @@ class LinMorphism:
         return (self.dom, self.cod, self.terms) == (other.dom, other.cod, other.terms)
 
     def __hash__(self):
-        return hash((self.dom, self.cod, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.dom, self.cod, frozenset(self.terms.items())))
+        return self._hash
 
     def __add__(self, other):
         if (self.dom, self.cod) != (other.dom, other.cod):
@@ -86,11 +94,16 @@ class LinMorphism:
         terms = dict(self.terms)
         for d, c in other.terms.items():
             cur = terms.get(d)
-            terms[d] = c if cur is None else cur + c
-        return LinMorphism(self.dom, self.cod, terms)
+            if cur is not None:
+                c = cur + c
+                if c.is_zero():
+                    del terms[d]
+                    continue
+            terms[d] = c
+        return derived_lin(self.dom, self.cod, terms)
 
     def __neg__(self):
-        return LinMorphism(self.dom, self.cod, {d: -c for d, c in self.terms.items()})
+        return derived_lin(self.dom, self.cod, {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -98,21 +111,20 @@ class LinMorphism:
     def scale(self, c: FieldElement):
         if c.is_zero():
             return LinMorphism.zero(self.dom, self.cod)
-        return LinMorphism(self.dom, self.cod, {d: c * v for d, v in self.terms.items()})
+        return derived_lin(self.dom, self.cod, {d: c * v for d, v in self.terms.items()})
 
     def compose(self, other: "LinMorphism", field: FieldSpec) -> "LinMorphism":
         """self after other, bilinear, loops becoming powers of t."""
         return compose_sum(((self, other),), other.dom, self.cod, field)
 
     def tensor(self, other: "LinMorphism", field: FieldSpec) -> "LinMorphism":
-        terms = {}
-        for df, cf in self.terms.items():
-            for dg, cg in other.terms.items():
-                d = partition.tensor(df, dg)
-                c = cf * cg
-                cur = terms.get(d)
-                terms[d] = c if cur is None else cur + c
-        return LinMorphism(self.dom + other.dom, self.cod + other.cod, terms)
+        """Bilinear; distinct pairs of terms give distinct diagrams."""
+        terms = {
+            partition.tensor(df, dg): cf * cg
+            for df, cf in self.terms.items()
+            for dg, cg in other.terms.items()
+        }
+        return derived_lin(self.dom + other.dom, self.cod + other.cod, terms)
 
     def to_text(self):
         if not self.terms:
@@ -124,6 +136,14 @@ class LinMorphism:
 
     def __repr__(self):
         return f"LinMorphism({self.dom}, {self.cod}, {self.to_text()!r})"
+
+
+def derived_lin(dom, cod, terms) -> LinMorphism:
+    """The LinMorphism of terms derived from checked values, each of shape
+    (dom, cod) with a nonzero coefficient; nothing is checked."""
+    out = object.__new__(LinMorphism)
+    out.dom, out.cod, out.terms, out._hash = dom, cod, terms, None
+    return out
 
 
 def compose_sum(pairs, dom, cod, field: FieldSpec) -> LinMorphism:
@@ -153,9 +173,7 @@ def compose_sum(pairs, dom, cod, field: FieldSpec) -> LinMorphism:
                     products[diagram] = [(cf, cg, loops)]
                 else:
                     triples.append((cf, cg, loops))
-    out = object.__new__(LinMorphism)  # sum_products leaves out zero sums
-    out.dom, out.cod, out.terms = dom, cod, sum_products(products, field)
-    return out
+    return derived_lin(dom, cod, sum_products(products, field))  # no zero sums
 
 
 def _split_top_level(text, sep=" + "):

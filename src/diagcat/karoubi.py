@@ -33,6 +33,7 @@ from .homspace import (
     Subspace,
     combine,
     compose_sum,
+    derived_lin,
     hom_basis,
 )
 from .partition import DiagramClass, PartitionDiagram
@@ -503,14 +504,14 @@ class KarHom:
         return vec
 
     def _morphism(self, vec) -> KarMorphism:
-        """The morphism with the given slot vector."""
+        """The morphism with the given slot vector, which stores no zero."""
         terms = {slot: {} for slot in self._slot_index}
         for pos, c in vec.items():
             slot, d = self._positions[pos]
             terms[slot][d] = c
         entries = tuple(
             tuple(
-                LinMorphism(w_dom, w_cod, terms[i, j])
+                derived_lin(w_dom, w_cod, terms[i, j])
                 for j, w_dom in enumerate(self.dom.words)
             )
             for i, w_cod in enumerate(self.cod.words)

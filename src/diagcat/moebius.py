@@ -33,7 +33,7 @@ from itertools import permutations
 
 from . import partition
 from .partition import PartitionDiagram
-from .homspace import LinMorphism
+from .homspace import LinMorphism, derived_lin
 from .scalar import FieldSpec
 
 
@@ -56,7 +56,7 @@ def _moebius_number(mu: int, field: FieldSpec):
 def _moebius(f: PartitionDiagram, blocks: tuple, field: FieldSpec) -> LinMorphism:
     """The closed form over the given block indices of f; distinct
     groupings give distinct diagrams."""
-    return LinMorphism(f.m, f.n, {
+    return derived_lin(f.m, f.n, {
         partition.merge_blocks(f, g): _moebius_number(_partition_moebius(g), field)
         for g in partition.set_partitions(blocks)
     })
@@ -82,10 +82,8 @@ def moebius_x_prime(f: PartitionDiagram, field: FieldSpec) -> LinMorphism:
 def symmetrizer(j: int, field: FieldSpec) -> LinMorphism:
     """e_j = (1/j!) sum of all permutation diagrams on j strands."""
     coeff = field.rational(Fraction(1, factorial(j)))
-    terms = {}
-    for sigma in permutations(range(j)):
-        terms[PartitionDiagram.permutation(sigma)] = coeff
-    return LinMorphism(j, j, terms)
+    perms = map(PartitionDiagram.permutation, permutations(range(j)))
+    return derived_lin(j, j, dict.fromkeys(perms, coeff))
 
 
 def x_j(j: int, field: FieldSpec) -> LinMorphism:

@@ -7,8 +7,9 @@ blocks sorted tuples ordered by their minimum, so equal diagrams are equal
 tuples.  Every diagram is built through one bounded lru_cache, _canonical,
 which hands out one shared instance per diagram, so a memo hit or a dict
 lookup keyed by a diagram mostly compares it by identity.
-PartitionDiagram() checks its points; diagrams derived from diagrams or
-walks are right by construction and built through _from_valid.
+PartitionDiagram() checks its points, once per block tuple as given,
+through a second bounded lru_cache, _checked; diagrams derived from
+diagrams or walks are right by construction and built through _from_valid.
 
 Composition glues the lower boundary of the inner diagram to the upper
 boundary of the outer one; merged blocks that end up with middle points only
@@ -101,12 +102,11 @@ class PartitionDiagram(namedtuple("PartitionDiagram", "m n blocks")):
     __slots__ = ()
 
     def __new__(cls, m, n, blocks):
-        points = sorted(p for b in blocks for p in b)
-        if points != list(range(1, m + n + 1)):
-            raise ValueError(
-                f"blocks must partition 1..{m + n} exactly once, got {blocks!r}"
-            )
-        return cls._from_valid(m, n, blocks)
+        try:
+            hash(blocks)
+        except TypeError:  # unhashable blocks, such as a list, go unmemoised
+            return _checked.__wrapped__(m, n, blocks)
+        return _checked(m, n, blocks)
 
     @classmethod
     def _from_valid(cls, m, n, blocks):
@@ -207,6 +207,19 @@ class PartitionDiagram(namedtuple("PartitionDiagram", "m n blocks")):
 def _canonical(m, n, blocks) -> PartitionDiagram:
     """The one shared PartitionDiagram with canonical blocks."""
     return tuple.__new__(PartitionDiagram, (m, n, blocks))
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _checked(m, n, blocks) -> PartitionDiagram:
+    """The diagram of blocks checked to partition 1..m+n exactly once,
+    memoised by the blocks as given, so each block tuple is checked and
+    sorted once; an invalid one raises again, since no exception is kept."""
+    points = sorted(p for b in blocks for p in b)
+    if points != list(range(1, m + n + 1)):
+        raise ValueError(
+            f"blocks must partition 1..{m + n} exactly once, got {blocks!r}"
+        )
+    return PartitionDiagram._from_valid(m, n, blocks)
 
 
 class ComposeResult(NamedTuple):

@@ -50,9 +50,16 @@ class Poly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        nums, dens = [], []
+        for c in coeffs:  # an int or a Fraction is read as it is
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            nums.append(c.numerator)
+            dens.append(c.denominator)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        p = _poly(nums, den)
         self.nums, self.den = p.nums, p.den
 
     @property

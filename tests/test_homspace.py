@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from diagcat import homspace, partition
+from diagcat import homspace, moebius, partition
 from diagcat.homspace import (
     ExactMatrix,
     HomBasis,
@@ -116,6 +116,73 @@ def test_linmorphisms_are_equal_and_hash_equal_by_value(field):
         assert len({forward, backward, padded}) == 1
         changed = forward + LinMorphism.from_diagram(chosen[0], field)
         assert changed != forward and len({forward, changed}) == 2
+
+
+def field_scalar(rng, field):
+    """A random scalar of field, zero in about one draw of seven."""
+    if rng.random() < 1 / 7:
+        return field.zero()
+    c = random_rf(rng)
+    return c if field.is_generic() else specialize(c, field.t_value)
+
+
+def checked_sum(dom, cod, pairs):
+    """The checked LinMorphism of (diagram, coefficient) pairs, repeated
+    diagrams summed and zero sums kept for the constructor to drop."""
+    terms = {}
+    for d, c in pairs:
+        terms[d] = terms[d] + c if d in terms else c
+    return LinMorphism(dom, cod, terms)
+
+
+@pytest.mark.parametrize("field", [F, FieldSpec.at(Fraction(5, 2))], ids=["generic", "t=5/2"])
+def test_every_derived_sum_equals_the_checked_build_of_its_terms(field):
+    """Sums, differences, scalings and tensors are built unchecked; each
+    equals the checked LinMorphism of the same terms and keeps no zero,
+    also where coefficients cancel."""
+    rng = random.Random(2701)
+    for _ in range(40):
+        basis = tuple(hom_basis(DiagramClass.ALL, rng.randint(0, 2), rng.randint(0, 2)))
+        dom, cod = basis[0].m, basis[0].n
+        pa = [(d, field_scalar(rng, field)) for d in rng.sample(basis, min(3, len(basis)))]
+        pb = [(d, field_scalar(rng, field)) for d in rng.sample(basis, min(3, len(basis)))]
+        pb += [(d, -c) for d, c in pa if rng.random() < 0.5]  # cancels a term of a
+        a, b = checked_sum(dom, cod, pa), checked_sum(dom, cod, pb)
+        c = field_scalar(rng, field)
+        other = tuple(hom_basis(DiagramClass.ALL, rng.randint(0, 2), rng.randint(0, 1)))
+        pe = [(d, field_scalar(rng, field)) for d in rng.sample(other, min(2, len(other)))]
+        e = checked_sum(other[0].m, other[0].n, pe)
+        builds = [
+            (a + b, checked_sum(dom, cod, [*a.terms.items(), *b.terms.items()])),
+            (a - b, checked_sum(dom, cod, [*a.terms.items(), *((d, -v) for d, v in b.terms.items())])),
+            (-a, checked_sum(dom, cod, [(d, -v) for d, v in a.terms.items()])),
+            (a.scale(c), checked_sum(dom, cod, [(d, c * v) for d, v in a.terms.items()])),
+            (
+                a.tensor(e, field),
+                checked_sum(dom + e.dom, cod + e.cod, [
+                    (partition.tensor(da, de), ca * ce)
+                    for da, ca in a.terms.items()
+                    for de, ce in e.terms.items()
+                ]),
+            ),
+        ]
+        for derived, checked in builds:
+            assert derived == checked
+            assert not any(v.is_zero() for v in derived.terms.values())
+        assert (a - a).terms == {}
+
+
+def test_a_formal_sum_keeps_its_hash():
+    """The hash of a LinMorphism is computed on first use and kept, by
+    the constructor and by every derived build alike."""
+    for field in (F, FieldSpec.at(Fraction(5, 2))):
+        a = parse_linmorphism("1/2 * 1 1' + 3 * 1 | 1'", field)
+        xe = moebius.x_e(2, field)
+        fresh = (a, a + a, -a, a.scale(field.rational(3)), a.tensor(a, field), a.compose(a, field))
+        assert all(m._hash is None for m in fresh)
+        for m in (*fresh, xe):
+            want = hash((m.dom, m.cod, frozenset(m.terms.items())))
+            assert hash(m) == want and m._hash == want
 
 
 def test_circle_evaluates_to_t():

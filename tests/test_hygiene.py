@@ -412,6 +412,7 @@ def test_the_guard_sees_a_direct_karoubi_object_build():
 
 
 UNCHECKED_BUILDERS = {
+    "LinMorphism": ("homspace", "derived_lin"),
     "KarMorphism": ("karoubi", "_kar_morphism"),
     "FpMorphism": ("fpfun", "_fp_morphism"),
     "Cobordism": ("cobordism", "_cobordism"),
@@ -420,10 +421,10 @@ UNCHECKED_BUILDERS = {
 
 @pytest.mark.parametrize("class_name", sorted(UNCHECKED_BUILDERS))
 def test_only_the_unchecked_builder_skips_the_checked_constructor(class_name):
-    """A KarMorphism, FpMorphism or Cobordism built from outside values goes
-    through its checking constructor; only its module's builder
-    (_kar_morphism, _fp_morphism, _cobordism), for values that are right
-    by construction, skips it."""
+    """A LinMorphism, KarMorphism, FpMorphism or Cobordism built from
+    outside values goes through its checking constructor; only its module's
+    builder (derived_lin, _kar_morphism, _fp_morphism, _cobordism), for
+    values that are right by construction, skips it."""
     home, builder = UNCHECKED_BUILDERS[class_name]
     found = [
         f"{path.stem}:{line}"
@@ -588,7 +589,7 @@ def test_the_guards_see_an_unchecked_morphism_build():
 
 
 MUTATING = ("clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__")
-TERMS_WRITERS = {"homspace": ("LinMorphism.__init__", "compose_sum")}
+TERMS_WRITERS = {"homspace": ("LinMorphism.__init__", "derived_lin")}
 
 
 def assigned(target):

@@ -1072,6 +1072,32 @@ def test_a_remembered_split_solves_nothing_and_composes_once(
         assert karoubi._split_witness.cache_info().misses == solved
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "t=5/2"])
+def test_a_hom_space_combination_equals_the_checked_build_of_its_entries(field):
+    """from_coordinates builds its entries unchecked; each equals the
+    checked LinMorphism of the same combination of the elements' entries
+    and keeps no zero, also where slot coefficients cancel."""
+    rng = random.Random(2702)
+    scalars = [field.zero(), field.one(), -field.one(), *_scalars(field)]
+    words = [KarObject.word(w, ALL, field) for w in range(3)]
+    x2 = kar_object(2, x_e(2, field), ALL, field)
+    pairs = [(words[1], words[1]), (x2, x2), (words[2], x2), (x2, direct_sum(words[0], words[2]))]
+    for dom, cod in pairs:
+        space = kar_hom(dom, cod)
+        for _ in range(10):
+            coords = {k: rng.choice(scalars) for k in range(len(space))}
+            combo = space.from_coordinates(coords)
+            for i, w_cod in enumerate(cod.words):
+                for j, w_dom in enumerate(dom.words):
+                    terms = {}
+                    for k, c in coords.items():
+                        for d, v in space.elements[k].entries[i][j].terms.items():
+                            terms[d] = terms[d] + c * v if d in terms else c * v
+                    entry = combo.entries[i][j]
+                    assert entry == LinMorphism(w_dom, w_cod, terms)
+                    assert not any(v.is_zero() for v in entry.terms.values())
+
+
 def idempotent_trace(dom: KarObject, cod: KarObject):
     """The trace of X -> F.X.E on the slot matrices from dom's words to
     cod's, E and F the cuts of dom and cod: the sum, over every slot (i, j)
@@ -1102,6 +1128,6 @@ def test_every_hom_space_has_the_dimension_of_its_idempotent_trace(field):
     x3 = kar_object(3, x_e(3, field), ALL, field)
     objects = [*words, x2, tensor_object(x2, words[1])]
     pairs = [(a, b) for a in objects for b in objects]
-    pairs += [(x3, words[2]), (words[1], x3)]
+    pairs += [(x3, words[2]), (words[1], x3), (x3, x3)]
     for dom, cod in pairs:
         assert idempotent_trace(dom, cod) == field.rational(len(kar_hom(dom, cod)))

@@ -131,6 +131,41 @@ def test_validation_rejects_bad_covers():
         PartitionDiagram(1, 0, [(1,), (1,)])
 
 
+def test_an_invalid_block_tuple_raises_on_every_call_and_is_not_kept():
+    """lru_cache keeps no exception, so the memo of checked block tuples
+    checks an invalid tuple again on every call and never stores it; a
+    float m misses the entry of the equal int m, which is kept."""
+    partition._checked(1, 1, ((1, 2),))
+    size = partition._checked.cache_info().currsize
+    for m, n, blocks, error in (
+        (2, 0, ((1,),), ValueError),
+        (1, 0, ((1,), (1,)), ValueError),
+        (1, 1, ((1, 3),), ValueError),
+        (2, 1, [(1, 2)], ValueError),
+        (1.0, 1, ((1, 2),), TypeError),
+    ):
+        for _ in range(3):
+            with pytest.raises(error):
+                PartitionDiagram(m, n, blocks)
+        assert partition._checked.cache_info().currsize == size
+
+
+def test_a_list_a_tuple_and_an_unsorted_tuple_give_one_instance():
+    """Each block tuple is checked once by the memo; unhashable blocks
+    are checked unmemoised; all give the one shared instance.  The memo
+    may hold an instance from before a _canonical.cache_clear, so it is
+    cleared first."""
+    partition._checked.cache_clear()
+    d = PartitionDiagram(2, 2, ((1, 3), (2, 4)))
+    assert PartitionDiagram(2, 2, ((1, 3), (2, 4))) is d
+    assert partition._checked.cache_info()[:2] == (1, 1)  # hits, misses
+    assert PartitionDiagram(2, 2, [(1, 3), (2, 4)]) is d
+    assert PartitionDiagram(2, 2, [[4, 2], [3, 1]]) is d
+    assert PartitionDiagram(2, 2, ((4, 2), (3, 1))) is d
+    assert PartitionDiagram(2, 2, ((2, 4), (1, 3))) is d
+    assert d.blocks == ((1, 3), (2, 4))
+
+
 def test_parse_print_roundtrip_all_small_shapes():
     for total in range(0, 5):
         for m in range(total + 1):
