@@ -3,7 +3,9 @@
 Each command is one row of COMMANDS, and each `check` and `fp` name one
 row of CHECKS or FP_OPS: the arguments and options it reads with their
 defaults, and the call it makes.  One loop builds every row into its
-sub-parser, which accepts only those options.  A failing check's witness
+sub-parser, which accepts only those options.  A line that starts with a
+row's words is parsed by that row's sub-parser alone; help and errors of
+the levels above come from the whole tree.  A failing check's witness
 gets a `replay` command line that gives every option the check read,
 resolved.
 
@@ -375,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification for partition and cobordism diagram categories.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # the words that pick each leaf parser, (command,) or (command, name),
+    # and that leaf: the tree's own sub-parser, so both routes share it
+    parser.leaves = {}
     for command, table, text in TABLES:
         names = subs
         if command:
@@ -395,7 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, help=help_text, **spec)
             p.add_argument("--json", action="store_true", help="emit a JSON report")
             p.set_defaults(parser=p, defaults=defaults, call=call)
+            parser.leaves[(command, name) if command else (name,)] = p
     return parser
+
+
+def parse(argv):
+    """argv's namespace and the words it did not read.  A line that starts
+    with the words of a leaf is parsed by that leaf alone, and gets the
+    `command` (and `name`) the tree would set; every other line goes
+    through the tree, which prints the help and the errors of its levels."""
+    parser = build_parser()
+    for words in (tuple(argv[:1]), tuple(argv[:2])):
+        leaf = parser.leaves.get(words)
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[len(words):])
+            vars(args).update(zip(("command", "name"), words))
+            return args, extras
+    return parser.parse_known_args(argv)
 
 
 def _resolve(args, defaults):
@@ -468,7 +489,7 @@ def _unread(argv, defaults):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = build_parser().parse_known_args(argv)
+    args, extras = parse(argv)
     if extras:
         # a command or name reports an option it does not read under its own
         # usage, with its value: argparse, not knowing that the option takes

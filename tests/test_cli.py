@@ -1,5 +1,6 @@
 """End-to-end command-line tests, most run through subprocesses."""
 
+import argparse
 import json
 import os
 import random
@@ -628,6 +629,108 @@ def test_random_command_lines_exit_0_1_or_2(monkeypatch, capsys):
         codes.add(code)
         capsys.readouterr()
     assert {0, 2, ("argparse", 2)} <= codes
+
+
+def parsed(parse, argv, capsys):
+    """What parse makes of argv: vars() of its namespace and the words it
+    did not read, or the exit code and the text of its help or error."""
+    try:
+        args, extras = parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr()
+    return vars(args), extras
+
+
+def leaf_lines(rng, target):
+    """Lines for a command or a check/fp name: its minimal valid line (the
+    first pool value for each argument and required option), seeded
+    grammar lines, and an option it does not read placed before its
+    arguments and again after them."""
+    table = {"check": cli.CHECKS, "fp": cli.FP_OPS}.get(target[0], cli.COMMANDS)
+    defaults = table[target[-1]][0]
+    minimal = []
+    for flag, default in defaults.items():
+        if flag in cli.ARGUMENTS:
+            minimal.append(GRAMMAR_VALUES[flag][0])
+        elif default is None:
+            minimal += [f"--{flag}", GRAMMAR_VALUES[flag][0]]
+    lines = [list(target) + minimal] + [grammar_argv(rng, target) for _ in range(4)]
+    unread = sorted(set(cli.OPTIONS) - set(defaults))
+    for _ in range(2):
+        flag = rng.choice(unread)
+        option = [f"--{flag}", rng.choice(GRAMMAR_VALUES[flag])]
+        lines.append(list(target) + option + minimal)
+        lines.append(list(target) + minimal + option)
+    return lines
+
+
+def test_every_leaf_line_parses_as_the_tree_parses_it(capsys):
+    # cli.main's route hands a line that names a leaf to that leaf alone;
+    # its namespace (command, name, parser, defaults and call included), its
+    # extras and any help or error it prints are the whole tree's
+    targets = [(name,) for name in cli.COMMANDS]
+    targets += [("check", name) for name in cli.CHECKS]
+    targets += [("fp", name) for name in cli.FP_OPS]
+    rng = random.Random(28)
+    tree = cli.build_parser().parse_known_args
+    # a `--` before or among the arguments and options, `=` values, negative
+    # values, leftover words, and help asked for after the arguments
+    edges = [
+        ["compose", "--", "1", "1'"], ["compose", "1", "--", "1'", "--x"],
+        ["check", "diag", "--", "--json"], ["check", "diag", "--max-points=2", "-x"],
+        ["check", "ex2", "--seed", "-3"], ["compose", "-1", "1'", "compose"],
+        ["check", "diag", "diag"], ["compose", "1", "1'", "--he"], ["fp", "hom", "-hx"],
+    ]
+    for argv in edges:
+        assert parsed(cli.parse, argv, capsys) == parsed(tree, argv, capsys), argv
+    for target in targets:
+        lines = leaf_lines(rng, target)
+        for argv in lines:
+            assert parsed(cli.parse, argv, capsys) == parsed(tree, argv, capsys), argv
+        fields, extras = parsed(cli.parse, lines[0], capsys)
+        assert extras == []
+        assert {"command", "parser", "defaults", "call"} <= set(fields)
+        assert fields["command"] == target[0]
+        assert fields.get("name") == (target[1] if len(target) == 2 else None)
+
+
+# Lines that the top or the `check`/`fp` level of the parser answers (no
+# command, help, an unknown or missing command or name, an option before
+# the name), and a help and an error line of a leaf, with the exit code and
+# the text each prints at 80 columns, pinned so that how a line reaches
+# its parser cannot change what it prints.
+CLI_LINES = json.loads((Path(__file__).parent / "cli_lines.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_LINES, ids=[case["argv"] or "-" for case in CLI_LINES])
+def test_help_and_dispatch_errors_are_unchanged(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(shlex.split(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["check", "diag", "--max-points", "2", "--json"], "diagcat check diag"),
+        (["compose", "1", "1'"], "diagcat compose"),
+    ],
+)
+def test_a_leaf_line_is_parsed_by_its_leaf_alone(argv, prog, monkeypatch, capsys):
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert cli.main(argv) == 0
+    assert progs == [prog]
 
 
 # Every `check` name, at the bounds the verify-suite workload of perfbench

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from diagcat import karoubi
+from diagcat import cli, fpfun, karoubi
 from diagcat.fpfun import weak_kernel
 from diagcat import partition
 from diagcat.homspace import (
@@ -1131,3 +1134,32 @@ def test_every_hom_space_has_the_dimension_of_its_idempotent_trace(field):
     pairs += [(x3, words[2]), (words[1], x3), (x3, x3)]
     for dom, cod in pairs:
         assert idempotent_trace(dom, cod) == field.rational(len(kar_hom(dom, cod)))
+
+
+def test_every_pinned_report_builds_hom_spaces_of_their_trace_dimension(monkeypatch, capsys):
+    """Every KarHom that the 60 pinned CLI reports build, from memos cleared
+    of hom spaces and of what is built from them, has the dimension of its
+    idempotent trace: over Q(t) and five rational t, the largest a space of
+    203 slots between two cut objects on [3]."""
+    for memo in (kar_hom, karoubi._split_witness, fpfun._certify,
+                 fpfun.fp_hom_space, fpfun.split_epi_section):
+        memo.cache_clear()
+    spaces = []
+    init = KarHom.__init__
+
+    def recorded(self, dom, cod):
+        init(self, dom, cod)
+        spaces.append(self)
+
+    monkeypatch.setattr(KarHom, "__init__", recorded)
+    reports = json.loads((Path(__file__).parent / "check_reports.json").read_text())
+    for case in reports:
+        assert cli.main(shlex.split(case["argv"])) == case["exit"]
+    capsys.readouterr()
+    assert {space.field for space in spaces} == {
+        F, *(FieldSpec.at(Fraction(t)) for t in ("5/2", "5", "-1", "1/2", "7/3"))
+    }
+    assert max(space.slots for space in spaces) == 203
+    for space in spaces:
+        trace = idempotent_trace(space.dom, space.cod)
+        assert trace == space.field.rational(len(space)), (space.dom, space.cod)
