@@ -112,7 +112,7 @@ class KarObject:
     def __init__(self, diagram_class: DiagramClass, field: FieldSpec, words, cut, names=None):
         if hasattr(self, "cut"):
             return
-        cut = tuple(tuple(row) for row in cut)
+        cut = self._key[3]  # as __new__ read it, since cut may be one-shot
         diagram_class.require((d for row in cut for lin in row for d in lin.terms), "cut")
         square = _mat_compose(cut, cut, field)
         if square != cut:
@@ -377,16 +377,13 @@ def _sandwich(left, right, units, slot_index, field):
     slot (i, j) and zeros elsewhere, and slot_index lays out the slots of
     the result as KarHom does.  Each vector is composed in two stages, as
     compose_sum composes: d after each term y of R's row j, then each term
-    x of L's column i after each distinct inner diagram d . y.  An inner
-    diagram that several y give has their coefficients merged and
-    normalised first, by one sum_products call per unit.  Over Q(t) one
-    that a single y gives takes the product cx . cy, a Poly product formed
-    at most once per call and slot; at a rational t the pair goes to
-    sum_products as it is, which multiplies it as integers anyway, so a
-    formed product would save nothing there and add a Fraction product per
-    pair.  The coefficients of a vector are collected by slot position as
-    (a, b, loops) triples and normalised by one more sum_products call; no
-    morphism is built.
+    x of L's column i after each inner diagram d . y.  The coefficients
+    c_y . t^loops of the y that give one inner diagram in one column of R
+    are summed and normalised first, by one sum_products call per unit;
+    then the coefficients of the vector are collected by slot position as
+    (c_x, inner sum, loops) triples and normalised by one more
+    sum_products call.  Both fields take this one path, and no morphism
+    is built.
 
     A unit whose composites d . y, over the terms y of R's row j, are those
     of an earlier unit of the same slot with every loop count shifted by
@@ -399,16 +396,14 @@ def _sandwich(left, right, units, slot_index, field):
     for key, basis in slot_index.items():
         offsets[key] = (pos, basis)
         pos += len(basis)
-    one = field.one()
-    generic, shifts = field.t_value is None, field.t_value != 0
-    by_slot, firsts = {}, {}  # per slot, its terms and products; per key, a unit
+    one, shifts = field.one(), field.t_value != 0
+    by_slot, firsts = {}, {}  # per slot, the terms of L's column and R's row; per key, a unit
     for k, ((i, j), d) in enumerate(units):
         if (i, j) not in by_slot:
             xs = [(a, dx, cx) for a, row in enumerate(left) for dx, cx in row[i].terms.items()]
             ys = [(b, dy, cy) for b, y in enumerate(right[j]) for dy, cy in y.terms.items()]
-            formed = [[None] * len(ys) if generic else None for _ in xs]
-            by_slot[i, j] = xs, ys, formed
-        xs, ys, table = by_slot[i, j]
+            by_slot[i, j] = xs, ys
+        xs, ys = by_slot[i, j]
         composites = [partition.compose(d, dy) for _, dy, _ in ys]
         shift = composites[0][1] if shifts and composites else 0
         relative = [(dy, loops - shift) for dy, loops in composites] if shift else composites
@@ -416,35 +411,16 @@ def _sandwich(left, right, units, slot_index, field):
         if first[0] != k:
             yield ScaledColumn(first[0], field.t_power(shift - first[1]))
             continue
-        inner = {}  # (column, d . y) -> (number of y, its coefficient, loops)
-        for n, ((b, _, cy), (dy, loops)) in enumerate(zip(ys, composites)):
-            inner.setdefault((b, dy), []).append((n, cy, loops))
-        merged = {}  # the sum over its y of each inner diagram that several y give
-        if len(inner) < len(ys):
-            merged = sum_products(
-                {key: [(one, cy, loops) for _, cy, loops in group]
-                 for key, group in inner.items() if len(group) > 1},
-                field,
-            )
+        sums = {}  # (column of R, d . y) -> a (c_y, 1, loops) per y giving it
+        for (b, _, cy), (dy, loops) in zip(ys, composites):
+            sums.setdefault((b, dy), []).append((cy, one, loops))
+        inner = sum_products(sums, field).items()  # no zero sums
         products = {}
-        for (a, dx, cx), row in zip(xs, table):
-            for (b, dy), group in inner.items():
-                if len(group) > 1:
-                    u, v, inner_loops = cx, merged.get((b, dy)), 0
-                    if v is None:
-                        continue
-                else:
-                    n, v, inner_loops = group[0]
-                    u = cx
-                    if row is not None:
-                        u = row[n]
-                        if u is None:
-                            u = row[n] = cx * v
-                        v = one
+        for a, dx, cx in xs:
+            for (b, dy), v in inner:
                 offset, basis = offsets[a, b]
                 diagram, loops = partition.compose(dx, dy)
-                pos = offset + basis.index(diagram)
-                products.setdefault(pos, []).append((u, v, loops + inner_loops))
+                products.setdefault(offset + basis.index(diagram), []).append((cx, v, loops))
         yield sum_products(products, field)
 
 

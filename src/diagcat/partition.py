@@ -102,9 +102,11 @@ class PartitionDiagram(namedtuple("PartitionDiagram", "m n blocks")):
     __slots__ = ()
 
     def __new__(cls, m, n, blocks):
+        if not isinstance(blocks, tuple):  # a list, or a one-shot iterable read once
+            return _checked.__wrapped__(m, n, tuple(blocks))
         try:
             hash(blocks)
-        except TypeError:  # unhashable blocks, such as a list, go unmemoised
+        except TypeError:  # a tuple of lists goes unmemoised
             return _checked.__wrapped__(m, n, blocks)
         return _checked(m, n, blocks)
 

@@ -332,10 +332,6 @@ class FieldElement:
         return Fraction(self.num, self.den) if self.kind == "q" else None
 
     @classmethod
-    def rational(cls, q):
-        return cls("q", *_parts(q))
-
-    @classmethod
     def ratfunc(cls, num: Poly, den: Poly = _P_ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero divisor")
@@ -458,8 +454,9 @@ def _rf_product(a, b, k):
     den monic, and reduced true when num/den is known to be in lowest terms
     without a gcd: a constant times a reduced fraction, or a product of two
     polynomials, stays reduced, and so does its product with t^k when t
-    does not divide den.  a times the field's shared one is a itself, a
-    product formed earlier, with no Poly product."""
+    does not divide den.  a times the field's shared one is a itself,
+    with no Poly product, as for a unit coefficient in compose_sum or a
+    coefficient of R in karoubi._sandwich's inner sums."""
     if a.kind != "rf" or b.kind != "rf":
         raise FieldModeError("field mode mismatch")
     an, ad, bn, bd = a.num, a.den, b.num, b.den

@@ -21,8 +21,8 @@ FIELDS = (GENERIC, FieldSpec.at(0), FieldSpec.at(Fraction(5, 2)), FieldSpec.at(-
 
 def reference_mul(a, b):
     """a * b, always reduced by ratfunc: no reduced-product rule."""
-    if a.kind == "q":
-        return FieldElement.rational(a.q * b.q)
+    if a.kind == "q":  # the same value at every rational t
+        return FieldSpec.at(1).rational(a.q * b.q)
     return FieldElement.ratfunc(a.num * b.num, a.den * b.den)
 
 

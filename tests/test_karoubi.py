@@ -34,7 +34,7 @@ from diagcat.karoubi import (
 )
 from diagcat.moebius import special_morphisms, x_e
 from diagcat.partition import DiagramClass, PartitionDiagram, all_diagrams
-from diagcat.scalar import FieldSpec, Poly, parse_field_element
+from diagcat.scalar import FieldSpec, parse_field_element
 
 F = FieldSpec.generic()
 ALL = DiagramClass.ALL
@@ -183,6 +183,23 @@ def test_a_failed_construction_raises_every_time():
     good = kar_object(1, lin("1 1'"), ALL, F, name="twice")
     assert good.to_text() == "[1]@twice" and good.words == (1,)
     assert kar_object(1, e1, ALL, F).cut == ((e1,),)
+
+
+def test_a_one_shot_cut_is_checked_like_a_tuple():
+    """A cut, or its rows, given as generators is checked as its tuple is:
+    1 * 1 | 1' squares to t times itself over Q(t), and its multiple by
+    1/t is idempotent.  A name no other test uses makes each instance new."""
+    bad, good = lin("1 * 1 | 1'"), lin("(1)/(t) * 1 | 1'")
+
+    def one_shot(e):
+        return (row for row in ((e,),)), ((x for x in (e,)),)
+
+    for cut in (((bad,),), *one_shot(bad)):
+        with pytest.raises(ValueError, match="not idempotent"):
+            KarObject(ALL, F, (1,), cut, names=("one-shot",))
+    for cut in one_shot(good):
+        obj = KarObject(ALL, F, (1,), cut, names=("one-shot",))
+        assert obj.cut == ((good,),) == obj.key()[3]
 
 
 def test_names_stay_with_their_instance():
@@ -798,42 +815,31 @@ def test_a_loop_shifted_repeat_is_skipped_only_where_t_is_invertible():
     assert exact and all(c == at_zero.one() for _, c in exact)
 
 
-def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(
-    monkeypatch, fresh_witnesses
-):
+def test_a_skipped_unit_is_not_composed(monkeypatch, fresh_witnesses):
     """Over Q(t), for X (x) g with X = [2]@x_2.e_2: a skipped unit d meets
     partition.compose only as d after the terms of f, never f's terms after
-    those, and each pair of terms of f has its coefficients multiplied at
-    most once per split, however many units are drawn."""
+    those."""
     x2 = kar_object(2, x_e(2, F), ALL, F)
     g = KarMorphism.from_lin(lin("(1)/(t-1) * 1 | 2 | 1' + (t+2) * 1 2 | 1'"), ALL, F)
     f = kar_tensor(KarMorphism.identity(x2), g)
     gh = kar_hom(f.cod, f.dom)
     kar_hom(f.dom, f.cod)
-    numerators = set()  # of the terms of the morphism the kernel splits
     log = []
-    compose, sandwich, multiply = partition.compose, karoubi._sandwich, Poly.__mul__
+    compose, sandwich = partition.compose, karoubi._sandwich
 
     def composed(a, b):
         log.append(("compose", a))
         return compose(a, b)
 
-    def multiplied(a, b):
-        if id(a) in numerators and id(b) in numerators:
-            log.append(("product", (id(a), id(b))))
-        return multiply(a, b)
-
-    def drawn(left, *args, **kwargs):
-        numerators.update(id(c.num) for row in left for x in row for c in x.terms.values())
-        for vec in sandwich(left, *args, **kwargs):
+    def drawn(*args, **kwargs):
+        for vec in sandwich(*args, **kwargs):
             log.append(("column", vec))
             yield vec
 
     monkeypatch.setattr(partition, "compose", composed)
-    monkeypatch.setattr(Poly, "__mul__", multiplied)
     monkeypatch.setattr(karoubi, "_sandwich", drawn)
     assert split_solve(f) is not None
-    # what each drawn column composed and multiplied, in order
+    # what each drawn column composed, in order
     ends = [n for n, (kind, _) in enumerate(log) if kind == "column"]
     segments = [log[start + 1:end] for start, end in zip([-1] + ends, ends)]
     columns = [log[end][1] for end in ends]
@@ -843,11 +849,6 @@ def test_a_skipped_unit_is_not_composed_and_pairs_are_multiplied_once(
         _, d = gh.unit_slots[n]
         composed_after = [a for kind, a in segments[n] if kind == "compose"]
         assert composed_after and all(a is d for a in composed_after)
-    # one slot: at most one product per pair of terms x of L's column and
-    # y of R's row, however many columns are computed
-    products = [pair for segment in segments for kind, pair in segment if kind == "product"]
-    terms = len(f.entries[0][0].terms)
-    assert 0 < len(products) <= terms * terms
 
 
 FIELDS = [F, FieldSpec.at(Fraction(5, 2))]

@@ -166,6 +166,17 @@ def test_a_list_a_tuple_and_an_unsorted_tuple_give_one_instance():
     assert d.blocks == ((1, 3), (2, 4))
 
 
+def test_one_shot_blocks_are_read_once():
+    """A generator or map of blocks is read once, at the entry: valid
+    blocks give the instance of their tuple, invalid ones raise."""
+    d = PartitionDiagram(1, 1, ((1, 2),))
+    assert PartitionDiagram(1, 1, (b for b in [(1, 2)])) is d
+    assert PartitionDiagram(1, 1, map(tuple, [[2, 1]])) is d
+    for blocks in ((b for b in [(1,), (1,)]), map(tuple, [[1, 3]])):
+        with pytest.raises(ValueError):
+            PartitionDiagram(1, 1, blocks)
+
+
 def test_parse_print_roundtrip_all_small_shapes():
     for total in range(0, 5):
         for m in range(total + 1):

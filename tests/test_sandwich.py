@@ -1,7 +1,8 @@
 """The one composition kernel of Karoubi hom spaces and split_solve:
 karoubi._sandwich gives the slot vectors of L . unit(d) . R, and must
 equal the slot vectors of the composites kar_compose builds, also where
-it skips a repeated unit and gives t^s times an earlier vector."""
+it skips a repeated unit and gives t^s times an earlier vector, and its
+columns over Q(t), evaluated at a rational t0, must be its columns at t0."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from diagcat import karoubi
-from diagcat.homspace import LinMorphism, ScaledColumn, hom_basis
+from diagcat.homspace import LinMorphism, ScaledColumn, hom_basis, parse_linmorphism
 from diagcat.karoubi import (
     KarMorphism,
     KarObject,
@@ -22,7 +23,9 @@ from diagcat.karoubi import (
 )
 from diagcat.moebius import x_e
 from diagcat.partition import DiagramClass
-from diagcat.scalar import FieldSpec, parse_field_element
+from diagcat.scalar import FieldSpec, PoleError, parse_field_element, specialize
+from test_karoubi import _split_inputs
+from test_specialization import at
 
 FIELDS = (FieldSpec.generic(), FieldSpec.at(Fraction(5, 2)))
 FIELD_IDS = ("generic", "t=5/2")
@@ -161,3 +164,66 @@ def test_split_solve_composes_a_fixed_number_of_times(field, kar_compose_calls):
         assert len(kar_compose_calls) == 2
         sizes.append(len(kar_hom(f.cod, f.dom)))
     assert len(set(sizes)) == len(sizes)
+
+
+def entries_at(entries, t0):
+    """An entry matrix with every coefficient evaluated at t = t0; raises
+    PoleError where one has a pole there."""
+    return tuple(tuple(at(x, t0) for x in row) for row in entries)
+
+
+def assert_columns_specialise(left, right, units, slot_index):
+    """Every column of _sandwich(L, R) over Q(t), evaluated at each t0 of
+    (5/2, -1, 7/3) where L and R have no pole, equals the column computed
+    at t = t0; a ScaledColumn comes at the same position, of the same
+    earlier column, with its c evaluated.  Returns how many columns were
+    compared."""
+    generic = list(karoubi._sandwich(left, right, units, slot_index, FIELDS[0]))
+    compared = 0
+    for t0 in (Fraction(5, 2), Fraction(-1), Fraction(7, 3)):
+        try:
+            left_at, right_at = entries_at(left, t0), entries_at(right, t0)
+        except PoleError:
+            continue
+        special = list(karoubi._sandwich(left_at, right_at, units, slot_index, FieldSpec.at(t0)))
+        assert len(special) == len(generic)
+        for vec, vec_at in zip(generic, special):
+            if isinstance(vec, ScaledColumn):
+                assert isinstance(vec_at, ScaledColumn) and vec_at.k == vec.k
+                assert vec_at.c == specialize(vec.c, t0)
+            else:
+                values = {pos: specialize(c, t0) for pos, c in vec.items()}
+                assert vec_at == {pos: v for pos, v in values.items() if not v.is_zero()}
+        compared += len(generic)
+    return compared
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_sandwich_over_q_t_specialises_to_the_sandwich_at_t0(seed):
+    """split_solve's use, f . U . f over the kept units of Hom(cod, dom),
+    and KarHom's, E_cod . U . E_dom over every slot diagram, on the split
+    inputs and on [2]@x_2.e_2 (x) g."""
+    generic = FIELDS[0]
+    x2 = kar_object(2, x_e(2, generic), DiagramClass.ALL, generic)
+    g = parse_linmorphism("(1)/(t-1) * 1 | 2 | 1' + (t+2) * 1 2 | 1'", generic)
+    xg = kar_tensor(
+        KarMorphism.identity(x2), KarMorphism.from_lin(g, DiagramClass.ALL, generic)
+    )
+    compared = 0
+    for f in _split_inputs(generic, random.Random(seed)) + [xg]:
+        gh, fh = kar_hom(f.cod, f.dom), kar_hom(f.dom, f.cod)
+        compared += assert_columns_specialise(
+            f.entries, f.entries, gh.unit_slots, fh._slot_index
+        )
+        compared += assert_columns_specialise(
+            f.cod.cut, f.dom.cut, fh._positions, fh._slot_index
+        )
+    assert compared > 0
+
+
+def test_the_203_units_of_x3_e3_specialise_to_their_columns_at_t0():
+    generic = FIELDS[0]
+    x3 = kar_object(3, x_e(3, generic), DiagramClass.ALL, generic)
+    hom = kar_hom(x3, x3)
+    assert len(hom._positions) == 203
+    assert assert_columns_specialise(x3.cut, x3.cut, hom._positions, hom._slot_index) > 0
