@@ -262,7 +262,7 @@ class FpHomSpace:
         return self._square(combine(self._vectors, coords, self.field))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def fp_hom_space(src: FpObject, dst: FpObject) -> FpHomSpace:
     """R/R' for src and dst, built once per pair of equal presentations."""
     return FpHomSpace(src, dst)

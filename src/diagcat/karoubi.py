@@ -9,7 +9,10 @@ inside the same type.
 
 Each object has one shared instance per key and names, whose cut is
 checked idempotent on its first construction only; direct sums, tensor
-products and zero objects are memoised over those instances.
+products and zero objects are memoised over those instances.  That check
+also records whether the cut is the identity block matrix: such a plain
+object (a word, a sum or tensor of words, the zero object) needs no
+elimination in its hom spaces with other plain objects.
 
 Morphisms are matrices of LinMorphisms satisfying the absorption law
 E_cod . F . E_dom = F.  Each value is checked once, where it enters: the
@@ -94,12 +97,14 @@ class KarObject:
     cut, so keys of different fields differ before any scalar is compared.
     Each (key, names) has one shared instance: __new__ looks it up in the
     bounded memo _interned, and __init__ sets its cut on its first
-    construction, after the class-membership and idempotence checks.  An
-    instance that failed them keeps no cut, so every later construction
-    of it checks again and raises again.
+    construction, after the class-membership and idempotence checks, with
+    `plain`, whether the cut is the identity block matrix (which is
+    idempotent, so the square is not formed).  An instance that failed
+    them keeps no cut, so every later construction of it checks again and
+    raises again.
     """
 
-    __slots__ = ("cls", "field", "words", "cut", "names", "_key", "_hash")
+    __slots__ = ("cls", "field", "words", "cut", "plain", "names", "_key", "_hash")
 
     def __new__(cls, diagram_class: DiagramClass, field: FieldSpec, words, cut, names=None):
         words = tuple(words)
@@ -114,13 +119,20 @@ class KarObject:
             return
         cut = self._key[3]  # as __new__ read it, since cut may be one-shot
         diagram_class.require((d for row in cut for lin in row for d in lin.terms), "cut")
-        square = _mat_compose(cut, cut, field)
+        one = field.one()
+        plain = all(
+            x.terms == ({PartitionDiagram.identity(w): one} if i == j else {})
+            for i, (row, w) in enumerate(zip(cut, self.words))
+            for j, x in enumerate(row)
+        )
+        square = cut if plain else _mat_compose(cut, cut, field)
         if square != cut:
-            residual = _mat_add(square, _mat_scale(cut, -field.one()))
+            residual = _mat_add(square, _mat_scale(cut, -one))
             raise ValueError(
                 "cut is not idempotent; residual e.e - e = "
                 + "; ".join(x.to_text() for row in residual for x in row)
             )
+        self.plain = plain
         self.cut = cut
 
     @classmethod
@@ -433,8 +445,12 @@ class KarHom:
     slot diagrams span the space: _sandwich gives their slot vectors, and
     those that enlarge the span, in order, are kept as the basis
     `elements`, the only candidates built as morphisms; `unit_slots`
-    holds the ((i, j), d) of the bare unit(d) of each.  Build it through
-    kar_hom, which shares one per pair of objects.
+    holds the ((i, j), d) of the bare unit(d) of each.  Between two plain
+    objects each cut unit is its bare unit, whose slot vector is the unit
+    vector of its position, so every unit is kept in position order:
+    element k is position k, coordinates are the slot vector itself, and
+    no vector is composed or eliminated (`space` is None).  Build it
+    through kar_hom, which shares one per pair of objects.
     """
 
     def __init__(self, dom: KarObject, cod: KarObject):
@@ -453,6 +469,12 @@ class KarHom:
             (slot, d) for slot, basis in self._slot_index.items() for d in basis
         )
         self.slots = len(self._positions)
+        if dom.plain and cod.plain:
+            self.space = None
+            self.unit_slots = self._positions
+            one = self.field.one()
+            self.elements = tuple(self._morphism({k: one}) for k in range(self.slots))
+            return
         candidates = _sandwich(
             cod.cut, dom.cut, self._positions, self._slot_index, self.field
         )
@@ -498,11 +520,16 @@ class KarHom:
         """Coefficients over self.elements, or None if outside the span."""
         if m.dom != self.dom or m.cod != self.cod:
             raise ValueError("morphism does not live in this hom space")
-        return self.space.coordinates_of(self.slot_vector(m))
+        vec = self.slot_vector(m)
+        if self.space is None:
+            return dict(sorted(vec.items()))
+        return self.space.coordinates_of(vec)
 
     def from_coordinates(self, coords) -> KarMorphism:
         """The combination of self.elements with the given coefficients,
         each entry of its slot vector normalised once."""
+        if self.space is None:
+            return self._morphism({k: c for k, c in coords.items() if not c.is_zero()})
         return self._morphism(combine(self._vectors, coords, self.field))
 
 
@@ -576,14 +603,14 @@ def split_solve(f: KarMorphism):
     return SplitWitness(f, g, gf)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _split_witness(f: KarMorphism):
     """(g, g.f) for f with the free variables of its exact system at zero,
     or None when the system is inconsistent; split_solve verifies it."""
     gh = kar_hom(f.cod, f.dom)
     fh = kar_hom(f.dom, f.cod)
     target = fh.slot_vector(f)
-    if not fh.space.contains(target):
+    if fh.space is not None and not fh.space.contains(target):
         raise ValueError("morphism escapes its own hom space")
     # f lies in the span of the cut units of fh, so it absorbs its cuts:
     # f.E_dom = f = E_cod.f, hence f.(E_dom.U.E_cod).f = f.U.f for the bare

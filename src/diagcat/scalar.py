@@ -129,9 +129,6 @@ class Poly:
                     out[i + j] += na * nb
         return _poly(out, self.den * other.den)
 
-    def evaluate(self, q):
-        return Fraction(*self._at(*_parts(q)))
-
     def _at(self, p, r):
         """(a, b) with self(p/r) = a/b, for ints p and r > 0; b > 0."""
         acc, rk = 0, 1

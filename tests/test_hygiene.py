@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
 no module imports another module's underscore name or imports inside a
 function, every memo is a bounded lru_cache rather than a module-level
-container, the README names every memo, every Karoubi hom space and every
+container, the README names every memo with its bound, every Karoubi hom space and every
 hom space of presented functors is built through its memo, only split_solve
 reads the memo of split witnesses, every partition
 diagram is built through the canonical memo, every Karoubi object through
@@ -168,32 +168,54 @@ def unbounded_caches(namespace: dict) -> list:
     ]
 
 
-def package_memos() -> set:
-    """Every lru_cache of the package, by defining module and qualified name
-    (a memo imported into another module is the same memo)."""
-    found = set()
+def package_bounds() -> dict:
+    """The maxsize of every lru_cache of the package, by defining module and
+    qualified name (a memo imported into another module is the same memo)."""
+    found = {}
     for path in MODULES:
         if path.stem != "__main__":  # importing it runs the command line
             module = importlib.import_module(f"diagcat.{path.stem}")
             for _, member in lru_caches(vars(module)):
-                found.add(f"{member.__module__.removeprefix('diagcat.')}.{member.__qualname__}")
+                name = f"{member.__module__.removeprefix('diagcat.')}.{member.__qualname__}"
+                found[name] = member.cache_parameters()["maxsize"]
     return found
+
+
+def caching_paragraph(text: str) -> str:
+    return text.split("## Caching", 1)[1].split("\n\n", 2)[1]
+
+
+def is_package_name(name: str) -> bool:
+    return "." in name and name.split(".")[0] in {path.stem for path in MODULES}
 
 
 def readme_memos(text: str) -> set:
     """The dotted package names in backticks in the README's Caching paragraph."""
-    section = text.split("## Caching", 1)[1].split("\n\n", 2)[1]
-    stems = {path.stem for path in MODULES}
     return {
         name
-        for name in re.findall(r"`([\w.]+)`", section)
-        if "." in name and name.split(".")[0] in stems
+        for name in re.findall(r"`([\w.]+)`", caching_paragraph(text))
+        if is_package_name(name)
+    }
+
+
+def readme_bounds(text: str) -> dict:
+    """The bound in the Caching paragraph of each package name, the number
+    opening the parenthesis after it, or after a run of names joined by
+    "and", which then share it."""
+    runs = re.findall(
+        r"((?:`[\w.]+`\s+and\s+)*`[\w.]+`)\s+\((\d+)", caching_paragraph(text)
+    )
+    return {
+        name: int(bound)
+        for names, bound in runs
+        for name in re.findall(r"`([\w.]+)`", names)
+        if is_package_name(name)
     }
 
 
 def test_the_readme_lists_every_memo():
     readme = Path(diagcat.__file__).parents[2] / "README.md"
-    assert readme_memos(readme.read_text()) == package_memos()
+    assert readme_memos(readme.read_text()) == set(package_bounds())
 
 
 def test_the_guard_sees_an_unlisted_memo():
@@ -205,6 +227,32 @@ def test_the_guard_sees_an_unlisted_memo():
         "`karoubi.kar_hom` is in the next paragraph.\n"
     )
     assert readme_memos(text) == {"partition.compose", "scalar.Poly.x_power"}
+
+
+def test_the_readme_gives_every_memo_its_bound():
+    readme = Path(diagcat.__file__).parents[2] / "README.md"
+    assert readme_bounds(readme.read_text()) == package_bounds()
+
+
+def test_the_guard_sees_a_stale_bound():
+    text = (
+        "## Caching\n\n"
+        "There are three: `partition.compose` (256 diagram pairs),\n"
+        "`cobordism.st_datum` and `cobordism.fibonacci_datum`\n"
+        "(64 Frobenius data each) and `cli.build_parser` (1 entry), see\n"
+        "`tests/test_hygiene.py` (3 guards).\n\n"
+        "`karoubi.kar_hom` (9 hom spaces) is in the next paragraph.\n"
+    )
+    bounds = readme_bounds(text)
+    assert bounds == {
+        "partition.compose": 256,
+        "cobordism.st_datum": 64,
+        "cobordism.fibonacci_datum": 64,
+        "cli.build_parser": 1,
+    }
+    actual = package_bounds()
+    stale = {name: (n, actual[name]) for name, n in bounds.items() if n != actual[name]}
+    assert stale == {"partition.compose": (256, 4096)}
 
 
 def test_every_memo_is_bounded():

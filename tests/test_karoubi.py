@@ -626,8 +626,9 @@ def test_split_refuses_a_wrong_solution(t, monkeypatch, fresh_witnesses):
 @pytest.mark.parametrize("text", ["1 | 1'", "1 2' | 2 | 1'"])
 def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
     """The solution of a basis diagram uses an early pivot, so split_solve
-    draws fewer f.U.f vectors than Hom(cod, dom) has units, while every
-    hom space still draws all of its candidates, none of them skipped: a
+    draws fewer f.U.f vectors than Hom(cod, dom) has units; the hom spaces
+    of its word objects are plain and draw none, while a hom space of a
+    cut object still draws all of its candidates, none of them skipped: a
     cut with an identity term gives no two units the same composites."""
     sandwich = karoubi._sandwich
     calls = []
@@ -644,11 +645,16 @@ def test_split_draws_only_the_sandwich_columns_it_needs(text, monkeypatch):
     karoubi._split_witness.cache_clear()
     f = KarMorphism.from_lin(lin(f"1 * {text}"), ALL, F)
     assert split_solve(f) is not None
-    *builds, (units, drawn) = calls
-    assert builds and all(len(vectors) == count for count, vectors in builds)
-    assert all(isinstance(vec, dict) for _, vectors in builds for vec in vectors)
+    (units, drawn), = calls
     assert units == len(kar_hom(f.cod, f.dom).unit_slots)
     assert 0 < len(drawn) < units
+    calls.clear()
+    x2 = kar_object(2, x_e(2, F), ALL, F)
+    kar_hom(x2, word(1))
+    kar_hom(word(2), x2)
+    assert len(calls) == 2
+    assert all(len(vectors) == count for count, vectors in calls)
+    assert all(isinstance(vec, dict) for _, vectors in calls for vec in vectors)
 
 
 def test_generic_semisimplicity_sweep():
@@ -1161,6 +1167,90 @@ def test_every_pinned_report_builds_hom_spaces_of_their_trace_dimension(monkeypa
         F, *(FieldSpec.at(Fraction(t)) for t in ("5/2", "5", "-1", "1/2", "7/3"))
     }
     assert max(space.slots for space in spaces) == 203
+    assert {space.space is None for space in spaces} == {True, False}  # plain and cut pairs
     for space in spaces:
         trace = idempotent_trace(space.dom, space.cod)
         assert trace == space.field.rational(len(space)), (space.dom, space.cod)
+
+
+def plain_objects(field):
+    """Plain objects of every kind: words [0]..[3], [1]⊕[2], [1]⊗[1], the
+    zero object and the even-blocks words [0]..[2]."""
+    words = [KarObject.word(w, ALL, field) for w in range(4)]
+    even = [KarObject.word(w, DiagramClass.EVEN_BLOCKS, field) for w in range(3)]
+    return [
+        *words,
+        direct_sum(words[1], words[2]),
+        tensor_object(words[1], words[1]),
+        KarObject.zero(ALL, field),
+    ], even
+
+
+def general_hom(dom, cod, monkeypatch):
+    """Hom(dom, cod) built the general way, through _sandwich and a
+    Subspace, as if neither object were plain."""
+    with monkeypatch.context() as patch:
+        patch.setattr(KarObject, "plain", False)
+        return KarHom(dom, cod)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "t=5/2"])
+def test_a_plain_hom_space_equals_the_general_construction(field, monkeypatch):
+    """Between identity cuts every unit is kept in position order, with
+    unit vectors: the plain hom space has the general one's basis, unit
+    slots, coordinates (values and key order) and combinations."""
+    rng = random.Random(30)
+    objects, even = plain_objects(field)
+    assert all(obj.plain for obj in objects + even)
+    pairs = [(a, b) for a in objects for b in objects]
+    pairs += [(a, b) for a in even for b in even]
+    for dom, cod in pairs:
+        plain, general = kar_hom(dom, cod), general_hom(dom, cod, monkeypatch)
+        assert plain.space is None and general.space is not None
+        assert len(plain) == len(general) == plain.slots
+        assert plain.unit_slots == general.unit_slots
+        assert plain.elements == general.elements
+        assert [x.to_text() for x in plain.elements] == [x.to_text() for x in general.elements]
+        for _ in range(3):
+            chosen = rng.sample(range(len(plain)), min(len(plain), rng.randint(1, 4)))
+            coords = {
+                k: field.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                + field.rational(rng.randint(0, 2)) * field.t()
+                for k in chosen
+            }
+            m = general.from_coordinates(coords)
+            assert plain.from_coordinates(coords) == m
+            assert plain.from_coordinates(coords).to_text() == m.to_text()
+            expected = general.coordinates_of(m)
+            assert list(plain.coordinates_of(m).items()) == list(expected.items())
+            assert expected == {k: c for k, c in sorted(coords.items()) if not c.is_zero()}
+            assert plain.from_coordinates(plain.coordinates_of(m)) == m
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["generic", "t=5/2"])
+def test_a_pair_with_a_cut_object_takes_the_general_path(field):
+    w2 = KarObject.word(2, ALL, field)
+    x2 = kar_object(2, x_e(2, field), ALL, field)
+    assert w2.plain and not x2.plain
+    for dom, cod in ((w2, x2), (x2, w2), (x2, x2)):
+        assert kar_hom(dom, cod).space is not None
+    assert kar_hom(w2, w2).space is None
+
+
+def test_a_plain_hom_space_composes_and_eliminates_nothing(monkeypatch):
+    objects, _ = plain_objects(F)
+    dom, cod = objects[4], objects[5]  # [1]⊕[2] and [1]⊗[1]
+    x2 = kar_object(2, x_e(2, F), ALL, F)
+    with monkeypatch.context() as patch:
+        counts = counted_calls(patch, "_sandwich", "Subspace")
+        hom = KarHom(dom, cod)
+        m = hom.from_coordinates({k: F.rational(k + 1) for k in range(len(hom))})
+        assert hom.coordinates_of(m) == {k: F.rational(k + 1) for k in range(len(hom))}
+        assert [hom.coordinates_of(x) for x in hom.elements] == [
+            {k: F.one()} for k in range(len(hom))
+        ]
+    assert counts == {"_sandwich": 0, "Subspace": 0}
+    with monkeypatch.context() as patch:
+        counts = counted_calls(patch, "_sandwich", "Subspace")
+        KarHom(x2, objects[2])
+    assert counts == {"_sandwich": 1, "Subspace": 1}
