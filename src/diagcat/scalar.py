@@ -10,7 +10,10 @@ Both fields keep a scalar as num over den: coprime ints with den > 0 at a
 rational t (`FieldElement.q` is a read-only Fraction view), Polys over
 Q(t).  A Poly is integer numerators over one shared denominator, the
 layout of FLINT's fmpq_poly, so both fields compute on Python ints with
-one gcd per result, not one per coefficient.
+one gcd per result, not one per coefficient.  A sum of products of
+polynomials over Q(t), as compose_sum and the Karoubi sandwich form them,
+is accumulated on one int coefficient list over one int denominator, and
+the gcd with a linear polynomial is a test of its rational root.
 
 All arithmetic is exact.  Values are immutable and kept in a canonical
 form, so equal values compare equal structurally and hash alike, by
@@ -51,11 +54,10 @@ class Poly:
 
     def __init__(self, coeffs=()):
         nums, dens = [], []
-        for c in coeffs:  # an int or a Fraction is read as it is
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
-            nums.append(c.numerator)
-            dens.append(c.denominator)
+        for c in coeffs:
+            n, d = _parts(c)
+            nums.append(n)
+            dens.append(d)
         den = lcm(*dens)
         if den != 1:
             nums = [n * (den // d) for n, d in zip(nums, dens)]
@@ -122,6 +124,10 @@ class Poly:
             return other
         if b == (other.den,):
             return self
+        if len(a) == 1 and len(b) == 1:
+            n, d = a[0] * b[0], self.den * other.den
+            g = gcd(n, d)
+            return _raw((n // g,), d // g)
         out = [0] * (len(a) + len(b) - 1)
         for i, na in enumerate(a):
             if na:
@@ -226,7 +232,14 @@ def poly_divmod(a: Poly, b: Poly):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the primitive Euclidean algorithm over Z."""
+    """Monic gcd: by a root test when an operand is linear, else by the
+    primitive Euclidean algorithm over Z."""
+    if len(b.nums) == 2:
+        a, b = b, a
+    if len(a.nums) == 2:
+        # the primitive c1*t + c0 has c1 > 0 and divides b iff b(-c0/c1) = 0
+        c0, c1 = _primitive(a.nums)
+        return _P_ONE if b._at(-c0, c1)[0] else _raw((c0, c1), c1)
     x, y = _primitive(a.nums), _primitive(b.nums)
     while y:
         rem = _pseudo_divmod(x, y)[1] if len(x) >= len(y) else x
@@ -257,9 +270,8 @@ def poly_text(p: Poly, var="t"):
 
 
 def _parts(q):
-    """The numerator and denominator of an int, or of Fraction(q)."""
-    q = q if isinstance(q, (int, Fraction)) else Fraction(q)
-    return q.numerator, q.denominator
+    """The numerator and denominator of an int or a Fraction, or of Fraction(q)."""
+    return (q if isinstance(q, (int, Fraction)) else Fraction(q)).as_integer_ratio()
 
 
 def parse_rational(text):
@@ -399,8 +411,13 @@ class FieldElement:
             raise FieldModeError("field mode mismatch")
         if self.kind == "q":
             return _rat(self.num * other.num, self.den * other.den)
-        if not self.num.nums or not other.num.nums:
+        a, b = self.num, other.num
+        if not a.nums or not b.nums:
             return _RF_ZERO
+        # a monic denominator of degree 0 is 1
+        if len(self.den.nums) == 1 and len(other.den.nums) == 1:
+            p = a * b  # a factor 1 passes through Poly.__mul__ as the other factor
+            return self if p is a else other if p is b else FieldElement("rf", p, _P_ONE)
         if self.is_one():
             return other
         if other.is_one():
@@ -506,16 +523,44 @@ def sub_product(cur, a, b):
     return FieldElement.ratfunc(cur.num * den - num * cur.den, cur.den * den)
 
 
+def _poly_products(triples):
+    """The Poly sum of a.num * b.num * t^k over (a, b, k) triples of Q(t)
+    polynomials, added on one int list over one int denominator and put in
+    canonical form once, by _poly."""
+    acc, den = [], 1
+    for a, b, k in triples:
+        x, y = a.num, b.num
+        d = x.den * y.den
+        if den % d:  # raise den to lcm(den, d)
+            f = d // gcd(den, d)
+            acc = [n * f for n in acc]
+            den *= f
+        s = den // d
+        ys = y.nums
+        top = len(x.nums) + len(ys) - 1 + k
+        if len(acc) < top:
+            acc += [0] * (top - len(acc))
+        for i, n in enumerate(x.nums, k):
+            if n:
+                n *= s
+                for j, c in enumerate(ys, i):
+                    acc[j] += n * c
+    return _poly(acc, den)
+
+
 def sum_products(sums, field: "FieldSpec"):
     """For each key of sums, the sum of a*b*t^k over its list of (a, b, k)
     triples of nonzero scalars of the field, normalised once; a key whose
     sum is zero is left out of the returned dict.
 
-    Over Q(t) the products of a key are grouped by denominator and their
-    numerators added, the groups are put over one denominator, and one
-    ratfunc call reduces the result.  A lone product skips that call when
-    the reduced-product rule of _rf_product knows it to be in lowest terms;
-    without a power of t it is a * b, which also passes a factor 1 through.
+    Over Q(t) a key whose products are all of two polynomials is summed on
+    one int coefficient list over one int denominator and normalised once,
+    with no gcd of polynomials.  The products of any other key are grouped
+    by denominator and their numerators added, the groups are put over one
+    denominator, and one ratfunc call reduces the result.  A lone product
+    skips that call when the reduced-product rule of _rf_product knows it
+    to be in lowest terms; without a power of t it is a * b, which also
+    passes a factor 1 through.
     At a rational t the products accumulate on the ints and each sum is
     reduced by one gcd.  A scalar of the other field raises FieldModeError.
     """
@@ -539,11 +584,19 @@ def sum_products(sums, field: "FieldSpec"):
                 out[key] = _rat(n, d)
         return out
     for key, triples in sums.items():
-        if len(triples) == 1:
-            a, b, k = triples[0]
-            if not k and a.kind == "rf":
-                out[key] = a * b
+        a, b, k = triples[0]
+        if len(triples) == 1 and not k and a.kind == "rf":
+            out[key] = a * b
+            continue
+        # a monic denominator of degree 0 is 1
+        if all(
+            a.kind == b.kind == "rf" and len(a.den.nums) == len(b.den.nums) == 1
+            for a, b, _ in triples
+        ):
+            num, den, reduced = _poly_products(triples), _P_ONE, True
+            if not num.nums:
                 continue
+        elif len(triples) == 1:
             num, den, reduced = _rf_product(a, b, k)
         else:
             groups = {}
@@ -556,7 +609,7 @@ def sum_products(sums, field: "FieldSpec"):
                 num, den = num * d + n * den, den * d
             if not num.nums:
                 continue
-            reduced = len(den.nums) == 1
+            reduced = False  # some product's denominator, hence den, has positive degree
         out[key] = FieldElement("rf", num, den) if reduced else FieldElement.ratfunc(num, den)
     return out
 

@@ -306,6 +306,87 @@ def test_integer_layout_matches_fraction_reference():
         assert poly_at(pa, q) == sum((c * q**i for i, c in enumerate(a)), Fraction(0))
 
 
+def test_a_linear_gcd_by_root_test_matches_the_euclidean_reference():
+    """poly_gcd settles a linear operand by evaluating the other at the
+    factor's root; the result must be the Euclidean gcd, in layout too."""
+    rng = random.Random(47)
+
+    def lead(sign):
+        return Fraction(sign * rng.randint(1, 6), rng.randint(1, 4))
+
+    for root in (Fraction(0), Fraction(3, 2), Fraction(-5, 3), Fraction(-2)):
+        for sign in (1, -1):
+            for _ in range(10):
+                c = lead(sign)
+                lin = (-c * root, c)
+                others = {
+                    "shared root": ref_mul(lin, ref_trim(rand_fractions(rng, 3)) or (1,)),
+                    "linear, same root": (-root * c * 3, c * 3),
+                    "constant": (lead(-sign),),
+                    "zero": (),
+                }
+                other = ()
+                while not other or poly_at(Poly(other), root) == 0:
+                    other = ref_trim(rand_fractions(rng, 4))
+                others["no common root"] = other
+                for name, other in others.items():
+                    want = ref_gcd(lin, other)
+                    assert len(want) == (1 if name in ("constant", "no common root") else 2)
+                    assert_layout(poly_gcd(Poly(lin), Poly(other)), want)
+                    assert_layout(poly_gcd(Poly(other), Poly(lin)), want)
+
+
+def test_polynomial_sums_equal_the_grouping_path():
+    """sum_products sums a key of polynomial products on ints; the same
+    products with a cancelling pair of rational functions added take the
+    grouping path, and both must give the same canonical scalar."""
+    rng = random.Random(53)
+    generic = FieldSpec.generic()
+    u = FieldElement.ratfunc(Poly((1, 2)), Poly((-1, 0, 3)))  # (2t+1)/(3t^2-1)
+
+    def poly_scalar():
+        # mixed int denominators: each coefficient over 1 to 4
+        return FieldElement.ratfunc(Poly(ref_trim(rand_fractions(rng, 4)) or (1,)))
+
+    for _ in range(150):
+        triples = [(poly_scalar(), poly_scalar(), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        negated = [(-a, b, k) for a, b, k in triples]
+        got = sum_products(
+            {
+                "poly": triples,
+                "grouped": triples + [(u, u, 0), (-u, u, 0)],
+                "cancel": triples + negated,
+            },
+            generic,
+        )
+        want = ()
+        for a, b, k in triples:
+            want = ref_add(want, (Fraction(0),) * k + ref_mul(a.num.coeffs, b.num.coeffs))
+        assert "cancel" not in got
+        if not want:
+            assert got == {}
+            continue
+        p, g = got["poly"], got["grouped"]
+        assert_layout(p.num, want)
+        assert p.den.is_one()
+        assert p == g and hash(p) == hash(g) and p.to_text() == g.to_text()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        FieldElement.ratfunc(Poly((Fraction(-1, 2), 0, 3))),
+        FieldElement.ratfunc(Poly((1, 1)), Poly((0, 0, 2))),
+    ],
+    ids=["polynomial", "rational function"],
+)
+def test_a_factor_one_returns_the_other_operand_itself(a):
+    one = FieldSpec.generic().one()
+    assert a * one is a
+    assert one * a is a
+    assert sum_products({0: [(a, one, 0)]}, FieldSpec.generic())[0] is a
+
+
 def test_text_round_trip_randomized():
     rng = random.Random(43)
     generic = FieldSpec.generic()
