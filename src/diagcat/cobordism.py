@@ -31,9 +31,9 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 
-from .homspace import LinMorphism
+from .homspace import LinMorphism, derived_lin
 from .partition import DiagramParseError, PartitionDiagram, compose
-from .scalar import FieldElement, FieldSpec, Poly, poly_divmod, poly_text
+from .scalar import FieldElement, FieldSpec, Poly, poly_divmod, poly_text, sum_products
 
 
 class FrobeniusDatum:
@@ -299,11 +299,12 @@ def cob_compose(
     """Bilinear extension of glue; g after f."""
     if f.cod != g.dom:
         raise ValueError("shape mismatch in composition")
-    out = LinMorphism.zero(f.dom, g.cod)
+    products = {}  # per glued cobordism, its (af * ag, c, 0) triples
     for cf, af in f.terms.items():
         for cg, ag in g.terms.items():
-            out = out + glue(cg, cf, datum).scale(af * ag)
-    return out
+            for cob, c in glue(cg, cf, datum).terms.items():
+                products.setdefault(cob, []).append((af * ag, c, 0))
+    return derived_lin(f.dom, g.cod, sum_products(products, datum.field))
 
 
 def partition_to_cob(d: PartitionDiagram) -> Cobordism:

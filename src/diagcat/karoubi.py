@@ -7,12 +7,14 @@ full matrix cut instead of one idempotent per summand costs nothing here
 and lets later constructions (weak kernels of presented functors) stay
 inside the same type.
 
-Each object has one shared instance per key and names, whose cut is
-checked idempotent on its first construction only; direct sums, tensor
-products and zero objects are memoised over those instances.  That check
-also records whether the cut is the identity block matrix: such a plain
+Each object has one shared instance per key and names.  A raw cut is
+checked idempotent and in its class once, by the KarObject constructor,
+which also records whether it is the identity block matrix: such a plain
 object (a word, a sum or tensor of words, the zero object) needs no
-elimination in its hom spaces with other plain objects.
+elimination in its hom spaces with other plain objects.  Words, the zero
+object, direct sums and tensor products are right by construction, so
+_kar_object builds them unchecked, plain when their parts are; the last
+three are memoised over the shared instances.
 
 Morphisms are matrices of LinMorphisms satisfying the absorption law
 E_cod . F . E_dom = F.  Each value is checked once, where it enters: the
@@ -99,9 +101,8 @@ class KarObject:
     bounded memo _interned, and __init__ sets its cut on its first
     construction, after the class-membership and idempotence checks, with
     `plain`, whether the cut is the identity block matrix (which is
-    idempotent, so the square is not formed).  An instance that failed
-    them keeps no cut, so every later construction of it checks again and
-    raises again.
+    idempotent, so the square is not formed), unless _kar_object set both.
+    An instance that failed them keeps no cut and raises again.
     """
 
     __slots__ = ("cls", "field", "words", "cut", "plain", "names", "_key", "_hash")
@@ -141,12 +142,12 @@ class KarObject:
         """The plain object [w] with identity cut, memoised per
         (w, class, field), so a repeated call builds no cut and no key."""
         e = LinMorphism.from_diagram(PartitionDiagram.identity(w), field)
-        return cls(diagram_class, field, (w,), ((e,),), names=("id",))
+        return _kar_object(diagram_class, field, (w,), ((e,),), ("id",))
 
     @classmethod
     @lru_cache(maxsize=64)
     def zero(cls, diagram_class: DiagramClass, field: FieldSpec):
-        return cls(diagram_class, field, (), (), names=())
+        return _kar_object(diagram_class, field, (), (), ())
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.cut for x in row)
@@ -205,6 +206,17 @@ def _interned(key, names) -> KarObject:
     return obj
 
 
+def _kar_object(diagram_class, field, words, cut, names, parts=()) -> KarObject:
+    """The shared object of a cut, a tuple of row tuples in the class and
+    idempotent by construction; nothing is checked.  It is plain when it has
+    no words or all its parts (none for a word) are plain."""
+    obj = _interned((diagram_class, field, words, cut), names)
+    if not hasattr(obj, "cut"):
+        obj.plain = not words or all(part.plain for part in parts)
+        obj.cut = cut
+    return obj
+
+
 def kar_object(
     word: int,
     e: LinMorphism,
@@ -245,7 +257,7 @@ def _direct_sum(a: KarObject, b: KarObject, names) -> KarObject:
             else:
                 row.append(LinMorphism.zero(words[j], words[i]))
         cut.append(tuple(row))
-    return KarObject(a.cls, a.field, words, cut, names=names)
+    return _kar_object(a.cls, a.field, words, tuple(cut), names, (a, b))
 
 
 @lru_cache(maxsize=1024)
@@ -253,7 +265,8 @@ def tensor_object(a: KarObject, b: KarObject) -> KarObject:
     if a.cls != b.cls:
         raise ValueError("class mismatch in tensor")
     words = tuple(wa + wb for wa in a.words for wb in b.words)
-    return KarObject(a.cls, a.field, words, _mat_tensor(a.cut, b.cut, a.field))
+    cut = _mat_tensor(a.cut, b.cut, a.field)
+    return _kar_object(a.cls, a.field, words, cut, None, (a, b))
 
 
 class KarMorphism:

@@ -5,7 +5,8 @@ container, the README names every memo with its bound, every Karoubi hom space a
 hom space of presented functors is built through its memo, only split_solve
 reads the memo of split witnesses, every partition
 diagram is built through the canonical memo, every Karoubi object through
-the intern memo, every Karoubi and presented morphism through its checking
+the intern memo with its cut set only by its checking constructor or
+_kar_object, every Karoubi and presented morphism through its checking
 constructor or its module's one unchecked builder, and every Cobordism
 through its checking constructor or _cobordism, no namedtuple `_make` or
 `_replace` rebuilds a diagram or a cobordism, no call passes a `validate`
@@ -484,6 +485,73 @@ def test_only_the_unchecked_builder_skips_the_checked_constructor(class_name):
     assert found == []
 
 
+def cut_assignments(source: str, scopes=()) -> list:
+    """Line numbers of each assignment to a .cut or .plain attribute, and of
+    each setattr of one, outside the named functions ("name" at module
+    level, "Class.method" in a class)."""
+    tree = ast.parse(source)
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    functions[f"{node.name}.{item.name}"] = item
+    inside = {id(n) for name in scopes if name in functions for n in ast.walk(functions[name])}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names = {node.attr}
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)
+        ) in ("setattr", "__setattr__"):
+            names = {a.value for a in node.args if isinstance(a, ast.Constant)}
+        else:
+            continue
+        if names & {"cut", "plain"}:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_constructor_and_the_builder_set_a_cut():
+    """A KarObject's cut and plain are set by KarObject.__init__, after its
+    checks, or by karoubi._kar_object, for a cut right by construction."""
+    found = [
+        f"{path.stem}:{line}"
+        for path in MODULES
+        for line in cut_assignments(
+            path.read_text(),
+            ("KarObject.__init__", "_kar_object") if path.stem == "karoubi" else (),
+        )
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_a_cut_set_elsewhere():
+    snippet = (
+        "class KarObject:\n"
+        "    def __init__(self, cut):\n"
+        "        self.plain = False\n"
+        "        self.cut = cut\n"
+        "def _kar_object(obj, cut):\n"
+        "    obj.plain, obj.cut = True, cut\n"
+        "def weak_kernel(k, e):\n"
+        "    k.cut = e\n"
+        "    k.plain, n = True, 0\n"
+        "    setattr(k, 'cut', e)\n"
+        "    object.__setattr__(k, 'plain', True)\n"
+        "class Other:\n"
+        "    def __init__(self, cut):\n"
+        "        self.cut = cut\n"
+        "x = k.cut\n"
+        "setattr(k, 'names', ())\n"
+    )
+    assert cut_assignments(snippet, ("KarObject.__init__", "_kar_object")) == [8, 9, 10, 11, 14]
+
+
 def tuple_rebuilds(source: str) -> list:
     """Line numbers of each ._make(...) or ._replace(...) call: namedtuple's
     own constructors, which would build a PartitionDiagram or a Cobordism
@@ -794,14 +862,16 @@ def test_the_guard_sees_a_second_elimination():
 
 def summed_composites(source: str) -> list:
     """Line numbers of each + (binary or augmented) that takes a
-    .compose(...) call as an operand."""
+    .compose(...) or glue(...) call, or a .scale(...) of one, as an
+    operand."""
 
     def is_compose(node):
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "compose"
-        )
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "scale" and isinstance(node.func, ast.Attribute):
+            return is_compose(node.func.value)
+        return name == "glue" or name == "compose" and isinstance(node.func, ast.Attribute)
 
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -835,8 +905,9 @@ def test_the_guard_sees_a_summed_composite():
         "total = a.compose(b, field) + c\n"
         "ok = compose_sum(zip(ps, xs), 1, 0, field) + a.tensor(b, field)\n"
         "fine = a.compose(b, field) - c.compose(d, field)\n"
+        "out = out + glue(cg, cf, datum).scale(af * ag)\n"
     )
-    assert summed_composites(snippet) == [2, 3, 4]
+    assert summed_composites(snippet) == [2, 3, 4, 7]
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

@@ -162,11 +162,88 @@ def test_a_second_equal_construction_checks_nothing(monkeypatch):
     monkeypatch.setattr(karoubi, "_mat_compose", counted)
     assert kar_object(1, special_morphisms("e_1_sprime", 1, F), ALL, F, name="first sprime") is first
     assert direct_sum(first, first) is direct_sum(first, first)
-    assert len(calls) == 1  # the new sum's cut, checked once
     assert tensor_object(first, first) is tensor_object(first, first)
-    assert len(calls) == 2
+    assert calls == []  # a sum or tensor is built unchecked
     assert KarObject(ALL, F, (1,), first.cut, names=["first sprime"]) is first
-    assert len(calls) == 2
+    assert calls == []
+
+
+OBJECT_MEMOS = (
+    karoubi._interned,
+    karoubi._direct_sum,
+    karoubi.tensor_object,
+    KarObject.word,
+    KarObject.zero,
+)
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+def test_derived_objects_match_their_checked_construction(t, monkeypatch):
+    """Words, the zero object, and direct sums and tensors nested two deep
+    of words, [2]@x_2e_2, [1]@e_1', the zero object and a weak kernel are
+    built with no matrix product, and each has the key, plain and names
+    that the checking constructor gives its words and cut."""
+    field = F if t is None else FieldSpec.at(t)
+    cls = DiagramClass.EVEN_MANY_ODD_BLOCKS
+    for memo in OBJECT_MEMOS:
+        memo.cache_clear()
+    eps = KarMorphism.from_lin(parse_linmorphism("1 2", field, dom=2, cod=0), cls, field)
+    checked = [
+        kar_object(2, x_e(2, field), cls, field, name="x_2e_2"),
+        kar_object(1, special_morphisms("e_1_sprime", 1, field), cls, field, name="e_1'"),
+        weak_kernel(kar_row([eps, eps]), KarObject.word(2, cls, field), eps)[0],
+    ]
+    for memo in OBJECT_MEMOS:
+        memo.cache_clear()
+    calls = []
+    compose = karoubi._mat_compose
+    monkeypatch.setattr(karoubi, "_mat_compose", lambda *a: calls.append(a) or compose(*a))
+    names = {}  # by id, as objects differing only in names are equal
+
+    def build(op, a, b):
+        obj = op(a, b)
+        both = op is direct_sum and None not in (names[id(a)], names[id(b)])
+        names[id(obj)] = names[id(a)] + names[id(b)] if both else None
+        return obj
+
+    leaves = [KarObject.word(w, cls, field) for w in range(4)]
+    leaves += [KarObject.zero(cls, field)] + checked
+    names.update((id(obj), obj.names) for obj in checked)
+    names.update((id(obj), ("id",)) for obj in leaves[:4])
+    names[id(leaves[4])] = ()
+    rng = random.Random(32)
+    ops = (direct_sum, tensor_object)
+    level1 = [build(op, a, b) for op in ops for a in leaves for b in rng.sample(leaves, 3)]
+    level2 = []
+    while len(level2) < 24:
+        a, b = rng.choice(level1), rng.choice(leaves + level1)
+        op = rng.choice(ops)
+        if op is direct_sum or sum(a.words) * sum(b.words) <= 16:
+            level2.append(build(op, a, b) if rng.random() < 0.5 else build(op, b, a))
+    assert calls == []
+    monkeypatch.setattr(karoubi, "_mat_compose", compose)
+    derived = leaves[:5] + level1 + level2
+    assert {obj.plain for obj in derived} == {True, False}
+    for obj in derived:
+        for memo in OBJECT_MEMOS:
+            memo.cache_clear()
+        fresh = KarObject(cls, field, obj.words, obj.cut, names=names[id(obj)])
+        assert fresh is not obj, obj
+        assert (fresh.key(), fresh.plain, fresh.names) == (obj.key(), obj.plain, obj.names)
+
+
+@pytest.mark.parametrize("t", [None, Fraction(5, 2)], ids=["generic", "t=5/2"])
+def test_a_raw_non_idempotent_cut_raises_where_it_enters(t):
+    """2 . id is no idempotent: alone, and as a block of a block-diagonal
+    cut shaped like a direct sum of words."""
+    field = F if t is None else FieldSpec.at(t)
+    bad, ident = parse_linmorphism("2 * 1 1'", field), identity_lin(1, field)
+    with pytest.raises(ValueError, match="not idempotent"):
+        kar_object(1, bad, ALL, field, name="doubled")
+    zero = LinMorphism.zero(1, 1)
+    for cut in (((bad, zero), (zero, ident)), ((ident, zero), (zero, bad))):
+        with pytest.raises(ValueError, match="not idempotent"):
+            KarObject(ALL, field, (1, 1), cut)
 
 
 def test_a_failed_construction_raises_every_time():

@@ -14,13 +14,15 @@ quartiles, the change in the medians, and the pairs the change won (ties
 count for neither).  Each metric's direction and bound come from
 ``BENCHMARK.json``.  A gain is read when, over at least ten pairs, the
 change wins at least nine tenths of them and the medians differ by more
-than the base's interquartile range; a bounded metric whose median is
-worse than its bound reads as over the bound; one whose base spread is
-wider than its bound reads as unresolved, unless every change run beats
-every base run.  Every
+than the base's interquartile range, unless a larger share of the
+change's operations failed, which voids the gain; a bounded metric whose
+median is worse than its bound reads as over the bound; one whose base
+spread is wider than its bound reads as unresolved, unless every change
+run beats every base run.  Every
 run and the summary go to ``BENCH_<label>.json`` (``--out``), where they
 replace that workload's earlier entry (a traced run's key is the workload
-and " traced").
+and " traced").  The tool exits non-zero, after writing the file, when
+any run reports itself incorrect.
 """
 
 from __future__ import annotations
@@ -91,9 +93,18 @@ def quartiles(values):
     return q1, med, q3
 
 
+def failure_share(pairs, side):
+    """The share of side's attempted operations that failed, over all pairs."""
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
+
+
 def summarise(pairs, specs):
-    """Per metric: both sides' quartiles, the median change, wins and a verdict."""
+    """Per metric: both sides' quartiles, the median change, wins and a
+    verdict; a gain of a change whose operations fail in a larger share
+    than the base's reads "gain voided by failures"."""
     out = {}
+    more_failures = failure_share(pairs, "change") > failure_share(pairs, "base")
     names = [name for name in pairs[0]["base"]["metrics"] if name in pairs[0]["change"]["metrics"]]
     for name in names:
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -106,7 +117,7 @@ def summarise(pairs, specs):
         bound = spec["bound"]
         n = len(pairs)
         if n >= MIN_CLAIM_PAIRS and 10 * wins >= 9 * n and sign * (cmed - bmed) > bq3 - bq1:
-            verdict = "gain"
+            verdict = "gain voided by failures" if more_failures else "gain"
         elif bound is not None and rel is not None and -sign * rel > bound:
             verdict = "over bound"
         elif (
@@ -223,6 +234,12 @@ def main(argv=None):
             subprocess.run(["git", "-C", ROOT, "worktree", "prune"], check=False)
     write(out, label, args.workload + (" traced" if args.trace else ""), entry)
     print(f"wrote {out}")
+    incorrect = [
+        f"seed {p['seed']} {side}" for p in entry["pairs"] for side in ("base", "change")
+        if not p[side]["correct"]
+    ]
+    if incorrect:
+        raise SystemExit("error: incorrect runs: " + ", ".join(incorrect))
 
 
 if __name__ == "__main__":
