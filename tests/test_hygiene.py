@@ -485,11 +485,9 @@ def test_only_the_unchecked_builder_skips_the_checked_constructor(class_name):
     assert found == []
 
 
-def cut_assignments(source: str, scopes=()) -> list:
-    """Line numbers of each assignment to a .cut or .plain attribute, and of
-    each setattr of one, outside the named functions ("name" at module
-    level, "Class.method" in a class)."""
-    tree = ast.parse(source)
+def named_functions(tree) -> dict:
+    """The module's functions by name, and its classes' methods as
+    "Class.method"."""
     functions = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -498,6 +496,15 @@ def cut_assignments(source: str, scopes=()) -> list:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     functions[f"{node.name}.{item.name}"] = item
+    return functions
+
+
+def cut_assignments(source: str, scopes=()) -> list:
+    """Line numbers of each assignment to a .cut or .plain attribute, and of
+    each setattr of one, outside the named functions ("name" at module
+    level, "Class.method" in a class)."""
+    tree = ast.parse(source)
+    functions = named_functions(tree)
     inside = {id(n) for name in scopes if name in functions for n in ast.walk(functions[name])}
     found = set()
     for node in ast.walk(tree):
@@ -917,15 +924,7 @@ def calls_in_loops(source: str, functions, callee: str) -> list:
     """Line numbers of calls to callee inside a loop or comprehension of
     the named functions ("name" at module level, "Class.method" in a
     class)."""
-    tree = ast.parse(source)
-    scopes = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            scopes[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    scopes[f"{node.name}.{item.name}"] = item
+    scopes = named_functions(ast.parse(source))
     found = set()
     for name in functions:
         for loop in ast.walk(scopes[name]):
